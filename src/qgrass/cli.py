@@ -12,7 +12,7 @@ import json
 import sys
 
 from .grassmann import subalgebra_hilbert
-from .harness import DEFAULT_CONFIG, ConfigError, Report, sweep, validate_config
+from .harness import DEFAULT_CONFIG, FAMILIES, NS, PAIRS, ConfigError, Report, sweep, validate_config
 from .kschur import k_schur
 from .lagrangian import lg_subalgebra_hilbert
 from .partitions import Partition, bounded_from_core, core_from_bounded, k_conjugate, vacancy
@@ -20,6 +20,12 @@ from .qseries import QPoly, grass_subalgebra_formula, lg_subalgebra_formula
 from .schur import SymVector
 
 FORMATS = ("text", "md", "json")
+
+# `verify` targets that name several families; any other target is one family.
+VERIFY_GROUPS = {
+    "identities": ["prop51", "decomp-vacant", "decomp-shifted", "vacancy"],
+    "all": list(DEFAULT_CONFIG["families"]),
+}
 
 
 def _emit_qpoly(p: QPoly, fmt: str) -> str:
@@ -109,15 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
 
     p = sub.add_parser("verify", parents=[common], help="run identity and conjecture sweeps")
-    p.add_argument(
-        "family",
-        choices=("summand", "rt", "h-basis", "kschur-basis", "lg", "identities", "all"),
-    )
+    p.add_argument("family", choices=("summand", "rt", "h-basis", "kschur-basis", "lg", *VERIFY_GROUPS))
     p.add_argument("--max", type=int, help="clamp every grid bound to this value")
     p.add_argument("--ell", type=int, help="restrict box families to one ell (with --k)")
     p.add_argument("--k", type=int, help="restrict box families to one k (with --ell)")
     p.add_argument("--n", type=int, help="restrict staircase families to one n")
-    p.add_argument("--jobs", type=int, help="worker count; defaults to available parallelism")
     p.add_argument("--keep-going", action="store_true",
                    help="do not abort when a theorem case fails")
     p.add_argument("--config", help="JSON file with a full sweep configuration")
@@ -130,24 +132,16 @@ def _verify_config(args) -> dict:
             return validate_config(json.load(fh))
     if (args.ell is None) != (args.k is None):
         raise ConfigError("--ell and --k must be given together")
-    names = {
-        "summand": ["summand"],
-        "rt": ["rt"],
-        "h-basis": ["h-basis"],
-        "kschur-basis": ["kschur-basis"],
-        "lg": ["lg"],
-        "identities": ["prop51", "decomp-vacant", "decomp-shifted", "vacancy"],
-        "all": list(DEFAULT_CONFIG["families"]),
-    }[args.family]
     families = {}
-    for name in names:
+    for name in VERIFY_GROUPS.get(args.family, [args.family]):
         spec = dict(DEFAULT_CONFIG["families"][name])
         if args.max is not None:
             spec["max"] = min(spec["max"], args.max)
-        if args.ell is not None and name in ("summand", "rt", "h-basis", "kschur-basis", "decomp-vacant", "vacancy"):
-            spec = {"pairs": [[args.ell, args.k]]}
-        if args.n is not None and name in ("lg", "prop51", "decomp-shifted"):
-            spec = {"ns": [args.n]}
+        grid = FAMILIES[name].grid
+        if args.ell is not None and grid == PAIRS:
+            spec = {PAIRS: [[args.ell, args.k]]}
+        if args.n is not None and grid == NS:
+            spec = {NS: [args.n]}
         families[name] = spec
     return validate_config({"families": families})
 
@@ -201,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
             print(_emit_symvector(k_schur(lam, args.k), fmt))
         elif args.command == "verify":
             config = _verify_config(args)
-            report = sweep(config, jobs=args.jobs, keep_going=args.keep_going or None)
+            report = sweep(config, keep_going=args.keep_going or None)
             print(_emit_report(report, fmt))
             return 0 if report.ok else 1
         return 0

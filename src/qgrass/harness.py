@@ -2,17 +2,17 @@
 
 Each case compares two exactly-computed polynomials.  Theorem cases failing
 indicate an implementation bug and abort the sweep by default; conjecture
-cases failing are findings and never abort.  Reports are merged in the fixed
-(family, parameter) order regardless of how many workers ran the cases, so a
-report is byte-identical across parallelism settings.
+cases failing are findings and never abort.  A sweep runs its tasks one after
+another in the fixed (family, parameter) order of `FAMILIES`, so a report is
+the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import factorial
+from typing import Callable, NamedTuple
 
 from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from .lagrangian import lg_subalgebra_hilbert, lg_top_power
@@ -199,7 +199,8 @@ def check_prop51(n: int) -> Case:
     return _case("prop51", {"n": n}, THEOREM, expected, actual)
 
 
-def _vacant_roundtrip_polys(ell: int, k: int) -> tuple[QPoly, QPoly, str]:
+def check_vacant_roundtrip(ell: int, k: int) -> Case:
+    """Round-trip bijectivity of the vacant decomposition on the ell x k box."""
     family = [lam for lam in partitions_in_box(ell, k) if lam]
     expected = gen_sum(family)
     good = []
@@ -223,10 +224,11 @@ def _vacant_roundtrip_polys(ell: int, k: int) -> tuple[QPoly, QPoly, str]:
                             detail = f"compose/decompose round trip failed at {(i, j, dag, ddag)}"
     if bad_compose:
         actual = actual - QPoly({0: bad_compose})
-    return expected, actual, detail
+    return _case("vacant-roundtrip", {"ell": ell, "k": k}, THEOREM, expected, actual, detail)
 
 
-def _shifted_roundtrip_polys(n: int) -> tuple[QPoly, QPoly, str]:
+def check_shifted_roundtrip(n: int) -> Case:
+    """Round-trip bijectivity of the shifted decomposition on the order-n staircase."""
     family = [lam for lam in strict_partitions_in_triangle(n) if lam]
     expected = gen_sum(family)
     good = []
@@ -249,27 +251,7 @@ def _shifted_roundtrip_polys(n: int) -> tuple[QPoly, QPoly, str]:
                         detail = f"compose/decompose round trip failed at {(i, j, mu)}"
     if bad_compose:
         actual = actual - QPoly({0: bad_compose})
-    return expected, actual, detail
-
-
-def check_vacant_roundtrip(ell: int, k: int) -> Case:
-    expected, actual, detail = _vacant_roundtrip_polys(ell, k)
-    return _case("vacant-roundtrip", {"ell": ell, "k": k}, THEOREM, expected, actual, detail)
-
-
-def check_shifted_roundtrip(n: int) -> Case:
-    expected, actual, detail = _shifted_roundtrip_polys(n)
     return _case("shifted-roundtrip", {"n": n}, THEOREM, expected, actual, detail)
-
-
-def check_decompositions(ell: int, k: int, n: int) -> Case:
-    """Round-trip bijectivity of both explicit decompositions, in one case."""
-    e1, a1, d1 = _vacant_roundtrip_polys(ell, k)
-    e2, a2, d2 = _shifted_roundtrip_polys(n)
-    detail = d1 or d2
-    return _case(
-        "decompositions", {"ell": ell, "k": k, "n": n}, THEOREM, e1 + e2, a1 + a2, detail
-    )
 
 
 def check_vacancy_conjugation(ell: int, k: int) -> Case:
@@ -321,18 +303,31 @@ def check_kschur_basis(ell: int, k: int, m: int) -> Case:
     return _basis_case("kschur-basis", kschur_basis_report(ell, k, m))
 
 
+def plucker_degree(n: int) -> int:
+    """Degree of LG(n, 2n) in its Plucker embedding:
+    N! 2^(n(n-1)/2) prod_{i=1..n} (i-1)!/(2i-1)!, with N = n(n+1)/2."""
+    num = factorial(n * (n + 1) // 2) * 2 ** (n * (n - 1) // 2)
+    den = 1
+    for i in range(1, n + 1):
+        num *= factorial(i - 1)
+        den *= factorial(2 * i - 1)
+    return num // den
+
+
 def check_lg_top_power(n: int) -> Case:
-    """Nonvanishing of the top power of the degree-one generator.  The detail
-    always records the coefficient: it doubles as a regression constant."""
+    """The top power of the degree-one generator equals the Plucker degree of
+    LG(n, 2n).  The detail always records the coefficient: it doubles as a
+    regression constant."""
     value = lg_top_power(n)
-    actual = QPoly.one() if value > 0 else QPoly.zero()
+    degree = plucker_degree(n)
+    ok = value == degree
     return Case(
         name="lg-top-power",
         params={"n": n},
-        status=PASS if value > 0 else FAIL,
+        status=PASS if ok else FAIL,
         expected=QPoly.one(),
-        actual=actual,
-        detail=f"top coefficient {value}",
+        actual=QPoly.one() if ok else QPoly.zero(),
+        detail=f"top coefficient {value}" + ("" if ok else f", Plucker degree {degree}"),
         kind=THEOREM,
     )
 
@@ -340,17 +335,54 @@ def check_lg_top_power(n: int) -> Case:
 # ---------------------------------------------------------------------------
 # Sweep configuration and execution.
 
-FAMILIES = (
-    "summand",
-    "rt",
-    "h-basis",
-    "kschur-basis",
-    "lg",
-    "prop51",
-    "decomp-vacant",
-    "decomp-shifted",
-    "vacancy",
-)
+# Grid kinds, each also the config key of an explicit grid.
+PAIRS = "pairs"  # (ell, k) boxes
+NS = "ns"  # staircase orders n
+
+
+class Family(NamedTuple):
+    """One check family: its grid kind, how a grid point expands into task
+    parameters, and the names of the checks run on each parameter set."""
+
+    name: str
+    grid: str
+    expand: Callable[..., list[dict]]
+    checks: tuple[str, ...]
+
+
+def _box(ell: int, k: int) -> list[dict]:
+    return [{"ell": ell, "k": k}]
+
+
+def _box_up_to_min(var: str) -> Callable[[int, int], list[dict]]:
+    return lambda ell, k: [{"ell": ell, "k": k, var: v} for v in range(1, min(ell, k) + 1)]
+
+
+def _order(n: int) -> list[dict]:
+    return [{"n": n}]
+
+
+def _positive_order(n: int) -> list[dict]:
+    return [{"n": n}] if n >= 1 else []
+
+
+# Report order.  Checks are named rather than referenced so that each one is
+# looked up in this module when a sweep builds its tasks: rebinding a
+# `check_*` attribute of the module (as a tracer does) reaches the sweep.
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family("summand", PAIRS, _box_up_to_min("i"), ("check_summand_identity",)),
+        Family("rt", PAIRS, _box, ("check_rt",)),
+        Family("h-basis", PAIRS, _box_up_to_min("m"), ("check_h_basis",)),
+        Family("kschur-basis", PAIRS, _box_up_to_min("m"), ("check_kschur_basis",)),
+        Family("lg", NS, _positive_order, ("check_lg", "check_lg_top_power")),
+        Family("prop51", NS, _order, ("check_prop51",)),
+        Family("decomp-vacant", PAIRS, _box, ("check_vacant_roundtrip",)),
+        Family("decomp-shifted", NS, _order, ("check_shifted_roundtrip",)),
+        Family("vacancy", PAIRS, _box, ("check_vacancy_conjugation",)),
+    )
+}
 
 DEFAULT_CONFIG: dict = {
     "families": {
@@ -366,45 +398,50 @@ DEFAULT_CONFIG: dict = {
     }
 }
 
-_PAIR_FAMILIES = {"summand", "rt", "h-basis", "kschur-basis", "decomp-vacant", "vacancy"}
-_N_FAMILIES = {"lg", "prop51", "decomp-shifted"}
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _family_pairs(spec: dict) -> list[tuple[int, int]]:
-    if "pairs" in spec:
-        pairs = spec["pairs"]
+    if PAIRS in spec:
+        pairs = spec[PAIRS]
         if not isinstance(pairs, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(x, int) and x >= 1 for x in p)
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) and x >= 1 for x in p)
             for p in pairs
         ):
             raise ConfigError(f"'pairs' must be a list of [ell, k] integer pairs, got {pairs!r}")
         return [tuple(p) for p in pairs]
     maximum = spec.get("max")
-    if not isinstance(maximum, int) or maximum < 1:
+    if not _is_int(maximum) or maximum < 1:
         raise ConfigError(f"family spec needs 'max' >= 1 or explicit 'pairs', got {spec!r}")
     return [(ell, k) for ell in range(1, maximum + 1) for k in range(1, maximum + 1)]
 
 
-def _family_ns(spec: dict) -> list[int]:
-    if "ns" in spec:
-        ns = spec["ns"]
-        if not isinstance(ns, list) or not all(isinstance(x, int) and x >= 0 for x in ns):
+def _family_ns(spec: dict) -> list[tuple[int]]:
+    if NS in spec:
+        ns = spec[NS]
+        if not isinstance(ns, list) or not all(_is_int(x) and x >= 0 for x in ns):
             raise ConfigError(f"'ns' must be a list of nonnegative integers, got {ns!r}")
-        return list(ns)
+        return [(n,) for n in ns]
     maximum = spec.get("max")
-    if not isinstance(maximum, int) or maximum < 0:
+    if not _is_int(maximum) or maximum < 0:
         raise ConfigError(f"family spec needs 'max' >= 0 or explicit 'ns', got {spec!r}")
-    return list(range(1, maximum + 1))
+    return [(n,) for n in range(1, maximum + 1)]
+
+
+def _grid_points(family: Family, spec: dict) -> list[tuple]:
+    return _family_pairs(spec) if family.grid == PAIRS else _family_ns(spec)
 
 
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
-    unknown = set(config) - {"families", "jobs", "keep_going"}
+    unknown = set(config) - {"families", "keep_going"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     families = config.get("families", {})
@@ -413,121 +450,63 @@ def validate_config(config: dict) -> dict:
     bad = set(families) - set(FAMILIES)
     if bad:
         raise ConfigError(f"unknown families: {sorted(bad)}; known: {list(FAMILIES)}")
-    jobs = config.get("jobs")
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
-        raise ConfigError(f"'jobs' must be a positive integer, got {jobs!r}")
     keep_going = config.get("keep_going", False)
     if not isinstance(keep_going, bool):
         raise ConfigError(f"'keep_going' must be a boolean, got {keep_going!r}")
     for name, spec in families.items():
         if not isinstance(spec, dict):
             raise ConfigError(f"family {name!r} spec must be an object, got {spec!r}")
-        if name in _PAIR_FAMILIES:
-            _family_pairs(spec)
-        else:
-            _family_ns(spec)
+        _grid_points(FAMILIES[name], spec)
     return config
 
 
-def _tasks_for(config: dict) -> list:
-    """Task list in the fixed (family, params) order; each task returns Case(s)."""
+def _tasks_for(config: dict) -> list[tuple[str, dict, Callable]]:
+    """(family, params, check) tasks in the fixed (family, params) order."""
     families = config.get("families", {})
-    tasks = []
-    for name in FAMILIES:
-        if name not in families:
-            continue
-        spec = families[name]
-        if name == "summand":
-            for ell, k in _family_pairs(spec):
-                for i in range(1, min(ell, k) + 1):
-                    tasks.append(lambda ell=ell, k=k, i=i: [check_summand_identity(ell, k, i)])
-        elif name == "rt":
-            for ell, k in _family_pairs(spec):
-                tasks.append(lambda ell=ell, k=k: check_rt(ell, k))
-        elif name == "h-basis":
-            for ell, k in _family_pairs(spec):
-                for m in range(1, min(ell, k) + 1):
-                    tasks.append(lambda ell=ell, k=k, m=m: [check_h_basis(ell, k, m)])
-        elif name == "kschur-basis":
-            for ell, k in _family_pairs(spec):
-                for m in range(1, min(ell, k) + 1):
-                    tasks.append(lambda ell=ell, k=k, m=m: [check_kschur_basis(ell, k, m)])
-        elif name == "lg":
-            for n in _family_ns(spec):
-                if n >= 1:
-                    tasks.append(lambda n=n: check_lg(n))
-                    tasks.append(lambda n=n: [check_lg_top_power(n)])
-        elif name == "prop51":
-            for n in _family_ns(spec):
-                tasks.append(lambda n=n: [check_prop51(n)])
-        elif name == "decomp-vacant":
-            for ell, k in _family_pairs(spec):
-                tasks.append(lambda ell=ell, k=k: [check_vacant_roundtrip(ell, k)])
-        elif name == "decomp-shifted":
-            for n in _family_ns(spec):
-                tasks.append(lambda n=n: [check_shifted_roundtrip(n)])
-        elif name == "vacancy":
-            for ell, k in _family_pairs(spec):
-                tasks.append(lambda ell=ell, k=k: [check_vacancy_conjugation(ell, k)])
-    return tasks
+    checks = globals()
+    return [
+        (family.name, params, checks[check])
+        for family in FAMILIES.values()
+        if family.name in families
+        for point in _grid_points(family, families[family.name])
+        for params in family.expand(*point)
+        for check in family.checks
+    ]
 
 
-def _run_tasks(tasks, jobs: int, keep_going: bool) -> Report:
+def _run_tasks(tasks, keep_going: bool) -> Report:
+    """Run each task as check(**params), in order.  A check returns a Case or
+    a list of them; an exception becomes an error case naming the task."""
     report = Report()
-    if not tasks:
-        return report
-
-    def run_one(task):
+    for family, params, check in tasks:
         try:
-            return task()
+            result = check(**params)
         except Exception as exc:  # surfaced as an error case, never swallowed
-            return [
-                Case(
-                    name="error",
-                    params={},
-                    status=ERROR,
-                    expected=QPoly.zero(),
-                    actual=QPoly.zero(),
-                    detail=f"{type(exc).__name__}: {exc}",
-                    kind=THEOREM,
-                )
-            ]
-
-    aborted = False
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_one, task) for task in tasks]
-        for fut in futures:
-            if aborted:
-                fut.cancel()
-                continue
-            cases = fut.result()
-            report.cases.extend(cases)
-            if not keep_going and any(
-                c.kind == THEOREM and c.status in (FAIL, ERROR) for c in cases
-            ):
-                aborted = True
-    if aborted and report.cases:
-        last = report.cases[-1]
-        report.cases[-1] = Case(
-            name=last.name,
-            params=last.params,
-            status=last.status,
-            expected=last.expected,
-            actual=last.actual,
-            detail=(last.detail + "; " if last.detail else "") + "sweep aborted on theorem failure",
-            kind=last.kind,
-        )
+            result = Case(
+                name=family,
+                params=params,
+                status=ERROR,
+                expected=QPoly.zero(),
+                actual=QPoly.zero(),
+                detail=f"{type(exc).__name__}: {exc}",
+                kind=THEOREM,
+            )
+        cases = result if isinstance(result, list) else [result]
+        report.cases.extend(cases)
+        if not keep_going and any(c.kind == THEOREM and c.status in (FAIL, ERROR) for c in cases):
+            last = report.cases[-1]
+            detail = (last.detail + "; " if last.detail else "") + "sweep aborted on theorem failure"
+            report.cases[-1] = replace(last, detail=detail)
+            break
     return report
 
 
-def sweep(config: dict | None = None, jobs: int | None = None, keep_going: bool | None = None) -> Report:
-    """Run every configured check family and merge the cases deterministically.
+def sweep(config: dict | None = None, keep_going: bool | None = None) -> Report:
+    """Run every configured check family and collect the cases in order.
 
-    `jobs`/`keep_going` arguments override the values in the config.
+    A `keep_going` argument overrides the value in the config.
     """
     config = validate_config(DEFAULT_CONFIG if config is None else config)
-    if jobs is None:
-        jobs = config.get("jobs") or os.cpu_count() or 1
     if keep_going is None:
         keep_going = config.get("keep_going", False)
-    return _run_tasks(_tasks_for(config), jobs, keep_going)
+    return _run_tasks(_tasks_for(config), keep_going)

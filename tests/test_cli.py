@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qgrass.cli import main
 
 
@@ -116,9 +118,35 @@ def test_verify_config_file(tmp_path, capsys):
 
 def test_byte_identical_invocations(capsys):
     a = run(capsys, "verify", "summand", "--max", "2", "--format", "json")
-    b = run(capsys, "verify", "summand", "--max", "2", "--format", "json", "--jobs", "3")
+    b = run(capsys, "verify", "summand", "--max", "2", "--format", "json")
     assert a[0] == b[0] == 0
     assert a[1] == b[1]
+    code, out, err = run(capsys, "verify", "summand", "--max", "2", "--jobs", "3")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"jobs": 2, "families": {"prop51": {"ns": [2]}}},
+        {"families": {"rt": {"max": True}}},
+        {"families": {"rt": {"pairs": [[True, 2]]}}},
+        {"families": {"lg": {"ns": [False]}}},
+    ],
+)
+def test_verify_config_rejects_bad_values(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_formula_without_recursion_limit(capsys):
+    code, out, err = run(capsys, "formula", "rt", "--ell", "1", "--k", "1500", "--m", "1")
+    assert code == 0 and err == ""
+    assert out.strip().split(",") == ["1"] * 1501
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,14 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from qgrass import harness
+from qgrass.grassmann import project
 from qgrass.harness import (
     CONJECTURE,
     THEOREM,
     Case,
     ConfigError,
     _run_tasks,
-    check_decompositions,
     check_h_basis,
     check_kschur_basis,
     check_lg,
@@ -19,10 +21,15 @@ from qgrass.harness import (
     check_shifted_roundtrip,
     check_vacancy_conjugation,
     check_vacant_roundtrip,
+    plucker_degree,
     sweep,
     validate_config,
 )
+from qgrass.partitions import Partition
 from qgrass.qseries import QPoly
+from qgrass.schur import SymVector, h_to_schur
+
+SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
 
 
 def test_summand_identity_golden():
@@ -57,6 +64,27 @@ def test_lg_cases():
     assert top.status == "pass" and "2" in top.detail
 
 
+def test_plucker_degree_known_values():
+    # LG(1,2) is a line, LG(2,4) a quadric, LG(3,6) has degree 16, LG(4,8) 768
+    assert [plucker_degree(n) for n in range(1, 5)] == [1, 2, 16, 768]
+
+
+def test_lg_top_power_equals_plucker_degree():
+    for n in range(1, 10):
+        case = check_lg_top_power(n)
+        assert case.status == "pass"
+        assert case.expected == case.actual == QPoly.one()
+        assert case.detail == f"top coefficient {plucker_degree(n)}"
+
+
+def test_lg_top_power_wrong_value_fails(monkeypatch):
+    monkeypatch.setattr(harness, "lg_top_power", lambda n: 2 * plucker_degree(n))
+    case = check_lg_top_power(3)
+    assert case.status == "fail"
+    assert case.actual == QPoly.zero()
+    assert case.detail == "top coefficient 32, Plucker degree 16"
+
+
 def test_prop51_cases():
     case = check_prop51(1)
     assert case.status == "pass"
@@ -66,7 +94,7 @@ def test_prop51_cases():
 
 
 def test_roundtrip_and_identity_cases():
-    assert check_decompositions(5, 5, 6).status == "pass"
+    assert check_vacant_roundtrip(5, 5).status == "pass"
     assert check_vacant_roundtrip(4, 4).status == "pass"
     assert check_shifted_roundtrip(6).status == "pass"
     assert check_vacancy_conjugation(4, 4).status == "pass"
@@ -88,9 +116,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         validate_config({"families": {"rt": {}}})
     with pytest.raises(ConfigError):
-        validate_config({"jobs": 0, "families": {}})
+        validate_config({"jobs": 1, "families": {}})
     with pytest.raises(ConfigError):
         validate_config({"nope": 1})
+    for families in ({"rt": {"max": True}}, {"rt": {"pairs": [[True, 2]]}}, {"lg": {"ns": [False]}}):
+        with pytest.raises(ConfigError):
+            validate_config({"families": families})
 
 
 def test_sweep_empty_and_single_case():
@@ -102,19 +133,8 @@ def test_sweep_empty_and_single_case():
     assert report.ok
 
 
-def test_sweep_deterministic_across_parallelism():
-    config = {
-        "families": {
-            "summand": {"max": 3},
-            "rt": {"max": 3},
-            "lg": {"max": 4},
-            "prop51": {"max": 6},
-            "vacancy": {"max": 3},
-        }
-    }
-    a = sweep(config, jobs=1).to_json()
-    b = sweep(config, jobs=4).to_json()
-    assert a == b
+def test_sweep_matches_default_golden():
+    assert sweep().to_text() + "\n" == SWEEP_DEFAULT_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_report_json_schema():
@@ -129,6 +149,37 @@ def test_report_json_schema():
     assert report.to_markdown().startswith("| status |")
 
 
+def _failing_basis_cases(families):
+    report = sweep({"families": families})
+    assert report.summary["error"] == 0
+    return {(c.name, c.params["ell"], c.params["k"], c.params["m"]) for c in report.cases if c.status == "fail"}
+
+
+def test_readme_findings_h_basis():
+    failing = _failing_basis_cases({"h-basis": {"pairs": [[2, 5], [3, 5], [5, 2]]}})
+    assert failing == {("h-basis", 2, 5, 2), ("h-basis", 3, 5, 3)}
+
+
+def test_readme_findings_kschur_basis():
+    failing = _failing_basis_cases({"kschur-basis": {"pairs": [[2, 5], [3, 5], [4, 5], [5, 2], [6, 2]]}})
+    assert failing == {
+        ("kschur-basis", 2, 5, 2),
+        ("kschur-basis", 3, 5, 3),
+        ("kschur-basis", 4, 5, 3),
+        ("kschur-basis", 4, 5, 4),
+        ("kschur-basis", 5, 2, 2),
+        ("kschur-basis", 6, 2, 2),
+    }
+
+
+def test_readme_findings_proportional_pair():
+    s53, s44 = Partition((5, 3)), Partition((4, 4))
+    column = project(h_to_schur(Partition((1,) * 8)), 2, 5)
+    square = project(h_to_schur(Partition((2, 2, 2, 2))), 2, 5)
+    assert column == SymVector({s53: 28, s44: 14})
+    assert square == SymVector({s53: 6, s44: 3})
+
+
 def _fake_case(status, kind):
     return Case(
         name="fake",
@@ -140,33 +191,42 @@ def _fake_case(status, kind):
     )
 
 
+def _fake_task(status, kind):
+    return ("fake", {}, lambda: _fake_case(status, kind))
+
+
 def test_run_tasks_aborts_on_theorem_failure():
     tasks = [
-        lambda: [_fake_case("pass", THEOREM)],
-        lambda: [_fake_case("fail", THEOREM)],
-        lambda: [_fake_case("pass", THEOREM)],
+        _fake_task("pass", THEOREM),
+        _fake_task("fail", THEOREM),
+        _fake_task("pass", THEOREM),
     ]
-    report = _run_tasks(tasks, jobs=1, keep_going=False)
+    report = _run_tasks(tasks, keep_going=False)
     assert len(report.cases) == 2
     assert "aborted" in report.cases[-1].detail
-    report = _run_tasks(tasks, jobs=1, keep_going=True)
+    report = _run_tasks(tasks, keep_going=True)
     assert len(report.cases) == 3
 
 
 def test_run_tasks_never_aborts_on_conjecture_failure():
     tasks = [
-        lambda: [_fake_case("fail", CONJECTURE)],
-        lambda: [_fake_case("pass", THEOREM)],
+        _fake_task("fail", CONJECTURE),
+        _fake_task("pass", THEOREM),
     ]
-    report = _run_tasks(tasks, jobs=1, keep_going=False)
+    report = _run_tasks(tasks, keep_going=False)
     assert len(report.cases) == 2
     assert not report.ok
 
 
 def test_run_tasks_wraps_exceptions_as_error_cases():
-    def boom():
-        raise ValueError("broken grid")
+    def boom(ell, k, i):
+        raise ZeroDivisionError("x")
 
-    report = _run_tasks([boom], jobs=1, keep_going=True)
+    report = _run_tasks([("summand", {"ell": 2, "k": 3, "i": 1}, boom)], keep_going=True)
     assert report.summary["error"] == 1
-    assert "broken grid" in report.cases[0].detail
+    case = report.cases[0]
+    assert case.name == "summand"
+    assert case.params == {"ell": 2, "k": 3, "i": 1}
+    assert report.to_text().splitlines()[0] == (
+        "ERROR summand ell=2 k=3 i=1 | expected=0 actual=0 | ZeroDivisionError: x"
+    )

@@ -77,6 +77,14 @@ def test_q_binomial_counts_partitions_in_a_box():
     assert counts == [1, 1, 2, 1, 1]
 
 
+def test_q_binomial_pascal_recurrence():
+    q = QPoly.q_power(1)
+    for a in range(1, 31):
+        assert q_binomial(a, 0) == q_binomial(a, a) == QPoly.one()
+        for b in range(1, a):
+            assert q_binomial(a, b) == q_binomial(a - 1, b - 1) + q**b * q_binomial(a - 1, b)
+
+
 @given(st.integers(0, 12), st.integers(-2, 14))
 def test_q_binomial_symmetry_and_q1(a, b):
     assert q_binomial(a, b) == q_binomial(a, a - b)
