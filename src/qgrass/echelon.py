@@ -1,9 +1,12 @@
 """Exact reduced row-echelon bases over a fixed, ordered set of coordinates.
 
 Rows are stored as integer vectors (gcd-normalised, leading entry positive)
-and kept fully reduced against one another; unit-pivot rational rows are
-produced on demand.  Pivoting is by first nonzero column - no numerical
-heuristics are involved anywhere.
+and kept fully reduced against one another, so the stored basis depends only
+on the span, never on the order or scaling of the inserted rows.  Integer
+rows go in as they are (fraction-free row reduction); rational vectors are
+cleared of denominators first, and unit-pivot rational rows are produced on
+demand.  Pivoting is by first nonzero column - no numerical heuristics are
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -15,17 +18,12 @@ from typing import Hashable, Mapping, Sequence
 
 
 def _normalized(row: list[int]) -> list[int]:
-    g = 0
-    lead = 0
-    for a in row:
-        g = gcd(g, a)
-        if lead == 0 and a:
-            lead = a
+    g = gcd(*row)
     if g == 0:
         return row
-    if lead < 0:
+    if next(filter(None, row)) < 0:
         g = -g
-    return [a // g for a in row]
+    return row if g == 1 else [a // g for a in row]
 
 
 class DegreeSlice:
@@ -50,6 +48,11 @@ class DegreeSlice:
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The stored integer rows, in pivot order."""
+        return tuple(map(tuple, self._rows))
+
     def _to_int_row(self, vec: Mapping[Hashable, Fraction | int]) -> list[int]:
         row = [0] * len(self.columns)
         denom = 1
@@ -65,16 +68,30 @@ class DegreeSlice:
         return row
 
     def _reduced(self, row: list[int]) -> list[int]:
-        for prow, p in zip(self._rows, self._pivots):
-            c = row[p]
-            if c:
-                lead = prow[p]
-                row = _normalized([a * lead - b * c for a, b in zip(row, prow)])
+        # The stored rows vanish at one another's pivots, so the row minus its
+        # component along every pivot is one combination of them; scaling by
+        # the lcm of their leads keeps it integral.  Zero exactly when the row
+        # lies in the span; otherwise a multiple of the reduced row.
+        hits = [(row[p], prow, prow[p]) for prow, p in zip(self._rows, self._pivots) if row[p]]
+        if not hits:
+            return row
+        scale = lcm(*(lead for _, _, lead in hits))
+        row = [a * scale for a in row]
+        for c, prow, lead in hits:
+            f = c * (scale // lead)
+            row = [a - f * b for a, b in zip(row, prow)]
         return row
 
     def add_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
         """Insert a vector, returning True when it enlarges the span."""
-        row = self._reduced(self._to_int_row(vec))
+        return self.add_row(self._to_int_row(vec))
+
+    def add_row(self, row: Sequence[int]) -> bool:
+        """Insert a dense integer row over the columns, returning True when it
+        enlarges the span."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
+        row = self._reduced(list(row))
         if not any(row):
             return False
         row = _normalized(row)

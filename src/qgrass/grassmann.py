@@ -3,7 +3,15 @@
 The quotient of the symmetric function ring kills exactly the Schur terms
 whose index leaves the ell x k box, so ring elements are SymVectors supported
 in the box and multiplication is a Pieri product followed by projection.
-Subalgebra graded pieces are built degree by degree from the generator images.
+
+Subalgebra graded pieces are built degree by degree on integers alone.  The
+partitions of each degree that fit the box are listed once, in a fixed
+order.  Multiplication by h_i from degree d - i to degree d is memoised per
+(ell, k, d, i) as an in-box Pieri map: for each source column, the indices of
+the target columns its horizontal i-strips reach inside the box (strips that
+leave the box are never generated).  Each integer echelon row of degree d - i
+is pushed through that map into a dense integer row of degree d and inserted
+into the degree-d echelon as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from .echelon import DegreeSlice
 from .kschur import k_schur
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
-from .schur import SymVector, h_to_schur, pieri_h
+from .schur import SymVector, _horizontal_strips, h_to_schur
 
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
@@ -26,27 +34,46 @@ def project(v: SymVector, ell: int, k: int) -> SymVector:
 
 
 @cache
-def _slice_data(ell: int, k: int, m: int) -> tuple[tuple[DegreeSlice, tuple[SymVector, ...]], ...]:
-    top = ell * k
-    data: list[tuple[DegreeSlice, tuple[SymVector, ...]]] = []
-    s0 = DegreeSlice(0, (Partition(),))
-    s0.add_vector({Partition(): 1})
-    data.append((s0, (SymVector.unit(),)))
-    for d in range(1, top + 1):
-        cols = tuple(partitions_in_box_of_size(ell, k, d))
-        sl = DegreeSlice(d, cols)
+def _box_columns(ell: int, k: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
+    """The partitions of d in the ell x k box, and the index of each by its parts."""
+    cols = tuple(partitions_in_box_of_size(ell, k, d))
+    return cols, {p.parts: j for j, p in enumerate(cols)}
+
+
+@cache
+def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """In-box h_i Pieri map from degree d - i to degree d: for each source
+    column, the indices of the target columns it reaches."""
+    index = _box_columns(ell, k, d)[1]
+    # the map is the memo; the box-bounded strips behind it are not kept
+    return tuple(
+        tuple(index[mu] for mu in _horizontal_strips.__wrapped__(lam.parts, i, ell, k))
+        for lam in _box_columns(ell, k, d - i)[0]
+    )
+
+
+@cache
+def _slice_data(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
+    slices: list[DegreeSlice] = []
+    for d in range(ell * k + 1):
+        sl = DegreeSlice(d, _box_columns(ell, k, d)[0])
+        if d == 0:
+            sl.add_row([1])
         for i in range(1, min(m, d) + 1):
             if sl.saturated:
                 break
-            for basis_vec in data[d - i][1]:
+            targets = _pieri_map(ell, k, d, i)
+            for src in slices[d - i].rows:
                 if sl.saturated:
                     break
-                image = project(pieri_h(i, basis_vec), ell, k)
-                if not image.is_zero:
-                    sl.add_vector(dict(image.items()))
-        vecs = tuple(SymVector(row, check=False) for row in sl.basis_rows())
-        data.append((sl, vecs))
-    return tuple(data)
+                image = [0] * len(sl.columns)
+                for a, hits in zip(src, targets):
+                    if a:
+                        for t in hits:
+                            image[t] += a
+                sl.add_row(image)
+        slices.append(sl)
+    return tuple(slices)
 
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
@@ -54,7 +81,7 @@ def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
     degrees at most m.  Treat the returned slices as immutable."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
-    return tuple(sl for sl, _ in _slice_data(ell, k, m))
+    return _slice_data(ell, k, m)
 
 
 def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:

@@ -342,12 +342,14 @@ NS = "ns"  # staircase orders n
 
 class Family(NamedTuple):
     """One check family: its grid kind, how a grid point expands into task
-    parameters, and the names of the checks run on each parameter set."""
+    parameters, the names of the checks run on each parameter set, and the
+    smallest staircase order n its grid may name."""
 
     name: str
     grid: str
     expand: Callable[..., list[dict]]
     checks: tuple[str, ...]
+    min_n: int = 0
 
 
 def _box(ell: int, k: int) -> list[dict]:
@@ -362,10 +364,6 @@ def _order(n: int) -> list[dict]:
     return [{"n": n}]
 
 
-def _positive_order(n: int) -> list[dict]:
-    return [{"n": n}] if n >= 1 else []
-
-
 # Report order.  Checks are named rather than referenced so that each one is
 # looked up in this module when a sweep builds its tasks: rebinding a
 # `check_*` attribute of the module (as a tracer does) reaches the sweep.
@@ -376,7 +374,7 @@ FAMILIES: dict[str, Family] = {
         Family("rt", PAIRS, _box, ("check_rt",)),
         Family("h-basis", PAIRS, _box_up_to_min("m"), ("check_h_basis",)),
         Family("kschur-basis", PAIRS, _box_up_to_min("m"), ("check_kschur_basis",)),
-        Family("lg", NS, _positive_order, ("check_lg", "check_lg_top_power")),
+        Family("lg", NS, _order, ("check_lg", "check_lg_top_power"), min_n=1),
         Family("prop51", NS, _order, ("check_prop51",)),
         Family("decomp-vacant", PAIRS, _box, ("check_vacant_roundtrip",)),
         Family("decomp-shifted", NS, _order, ("check_shifted_roundtrip",)),
@@ -429,13 +427,19 @@ def _family_ns(spec: dict) -> list[tuple[int]]:
             raise ConfigError(f"'ns' must be a list of nonnegative integers, got {ns!r}")
         return [(n,) for n in ns]
     maximum = spec.get("max")
-    if not _is_int(maximum) or maximum < 0:
-        raise ConfigError(f"family spec needs 'max' >= 0 or explicit 'ns', got {spec!r}")
+    if not _is_int(maximum) or maximum < 1:
+        raise ConfigError(f"family spec needs 'max' >= 1 or explicit 'ns', got {spec!r}")
     return [(n,) for n in range(1, maximum + 1)]
 
 
 def _grid_points(family: Family, spec: dict) -> list[tuple]:
-    return _family_pairs(spec) if family.grid == PAIRS else _family_ns(spec)
+    if family.grid == PAIRS:
+        return _family_pairs(spec)
+    points = _family_ns(spec)
+    for (n,) in points:
+        if n < family.min_n:
+            raise ConfigError(f"family {family.name!r} needs n >= {family.min_n}, got n={n}")
+    return points
 
 
 def validate_config(config: dict) -> dict:

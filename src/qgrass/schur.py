@@ -114,26 +114,49 @@ class SymVector:
 
 
 @cache
-def _horizontal_strips(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """All mu containing parts with mu/parts a horizontal r-strip, generated row
-    by row under the interlacing condition mu[i+1] <= parts[i] <= mu[i]."""
+def _horizontal_strips(
+    parts: tuple[int, ...], r: int, rows: int | None = None, cols: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """All mu containing parts with mu/parts a horizontal r-strip (the
+    interlacing condition mu[i+1] <= parts[i] <= mu[i]), in lexicographically
+    decreasing order.
+
+    With rows and cols given, only the mu that fit the rows x cols box are
+    generated (parts must fit it): the first row is capped at cols and no row
+    past the last one of the box is grown.  The order is that of the unbounded
+    strips with the out-of-box ones left out.
+    """
     n = len(parts)
+    last = n if rows is None else min(n, rows - 1)
+    if last < 0:
+        return ((),) if r == 0 else ()
+    base = parts + (0,)
+    # the rows that can grow, each by at most its room: row 0 freely (up to
+    # cols), row j up to the part above it; the other rows stay as they are
+    grow = [(0, r if cols is None else min(r, cols - base[0]))]
+    grow += [(j, min(r, base[j - 1] - base[j])) for j in range(1, last + 1)]
+    grow = [(j, cap) for j, cap in grow if cap > 0]
+    room = [0] * (len(grow) + 1)  # room[t]: cells the rows grow[t:] can take
+    for t in range(len(grow) - 1, -1, -1):
+        room[t] = room[t + 1] + grow[t][1]
+    if r > room[0]:
+        return ()
+    mu = list(base[: last + 1])
     out: list[tuple[int, ...]] = []
 
-    def build(row: int, remaining: int, acc: tuple[int, ...]):
-        if row == n + 1:
-            if remaining == 0:
-                out.append(acc)
+    def build(t: int, remaining: int):
+        if remaining == 0:
+            strip = tuple(mu)
+            out.append(strip if strip[-1] else strip[:-1])
             return
-        low = parts[row] if row < n else 0
-        high = low + remaining if row == 0 else min(parts[row - 1], low + remaining)
-        for val in range(high, low - 1, -1):
-            # rows below can still absorb at most what interlacing allows; prune
-            # by budget only, the recursion enforces the rest
-            build(row + 1, remaining - (val - low), acc + (val,))
+        j, cap = grow[t]
+        for x in range(min(cap, remaining), max(0, remaining - room[t + 1]) - 1, -1):
+            mu[j] += x
+            build(t + 1, remaining - x)
+            mu[j] -= x
 
-    build(0, r, ())
-    return tuple(tuple(v for v in t if v) for t in out)
+    build(0, r)
+    return tuple(out)
 
 
 @cache

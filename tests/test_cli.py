@@ -143,6 +143,21 @@ def test_verify_config_rejects_bad_values(tmp_path, capsys, config):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_lg_rejects_n_below_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": {"lg": {"ns": [0]}}}))
+    for argv in (["verify", "lg", "--n", "0"], ["verify", "all", "--config", str(cfg)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: family 'lg' needs n >= 1, got n=0\n"
+    code, out, err = run(capsys, "verify", "lg", "--max", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    cfg.write_text(json.dumps({"families": {"prop51": {"ns": [0]}, "decomp-shifted": {"ns": [0]}}}))
+    code, out, _ = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 0 and "summary: pass=2 fail=0 error=0" in out
+
+
 def test_formula_without_recursion_limit(capsys):
     code, out, err = run(capsys, "formula", "rt", "--ell", "1", "--k", "1500", "--m", "1")
     assert code == 0 and err == ""

@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qgrass.echelon import DegreeSlice
 from qgrass.grassmann import (
+    _slice_data,
     contains,
     h_basis_report,
     kschur_basis_report,
@@ -11,9 +14,9 @@ from qgrass.grassmann import (
     subalgebra_hilbert,
     subalgebra_slices,
 )
-from qgrass.partitions import Partition, candidate_partitions
+from qgrass.partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from qgrass.qseries import QPoly, grass_hilbert_series, grass_subalgebra_formula
-from qgrass.schur import SymVector, h_to_schur, pieri_h
+from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, pieri_h
 
 
 def P(*parts):
@@ -57,6 +60,59 @@ def test_subalgebra_hilbert_examples():
     assert subalgebra_hilbert(2, 2, 0) == QPoly.one()
     with pytest.raises(ValueError):
         subalgebra_hilbert(2, 2, -1)
+
+
+def reference_slices(ell, k, m):
+    """The subalgebra pieces built over SymVectors: multiply each unit-pivot
+    basis vector of degree d - i by h_i, project to the box and insert."""
+    slices = []
+    for d in range(ell * k + 1):
+        sl = DegreeSlice(d, tuple(partitions_in_box_of_size(ell, k, d)))
+        if d == 0:
+            sl.add_vector({Partition(): 1})
+        for i in range(1, min(m, d) + 1):
+            if sl.saturated:
+                break
+            for row in slices[d - i].basis_rows():
+                if sl.saturated:
+                    break
+                image = project(pieri_h(i, SymVector(row, check=False)), ell, k)
+                if not image.is_zero:
+                    sl.add_vector(dict(image.items()))
+        slices.append(sl)
+    return slices
+
+
+def test_integer_builder_matches_symvector_reference():
+    for ell in range(1, 6):
+        for k in range(1, 6):
+            for m in range(min(ell, k) + 1):
+                built = _slice_data(ell, k, m)
+                ref = reference_slices(ell, k, m)
+                assert len(built) == len(ref) == ell * k + 1
+                for got, want in zip(built, ref):
+                    assert got.columns == want.columns
+                    assert got._rows == want._rows, (ell, k, m, got.degree)
+                    assert got._pivots == want._pivots, (ell, k, m, got.degree)
+
+
+@given(
+    st.lists(st.integers(1, 6), max_size=5).map(lambda xs: tuple(sorted(xs, reverse=True))),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 7),
+)
+def test_box_bounded_strips_are_the_filtered_strips(parts, r, ell, k):
+    ell = max(ell, len(parts))
+    k = max(k, parts[0] if parts else 0)
+    filtered = tuple(mu for mu in _horizontal_strips(parts, r) if Partition(mu).fits(ell, k))
+    assert _horizontal_strips(parts, r, ell, k) == filtered
+
+
+def test_stretch_points_match_closed_form():
+    # the points past the default sweep grid that the benchmark times
+    for ell, k, m in [(7, 7, 2), (6, 6, 3)]:
+        assert subalgebra_hilbert(ell, k, m) == grass_subalgebra_formula(ell, k, m)
 
 
 def test_subalgebra_full_generation_matches_closed_form():

@@ -124,6 +124,19 @@ def test_config_validation():
             validate_config({"families": families})
 
 
+def test_lg_grid_rejects_n_below_one():
+    for ns in ([0], [3, 0]):
+        with pytest.raises(ConfigError, match="'lg' needs n >= 1, got n=0"):
+            validate_config({"families": {"lg": {"ns": ns}}})
+    # a max of 0 names no n at all, for every staircase family
+    for name in ("lg", "prop51"):
+        with pytest.raises(ConfigError, match="'max' >= 1"):
+            validate_config({"families": {name: {"max": 0}}})
+    # the other staircase families take n = 0
+    report = sweep({"families": {"prop51": {"ns": [0]}, "decomp-shifted": {"ns": [0]}}})
+    assert len(report.cases) == 2 and report.ok
+
+
 def test_sweep_empty_and_single_case():
     report = sweep({"families": {}})
     assert report.cases == []

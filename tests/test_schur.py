@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgrass.partitions import Partition, dominance_leq, k_bounded_partitions
-from qgrass.schur import SymVector, h_to_schur, omega, pieri_e, pieri_h
+from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, omega, pieri_e, pieri_h
 
 
 def P(*parts):
@@ -115,6 +115,69 @@ def test_h_to_schur_unitriangular_with_kostka_coefficients():
             for part in lam:
                 multinomial //= factorial(part)
             assert total == multinomial
+
+
+def ssyt_count(shape, content):
+    """Semistandard tableaux of the shape with the content, by filling the
+    cells in reading order under the row and column conditions."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    left = list(content)
+    filling = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        total = 0
+        for v in range(len(left)):
+            if not left[v]:
+                continue
+            if c and filling[(r, c - 1)] > v:
+                continue
+            if r and filling[(r - 1, c)] >= v:
+                continue
+            left[v] -= 1
+            filling[(r, c)] = v
+            total += fill(idx + 1)
+            left[v] += 1
+        return total
+
+    return fill(0)
+
+
+def test_h_to_schur_coefficients_are_ssyt_counts():
+    for n in range(8):
+        shapes = list(k_bounded_partitions(n, n))
+        for mu in shapes:
+            v = h_to_schur(mu)
+            assert set(v) <= set(shapes)
+            for lam in shapes:
+                assert v.coeff(lam) == ssyt_count(lam.parts, mu.parts), (lam, mu)
+
+
+def brute_horizontal_strips(parts, r):
+    """Every partition of |parts| + r with at most one row more than parts,
+    kept when it contains parts with mu[i+1] <= parts[i]; lexicographically
+    decreasing."""
+    n = len(parts)
+    padded = parts + (0,)
+    out = []
+    for mu in k_bounded_partitions(sum(parts) + r, sum(parts) + r):
+        rows = mu.parts
+        if len(rows) > n + 1:
+            continue
+        rows = rows + (0,) * (n + 1 - len(rows))
+        if all(rows[i] >= padded[i] for i in range(n + 1)) and all(
+            rows[i + 1] <= padded[i] for i in range(n)
+        ):
+            out.append(mu.parts)
+    return tuple(sorted(out, reverse=True))
+
+
+@given(st.lists(st.integers(1, 5), max_size=4), st.integers(0, 6))
+def test_horizontal_strips_match_brute_force(parts, r):
+    parts = tuple(sorted(parts, reverse=True))
+    assert _horizontal_strips(parts, r) == brute_horizontal_strips(parts, r)
 
 
 # --- omega -----------------------------------------------------------------------
