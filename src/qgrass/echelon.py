@@ -7,6 +7,11 @@ rows go in as they are (fraction-free row reduction); rational vectors are
 cleared of denominators first, and unit-pivot rational rows are produced on
 demand.  Pivoting is by first nonzero column - no numerical heuristics are
 involved anywhere.
+
+`generated_slices` builds, degree by degree, the graded pieces of the
+subalgebra generated in degrees at most m of a graded ring that is given by a
+basis of each degree and integer Pieri maps for its generators; the ordinary
+and the Lagrangian Grassmannian rings are both built through it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 
 def _normalized(row: list[int]) -> list[int]:
@@ -47,11 +52,6 @@ class DegreeSlice:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The stored integer rows, in pivot order."""
-        return tuple(map(tuple, self._rows))
 
     def _to_int_row(self, vec: Mapping[Hashable, Fraction | int]) -> list[int]:
         row = [0] * len(self.columns)
@@ -117,3 +117,53 @@ class DegreeSlice:
             lead = row[p]
             out.append({self.columns[i]: Fraction(a, lead) for i, a in enumerate(row) if a})
         return out
+
+
+def apply_map(
+    row: Sequence[int], pieri_map: Sequence[tuple[int, Sequence[Sequence[int]]]], width: int
+) -> list[int]:
+    """Image of a dense integer row under a Pieri map into width columns.
+
+    The map multiplies by a generator of degree i, from degree d - i to degree
+    d, as (coefficient, per-source target column indices) pairs, one pair per
+    coefficient: each source column goes to the sum of its targets times the
+    coefficient."""
+    image = [0] * width
+    for c, targets in pieri_map:
+        for a, hits in zip(row, targets):
+            if a:
+                ac = a * c
+                for t in hits:
+                    image[t] += ac
+    return image
+
+
+def generated_slices(
+    columns: Sequence[Sequence[Hashable]],
+    pieri_map: Callable[[int, int], Sequence[tuple[int, Sequence[Sequence[int]]]]],
+    m: int,
+) -> tuple[DegreeSlice, ...]:
+    """Echelon bases of every graded piece of the subalgebra generated by one
+    generator in each degree 1..m.
+
+    columns[d] is the basis of degree d (columns[0] is the unit alone), and
+    pieri_map(d, i) multiplies by the degree-i generator from degree d - i to
+    degree d, in the format of `apply_map`.  Every stored row of degree d - i
+    is pushed through that map into a dense integer row of degree d, until the
+    degree-d piece is saturated.
+    """
+    slices: list[DegreeSlice] = []
+    for d, cols in enumerate(columns):
+        sl = DegreeSlice(d, cols)
+        if d == 0:
+            sl.add_row([1])
+        for i in range(1, min(m, d) + 1):
+            if sl.saturated:
+                break
+            step = pieri_map(d, i)
+            for src in slices[d - i]._rows:
+                if sl.saturated:
+                    break
+                sl.add_row(apply_map(src, step, len(sl.columns)))
+        slices.append(sl)
+    return tuple(slices)

@@ -9,8 +9,9 @@ partitions of each degree that fit the box are listed once, in a fixed
 order.  Multiplication by h_i from degree d - i to degree d is memoised per
 (ell, k, d, i) as an in-box Pieri map: for each source column, the indices of
 the target columns its horizontal i-strips reach inside the box (strips that
-leave the box are never generated).  Each integer echelon row of degree d - i
-is pushed through that map into a dense integer row of degree d and inserted
+leave the box are never generated), all with coefficient 1.  The shared
+builder `echelon.generated_slices` pushes each integer echelon row of degree
+d - i through that map into a dense integer row of degree d and inserts it
 into the degree-d echelon as it is.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .echelon import DegreeSlice
+from .echelon import DegreeSlice, generated_slices
 from .kschur import k_schur
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -41,39 +42,22 @@ def _box_columns(ell: int, k: int, d: int) -> tuple[tuple[Partition, ...], dict[
 
 
 @cache
-def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, ...], ...]:
+def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """In-box h_i Pieri map from degree d - i to degree d: for each source
-    column, the indices of the target columns it reaches."""
+    column, the indices of the target columns it reaches, all with
+    coefficient 1."""
     index = _box_columns(ell, k, d)[1]
     # the map is the memo; the box-bounded strips behind it are not kept
-    return tuple(
+    return ((1, tuple(
         tuple(index[mu] for mu in _horizontal_strips.__wrapped__(lam.parts, i, ell, k))
         for lam in _box_columns(ell, k, d - i)[0]
-    )
+    )),)
 
 
 @cache
 def _slice_data(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
-    slices: list[DegreeSlice] = []
-    for d in range(ell * k + 1):
-        sl = DegreeSlice(d, _box_columns(ell, k, d)[0])
-        if d == 0:
-            sl.add_row([1])
-        for i in range(1, min(m, d) + 1):
-            if sl.saturated:
-                break
-            targets = _pieri_map(ell, k, d, i)
-            for src in slices[d - i].rows:
-                if sl.saturated:
-                    break
-                image = [0] * len(sl.columns)
-                for a, hits in zip(src, targets):
-                    if a:
-                        for t in hits:
-                            image[t] += a
-                sl.add_row(image)
-        slices.append(sl)
-    return tuple(slices)
+    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    return generated_slices(columns, lambda d, i: _pieri_map(ell, k, d, i), m)
 
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:

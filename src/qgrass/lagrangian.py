@@ -1,15 +1,31 @@
-"""The Lagrangian Grassmannian cohomology ring via a terminating rewriting system.
+"""The Lagrangian Grassmannian cohomology ring H*(LG(n, 2n)).
 
-Generators e_1, ..., e_n with deg(e_i) = i; whenever an index repeats, the
-quadratic relation
+Its generators e_1, ..., e_n, deg(e_i) = i, are the special Schubert classes
+sigma_i.  They satisfy the quadratic relations
 
-    e_i^2 = 2 e_{i+1} e_{i-1} - 2 e_{i+2} e_{i-2} + ... (e_0 = 1, e_{<0} = 0)
+    e_i^2 = 2 e_{i+1} e_{i-1} - 2 e_{i+2} e_{i-2} + ... (e_0 = 1, e_j = 0 for j > n)
 
-replaces the pair.  Rewriting a pair keeps the factor count while strictly
-increasing the sum of squared indices (or drops the count when e_0 appears),
-both bounded, so reduction terminates; the square-free monomials it lands on
-are counted by the ring's Hilbert series, hence form a basis and the normal
-form is independent of the pair-selection strategy.
+and nothing else.  The ring has two presentations here.
+
+Subalgebras are built in the Schubert basis, on integers alone.  The columns
+of degree d are the strict partitions of d with parts at most n, listed once
+per (n, d).  Multiplication by sigma_i from degree d - i to degree d is
+memoised per (n, d, i) as an integer Pieri map (Macdonald III (8.15), with
+Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
+2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
+mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
+columns c in which mu/lambda has a box and column c + 1 has none.  The shared
+builder `echelon.generated_slices` pushes integer echelon rows through these
+maps.
+
+The e-monomial presentation is the reference: `LagVector` holds rational
+combinations of square-free index sets, and `normal_form` and `multiply`
+reduce products by a terminating rewriting system that replaces a repeated
+pair by its quadratic relation.  Rewriting a pair keeps the factor count while
+strictly increasing the sum of squared indices (or drops the count when e_0
+appears), both bounded, so reduction terminates; the square-free monomials it
+lands on are counted by the ring's Hilbert series, hence form a basis and the
+normal form is independent of the pair-selection strategy.
 """
 
 from __future__ import annotations
@@ -18,8 +34,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping
 
-from .echelon import DegreeSlice
-from .partitions import strict_partitions_of_size
+from .echelon import DegreeSlice, apply_map, generated_slices
+from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
 
 STRATEGIES = ("smallest", "largest")
@@ -175,50 +191,75 @@ def multiply(u: LagVector, v: LagVector, n: int) -> LagVector:
     return out
 
 
-def _mult_by_generator(vec: dict[tuple[int, ...], Fraction], i: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    data: dict[tuple[int, ...], Fraction] = {}
-    for key, c in vec.items():
-        for newkey, coeff in _reduce_monomial(tuple(sorted(key + (i,))), n, "smallest"):
-            new = data.get(newkey, 0) + c * coeff
-            if new:
-                data[newkey] = new
-            else:
-                data.pop(newkey, None)
-    return data
+@cache
+def _strict_columns(n: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
+    """The strict partitions of d with parts at most n, and the index of each by its parts."""
+    cols = tuple(strict_partitions_of_size(n, d))
+    return cols, {p.parts: j for j, p in enumerate(cols)}
 
 
-def _columns_of_degree(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    # strict partitions of d with parts <= n, as increasing index sets, in the
-    # enumeration order of the partition module
-    return tuple(tuple(reversed(p.parts)) for p in strict_partitions_of_size(n, d))
+def _strict_strips(lam: tuple[int, ...], i: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each strict mu with mu_1 <= n and mu/lam a horizontal i-strip, paired
+    with the exponent a(lam, mu) + l(lam) - l(mu) of its Pieri coefficient."""
+    base = lam + (0,)
+    # row r grows to at most n (r = 0) or the old part above it, which it may
+    # reach only when the row above grows too (mu stays strict)
+    caps = [n - base[0]] + [base[r - 1] - base[r] for r in range(1, len(base))]
+    room = [0] * (len(base) + 1)
+    for r in range(len(base) - 1, -1, -1):
+        room[r] = room[r + 1] + caps[r]
+    mu = list(base)
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def build(r: int, remaining: int, exp: int):
+        if remaining == 0:
+            out.append((tuple(mu) if mu[-1] else tuple(mu[:-1]), exp))
+            return
+        if remaining > room[r]:
+            return
+        cap = caps[r]
+        if r and mu[r - 1] == base[r - 1]:
+            cap -= 1
+        for x in range(min(cap, remaining), 0, -1):
+            mu[r] += x
+            # a new run of columns, unless it ends where the row above began
+            # to grow; a new row takes a factor 2 off
+            grown = exp + (r == 0 or mu[r] != base[r - 1]) - (r == len(lam))
+            build(r + 1, remaining - x, grown)
+            mu[r] -= x
+        build(r + 1, remaining, exp)
+
+    build(0, i, 0)
+    return out
 
 
 @cache
-def _lg_slice_data(n: int, m: int) -> tuple[tuple[DegreeSlice, tuple[dict, ...]], ...]:
-    top = n * (n + 1) // 2
-    data: list[tuple[DegreeSlice, tuple[dict, ...]]] = []
-    s0 = DegreeSlice(0, ((),))
-    s0.add_vector({(): 1})
-    data.append((s0, ({(): Fraction(1)},)))
-    for d in range(1, top + 1):
-        sl = DegreeSlice(d, _columns_of_degree(n, d))
-        for i in range(1, min(m, d) + 1):
-            if sl.saturated:
-                break
-            for basis_vec in data[d - i][1]:
-                if sl.saturated:
-                    break
-                image = _mult_by_generator(basis_vec, i, n)
-                if image:
-                    sl.add_vector(image)
-        data.append((sl, tuple(sl.basis_rows())))
-    return tuple(data)
+def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Multiplication by sigma_i from degree d - i to degree d: for each
+    coefficient, the target column indices of each source column."""
+    index = _strict_columns(n, d)[1]
+    strips = [_strict_strips(lam.parts, i, n) for lam in _strict_columns(n, d - i)[0]]
+    exps = sorted({exp for hits in strips for _, exp in hits})
+    return tuple(
+        (1 << e, tuple(tuple(index[mu] for mu, exp in hits if exp == e) for hits in strips))
+        for e in exps
+    )
+
+
+@cache
+def _lg_slice_data(n: int, m: int) -> tuple[DegreeSlice, ...]:
+    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+    return generated_slices(columns, lambda d, i: _lg_pieri_map(n, d, i), m)
 
 
 def lg_subalgebra_slices(n: int, m: int) -> tuple[DegreeSlice, ...]:
+    """Echelon bases of every graded piece of the subalgebra generated by
+    e_1, ..., e_m, in the Schubert basis: the columns of degree d are the strict
+    partitions of d with parts at most n (parts decreasing).  Treat the
+    returned slices as immutable."""
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return tuple(sl for sl, _ in _lg_slice_data(n, m))
+    return _lg_slice_data(n, m)
 
 
 def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:
@@ -228,14 +269,13 @@ def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:
 
 
 def lg_top_power(n: int) -> int:
-    """Coefficient of the full staircase class in e_1 raised to the ring's top
-    degree; nonzero, and equal to the degree of the Plucker embedding."""
+    """Coefficient of the point class (the staircase (n, ..., 1), equal to
+    e_1 ... e_n) in e_1 raised to the ring's top degree; nonzero, and equal to
+    the degree of the Plucker embedding."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    vec: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for _ in range(n * (n + 1) // 2):
-        vec = _mult_by_generator(vec, 1, n)
-    coeff = vec.get(tuple(range(1, n + 1)), Fraction(0))
-    if coeff.denominator != 1:
-        raise RuntimeError(f"top coefficient {coeff} is not an integer")
-    return int(coeff)
+    top = n * (n + 1) // 2
+    row = [1]
+    for d in range(1, top + 1):
+        row = apply_map(row, _lg_pieri_map(n, d, 1), len(_strict_columns(n, d)[0]))
+    return row[_strict_columns(n, top)[1][tuple(range(n, 0, -1))]]

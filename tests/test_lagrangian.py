@@ -4,15 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qgrass.echelon import DegreeSlice
+from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
     LagVector,
+    _lg_pieri_map,
+    _strict_columns,
+    _strict_strips,
     lg_subalgebra_hilbert,
+    lg_subalgebra_slices,
     lg_top_power,
     multiply,
     normal_form,
 )
-from qgrass.partitions import strict_partitions_of_size
-from qgrass.qseries import QPoly, lg_hilbert_series
+from qgrass.partitions import strict_partitions_in_triangle, strict_partitions_of_size
+from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
+from qgrass.schur import _horizontal_strips
 
 
 E = LagVector.generator
@@ -157,3 +164,127 @@ def test_lg_top_power_values():
         assert lg_top_power(n) > 0
     with pytest.raises(ValueError):
         lg_top_power(0)
+
+
+def test_lg_top_power_is_the_plucker_degree():
+    for n in range(1, 13):
+        assert lg_top_power(n) == plucker_degree(n), n
+
+
+def test_lg_reachable_points_match_closed_form():
+    # past the default sweep grid: out of reach of the rewriting engine
+    for n, m in [(10, 3), (11, 3)]:
+        assert lg_subalgebra_hilbert(n, m) == lg_subalgebra_formula(n, m)
+
+
+# --- Pieri maps in the Schubert basis -------------------------------------------
+
+
+def sigma(n, i, vec):
+    """sigma_i times a homogeneous {strict parts: int} vector, through the
+    memoised Pieri maps; sigma_0 = 1 and sigma_j = 0 for j > n."""
+    if i == 0:
+        return dict(vec)
+    out = {}
+    if i > n or not vec:
+        return out
+    d = sum(next(iter(vec))) + i
+    cols = _strict_columns(n, d)[0]
+    source = _strict_columns(n, d - i)[1]
+    for c, targets in _lg_pieri_map(n, d, i):
+        for lam, a in vec.items():
+            for t in targets[source[lam]]:
+                mu = cols[t].parts
+                out[mu] = out.get(mu, 0) + a * c
+    return {mu: c for mu, c in out.items() if c}
+
+
+def combine(*terms):
+    out = {}
+    for scale, vec in terms:
+        for key, c in vec.items():
+            out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_pieri_maps_pinned_products():
+    for n in range(2, 7):
+        assert sigma(n, 1, {(1,): 1}) == {(2,): 2}
+    for n in range(3, 7):
+        assert sigma(n, 1, {(2,): 1}) == {(3,): 2, (2, 1): 1}
+        assert sigma(n, 2, {(1,): 1}) == {(3,): 2, (2, 1): 1}
+
+
+def test_pieri_maps_commute():
+    for n in range(1, 7):
+        for lam in strict_partitions_in_triangle(n):
+            vec = {lam.parts: 1}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    assert sigma(n, i, sigma(n, j, vec)) == sigma(n, j, sigma(n, i, vec)), (n, lam, i, j)
+
+
+def test_pieri_maps_satisfy_the_quadratic_relations():
+    # sigma_i^2 = 2 sigma_{i+1} sigma_{i-1} - 2 sigma_{i+2} sigma_{i-2} + ...
+    for n in range(1, 7):
+        for lam in strict_partitions_in_triangle(n):
+            vec = {lam.parts: 1}
+            for i in range(1, n + 1):
+                rhs = combine(*(
+                    (2 if t % 2 else -2, sigma(n, i + t, sigma(n, i - t, vec)))
+                    for t in range(1, i + 1)
+                ))
+                assert sigma(n, i, sigma(n, i, vec)) == rhs, (n, lam, i)
+
+
+def pieri_exponent(lam, mu):
+    # a(lam, mu) + l(lam) - l(mu), by counting the strip's columns
+    cells = set()
+    for r, b in enumerate(mu):
+        cells.update(range((lam[r] if r < len(lam) else 0) + 1, b + 1))
+    return sum(1 for c in cells if c + 1 not in cells) + len(lam) - len(mu)
+
+
+def test_strict_strips_are_the_filtered_strips():
+    for n in range(1, 8):
+        for lam in strict_partitions_in_triangle(n):
+            for i in range(n + 2):
+                want = sorted(
+                    (mu, pieri_exponent(lam.parts, mu))
+                    for mu in _horizontal_strips(lam.parts, i, None, n)
+                    if all(a > b for a, b in zip(mu, mu[1:]))
+                )
+                assert sorted(_strict_strips(lam.parts, i, n)) == want, (n, lam, i)
+
+
+def reference_slices(n, m):
+    """The subalgebra pieces built over e-monomials: multiply each unit-pivot
+    basis vector of degree d - i by e_i through `normal_form` and insert."""
+    slices = []
+    for d in range(n * (n + 1) // 2 + 1):
+        sl = DegreeSlice(d, tuple(tuple(reversed(p.parts)) for p in strict_partitions_of_size(n, d)))
+        if d == 0:
+            sl.add_vector({(): 1})
+        for i in range(1, min(m, d) + 1):
+            if sl.saturated:
+                break
+            for row in slices[d - i].basis_rows():
+                if sl.saturated:
+                    break
+                image = LagVector.zero()
+                for key, c in row.items():
+                    image = image + normal_form(key + (i,), n).scale(c)
+                if not image.is_zero:
+                    sl.add_vector(dict(image.items()))
+        slices.append(sl)
+    return slices
+
+
+def test_schubert_builder_matches_rewriting_reference():
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            built = lg_subalgebra_slices(n, m)
+            ref = reference_slices(n, m)
+            assert [sl.rank for sl in built] == [sl.rank for sl in ref], (n, m)
+            for sl in built:
+                assert sl.columns == tuple(strict_partitions_of_size(n, sl.degree))
