@@ -108,7 +108,14 @@ class DegreeSlice:
 
     def contains_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
         """True when the vector reduces to zero against the basis."""
-        return not any(self._reduced(self._to_int_row(vec)))
+        return self.contains_row(self._to_int_row(vec))
+
+    def contains_row(self, row: Sequence[int]) -> bool:
+        """True when a dense integer row over the columns reduces to zero
+        against the basis."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
+        return not any(self._reduced(list(row)))
 
     def basis_rows(self) -> list[dict[Hashable, Fraction]]:
         """Basis in reduced echelon form with unit pivots, as sparse mappings."""

@@ -13,6 +13,16 @@ leave the box are never generated), all with coefficient 1.  The shared
 builder `echelon.generated_slices` pushes each integer echelon row of degree
 d - i through that map into a dense integer row of degree d and inserts it
 into the degree-d echelon as it is.
+
+The candidate-basis reports work on the same dense integer rows over the box
+columns.  The Schur terms outside the box span an ideal (h_r times s_mu only
+grows mu), so projecting to the box commutes with multiplication by h_r: the
+in-box row of h_lambda is the row of h_(lambda without its first part)
+pushed through one in-box Pieri map, and the in-box row of a k-Schur function
+follows its weak Pieri recursion (the h_r image of the row of nu minus the
+rows of the other targets).  Both are memoised per box, and no candidate is
+expanded over the Schur terms outside the box.  `project` and `contains`,
+over `h_to_schur` and `k_schur`, are the SymVector reference.
 """
 
 from __future__ import annotations
@@ -20,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .echelon import DegreeSlice, generated_slices
-from .kschur import k_schur
+from .echelon import DegreeSlice, apply_map, generated_slices
+from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
-from .schur import SymVector, _horizontal_strips, h_to_schur
+from .schur import SymVector, _horizontal_strips
 
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
@@ -136,7 +146,36 @@ class BasisReport:
         }
 
 
-def _basis_report(ell: int, k: int, m: int, vector_of) -> BasisReport:
+@cache
+def _h_row(ell: int, k: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """In-box row of the product of h_i over parts: h_(parts[0]) times the
+    row of parts[1:], through the in-box Pieri map."""
+    if not parts:
+        return (1,)
+    d = sum(parts)
+    width = len(_box_columns(ell, k, d)[0])
+    return tuple(apply_map(_h_row(ell, k, parts[1:]), _pieri_map(ell, k, d, parts[0]), width))
+
+
+@cache
+def _k_schur_row(ell: int, k: int, parts: tuple[int, ...], level: int) -> tuple[int, ...]:
+    """In-box row of the k-Schur function of parts at the given level: the
+    h_r image of the row of nu minus the rows of the other weak Pieri targets
+    (`kschur._weak_pieri_step`).  The targets need not fit the box."""
+    if not parts:
+        return (1,)
+    r, nu, others = _weak_pieri_step(parts, level)
+    d = sum(parts)
+    width = len(_box_columns(ell, k, d)[0])
+    row = apply_map(_k_schur_row(ell, k, nu, level), _pieri_map(ell, k, d, r), width)
+    for mu in others:
+        row = [a - b for a, b in zip(row, _k_schur_row(ell, k, mu, level))]
+    return tuple(row)
+
+
+def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
+    """Rank checks of the candidates against the subalgebra pieces; row_of
+    gives a candidate's dense integer row over the box columns of its degree."""
     if not (1 <= m <= min(ell, k)):
         raise ValueError(f"need 1 <= m <= min(ell, k), got ell={ell}, k={k}, m={m}")
     slices = subalgebra_slices(ell, k, m)
@@ -146,20 +185,19 @@ def _basis_report(ell: int, k: int, m: int, vector_of) -> BasisReport:
     entries = []
     for d in range(ell * k + 1):
         sl = slices[d]
-        vectors = [vector_of(lam) for lam in by_degree[d]]
+        rows = [row_of(lam) for lam in by_degree[d]]
         probe = DegreeSlice(d, sl.columns)
-        for vec in vectors:
-            if not vec.is_zero:
-                probe.add_vector(dict(vec.items()))
+        for row in rows:
+            probe.add_row(row)
         rank = probe.rank
-        contained = all(contains(sl, vec) for vec in vectors)
+        contained = all(sl.contains_row(row) for row in rows)
         entries.append(
             BasisDegree(
                 degree=d,
-                candidates=len(vectors),
+                candidates=len(rows),
                 rank=rank,
                 dim=sl.rank,
-                independent=rank == len(vectors),
+                independent=rank == len(rows),
                 spans=rank == sl.rank,
                 contained=contained,
             )
@@ -170,10 +208,10 @@ def _basis_report(ell: int, k: int, m: int, vector_of) -> BasisReport:
 def h_basis_report(ell: int, k: int, m: int) -> BasisReport:
     """Rank checks for the candidate basis of complete homogeneous products
     indexed by partitions with first part at most m and in-box k-conjugate."""
-    return _basis_report(ell, k, m, lambda lam: project(h_to_schur(lam), ell, k))
+    return _basis_report(ell, k, m, lambda lam: _h_row(ell, k, lam.parts))
 
 
 def kschur_basis_report(ell: int, k: int, m: int) -> BasisReport:
     """Rank checks for the candidate basis of k-Schur functions, each taken at
     the level given by its own first part."""
-    return _basis_report(ell, k, m, lambda lam: project(k_schur(lam, lam.first), ell, k))
+    return _basis_report(ell, k, m, lambda lam: _k_schur_row(ell, k, lam.parts, lam.first))

@@ -63,26 +63,40 @@ def weak_pieri_targets(nu: Partition, r: int, k: int) -> tuple[Partition, ...]:
     return tuple(Partition(t, check=False) for t in _targets(nu.parts, r, k))
 
 
-@cache
-def _k_schur(parts: tuple[int, ...], k: int) -> SymVector:
-    if not parts:
-        return SymVector.unit()
+def _weak_pieri_step(
+    parts: tuple[int, ...], k: int
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """One step of the weak Pieri recursion for a nonempty k-bounded index.
+
+    Returns (r, nu, others): r is the first part, nu the rest, and the k-Schur
+    function of parts is h_r times that of nu minus those of others, every one
+    of which strictly dominates parts.  Raises RuntimeError when the target
+    set breaks that shape.
+    """
     r, nu = parts[0], parts[1:]
-    result = pieri_h(r, _k_schur(nu, k))
     targets = _targets(nu, r, k)
     if parts not in targets:
         raise RuntimeError(
             f"weak Pieri rule inconsistency: {parts} is missing from its own "
             f"target set {targets} (r={r}, k={k})"
         )
-    for mu in targets:
-        if mu == parts:
-            continue
+    others = tuple(mu for mu in targets if mu != parts)
+    for mu in others:
         if not _strictly_dominates(mu, parts):
             raise RuntimeError(
                 f"weak Pieri rule inconsistency: target {mu} does not strictly "
                 f"dominate {parts} (r={r}, k={k})"
             )
+    return r, nu, others
+
+
+@cache
+def _k_schur(parts: tuple[int, ...], k: int) -> SymVector:
+    if not parts:
+        return SymVector.unit()
+    r, nu, others = _weak_pieri_step(parts, k)
+    result = pieri_h(r, _k_schur(nu, k))
+    for mu in others:
         result = result - _k_schur(mu, k)
     return result
 

@@ -166,14 +166,13 @@ def _vertical_strips(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
-def pieri_h(r: int, v: SymVector) -> SymVector:
-    """Multiply by the complete homogeneous generator of degree r: each Schur
-    term grows by every horizontal r-strip."""
+def _pieri(name: str, strips, r: int, v: SymVector) -> SymVector:
+    # grow each Schur term of v by every strip that strips(parts, r) lists
     if r < 1:
-        raise ValueError(f"pieri_h needs r >= 1, got {r}")
+        raise ValueError(f"{name} needs r >= 1, got {r}")
     data: dict[Partition, Fraction] = {}
     for lam, c in v.items():
-        for mu in _horizontal_strips(lam.parts, r):
+        for mu in strips(lam.parts, r):
             key = Partition(mu, check=False)
             new = data.get(key, 0) + c
             if new:
@@ -183,24 +182,17 @@ def pieri_h(r: int, v: SymVector) -> SymVector:
     out = SymVector.__new__(SymVector)
     out._terms = data
     return out
+
+
+def pieri_h(r: int, v: SymVector) -> SymVector:
+    """Multiply by the complete homogeneous generator of degree r: each Schur
+    term grows by every horizontal r-strip."""
+    return _pieri("pieri_h", _horizontal_strips, r, v)
 
 
 def pieri_e(r: int, v: SymVector) -> SymVector:
     """Multiply by the elementary generator of degree r: vertical r-strips."""
-    if r < 1:
-        raise ValueError(f"pieri_e needs r >= 1, got {r}")
-    data: dict[Partition, Fraction] = {}
-    for lam, c in v.items():
-        for mu in _vertical_strips(lam.parts, r):
-            key = Partition(mu, check=False)
-            new = data.get(key, 0) + c
-            if new:
-                data[key] = new
-            else:
-                data.pop(key, None)
-    out = SymVector.__new__(SymVector)
-    out._terms = data
-    return out
+    return _pieri("pieri_e", _vertical_strips, r, v)
 
 
 @cache

@@ -80,3 +80,34 @@ def test_rank_matches_dense_oracle_on_random_matrices():
         assert sl.rank == _rank_oracle(rows)
         for row in rows:
             assert sl.contains_vector({i: v for i, v in enumerate(row) if v})
+
+
+def test_contains_row_agrees_with_contains_vector():
+    import random
+
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        sl = DegreeSlice(0, tuple(range(ncols)))
+        for _ in range(rng.randint(0, ncols)):
+            sl.add_row([rng.randint(-3, 3) for _ in range(ncols)])
+        for _ in range(10):
+            row = [rng.randint(-3, 3) for _ in range(ncols)]
+            inside = sl.contains_row(row)
+            assert inside == sl.contains_vector({i: v for i, v in enumerate(row) if v})
+            seen.add(inside)
+        for row in sl._rows:
+            assert sl.contains_row(row)
+    assert seen == {True, False}
+
+
+def test_contains_row_rejects_wrong_length():
+    sl = DegreeSlice(1, ("a", "b"))
+    sl.add_row([1, 0])
+    assert sl.contains_row([2, 0])
+    assert not sl.contains_row([0, 1])
+    with pytest.raises(ValueError):
+        sl.contains_row([1])
+    with pytest.raises(ValueError):
+        sl.contains_row([1, 0, 0])

@@ -6,6 +6,11 @@ from hypothesis import given, strategies as st
 
 from qgrass.echelon import DegreeSlice
 from qgrass.grassmann import (
+    BasisDegree,
+    BasisReport,
+    _box_columns,
+    _h_row,
+    _k_schur_row,
     _slice_data,
     contains,
     h_basis_report,
@@ -14,6 +19,7 @@ from qgrass.grassmann import (
     subalgebra_hilbert,
     subalgebra_slices,
 )
+from qgrass.kschur import k_schur
 from qgrass.partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from qgrass.qseries import QPoly, grass_hilbert_series, grass_subalgebra_formula
 from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, pieri_h
@@ -232,3 +238,76 @@ def test_candidate_sets_are_sized_by_the_formula():
             for lam in candidate_partitions(ell, k, m):
                 sizes[lam.size] = sizes.get(lam.size, 0) + 1
             assert QPoly(sizes) == grass_subalgebra_formula(ell, k, m)
+
+
+# --- in-box candidate rows against the SymVector reference --------------------
+
+SMALL_BOXES = [(ell, k) for ell in range(1, 6) for k in range(1, 6)]
+FINDINGS_BOXES = [(2, 5), (3, 5), (4, 5), (5, 2), (6, 2)]
+
+
+def dense(v, ell, k, d):
+    """A projected SymVector of degree d as a row over the box columns."""
+    cols = _box_columns(ell, k, d)[0]
+    assert set(v) <= set(cols)
+    return tuple(v.coeff(p) for p in cols)
+
+
+def reference_h(ell, k):
+    return lambda lam: project(h_to_schur(lam), ell, k)
+
+
+def reference_kschur(ell, k):
+    return lambda lam: project(k_schur(lam, lam.first), ell, k)
+
+
+def reference_basis_report(ell, k, m, vector_of):
+    """The basis report over SymVectors: expand each candidate over all Schur
+    terms, project it to the box, and test it with add_vector and contains."""
+    slices = subalgebra_slices(ell, k, m)
+    by_degree = {d: [] for d in range(ell * k + 1)}
+    for lam in candidate_partitions(ell, k, m):
+        by_degree[lam.size].append(lam)
+    entries = []
+    for d in range(ell * k + 1):
+        sl = slices[d]
+        vectors = [vector_of(lam) for lam in by_degree[d]]
+        probe = DegreeSlice(d, sl.columns)
+        for vec in vectors:
+            if not vec.is_zero:
+                probe.add_vector(dict(vec.items()))
+        rank = probe.rank
+        entries.append(
+            BasisDegree(
+                degree=d,
+                candidates=len(vectors),
+                rank=rank,
+                dim=sl.rank,
+                independent=rank == len(vectors),
+                spans=rank == sl.rank,
+                contained=all(contains(sl, vec) for vec in vectors),
+            )
+        )
+    return BasisReport(ell=ell, k=k, m=m, degrees=tuple(entries))
+
+
+def test_in_box_candidate_rows_match_projected_expansions():
+    for ell, k in SMALL_BOXES:
+        lams = {lam for m in range(1, min(ell, k) + 1) for lam in candidate_partitions(ell, k, m)}
+        for lam in lams:
+            d = lam.size
+            assert _h_row(ell, k, lam.parts) == dense(reference_h(ell, k)(lam), ell, k, d), (ell, k, lam)
+            assert _k_schur_row(ell, k, lam.parts, lam.first) == dense(
+                reference_kschur(ell, k)(lam), ell, k, d
+            ), (ell, k, lam)
+
+
+def test_basis_reports_match_symvector_reference():
+    for ell, k in SMALL_BOXES + FINDINGS_BOXES:
+        for m in range(1, min(ell, k) + 1):
+            assert h_basis_report(ell, k, m) == reference_basis_report(
+                ell, k, m, reference_h(ell, k)
+            ), (ell, k, m)
+            assert kschur_basis_report(ell, k, m) == reference_basis_report(
+                ell, k, m, reference_kschur(ell, k)
+            ), (ell, k, m)

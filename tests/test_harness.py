@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qgrass import harness
-from qgrass.grassmann import project
+from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
     CONJECTURE,
     THEOREM,
@@ -183,6 +183,21 @@ def test_readme_findings_kschur_basis():
         ("kschur-basis", 5, 2, 2),
         ("kschur-basis", 6, 2, 2),
     }
+
+
+def test_readme_findings_six_boxes():
+    # the failing degrees past ell, k = 5, as (d, candidates, rank, dim)
+    def failing(report):
+        assert all(e.contained for e in report.degrees)
+        return [(e.degree, e.candidates, e.rank, e.dim) for e in report.degrees if not e.ok]
+
+    assert failing(h_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
+    assert failing(kschur_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
+    assert failing(kschur_basis_report(6, 4, 4)) == [(7, 10, 9, 10)]
+    assert failing(kschur_basis_report(6, 6, 4)) == [(24, 39, 38, 39)]
+    for m in range(1, 4):
+        assert h_basis_report(4, 6, m).verdict and kschur_basis_report(6, 4, m).verdict
+    assert h_basis_report(6, 4, 4).verdict
 
 
 def test_readme_findings_proportional_pair():

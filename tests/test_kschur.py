@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qgrass.kschur import k_schur, weak_pieri_targets
 from qgrass.partitions import Partition, dominance_leq, k_bounded_partitions, k_conjugate
@@ -83,6 +84,18 @@ def test_k_schur_is_classical_schur_when_hooks_are_small():
                     assert k_schur(lam, k) == SymVector.schur(lam)
 
 
+@given(
+    st.lists(st.integers(1, 8), max_size=8)
+    .filter(lambda xs: sum(xs) <= 8)
+    .map(lambda xs: Partition(sorted(xs, reverse=True))),
+    st.integers(0, 4),
+)
+def test_k_schur_is_schur_at_level_at_least_the_size(lam, extra):
+    # every hook of lam is at most |lam|, so from level |lam| on the
+    # k-Schur function is the Schur function
+    assert k_schur(lam, lam.size + extra) == SymVector.schur(lam)
+
+
 def test_k_schur_unitriangular_integer_coefficients():
     for k in range(1, 4):
         for d in range(0, 9):
@@ -107,3 +120,19 @@ def test_h_expansion_consistency_small():
         for d in range(0, 8):
             for lam in k_bounded_partitions(k, d):
                 assert h_in_kschur_coordinates(lam, k) == h_to_schur(lam)
+
+
+def test_weak_pieri_step_raises_on_inconsistent_targets(monkeypatch):
+    import qgrass.kschur as ks
+    from qgrass.grassmann import _k_schur_row
+
+    assert ks._weak_pieri_step((1, 1), 2) == (1, (1,), ((2,),))
+    monkeypatch.setattr(ks, "_targets", lambda nu, r, k: ())
+    with pytest.raises(RuntimeError, match="missing from its own target set"):
+        ks._weak_pieri_step((2, 1), 2)
+    # the in-box rows of the basis reports take the same checked step
+    with pytest.raises(RuntimeError, match="weak Pieri rule inconsistency"):
+        _k_schur_row.__wrapped__(3, 3, (2, 1), 2)
+    monkeypatch.setattr(ks, "_targets", lambda nu, r, k: ((2, 1), (1, 1, 1)))
+    with pytest.raises(RuntimeError, match="does not strictly dominate"):
+        ks._weak_pieri_step((2, 1), 2)
