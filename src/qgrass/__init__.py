@@ -37,7 +37,6 @@ from .kschur import k_schur, weak_pieri_targets
 from .echelon import DegreeSlice
 from .grassmann import (
     BasisReport,
-    contains,
     h_basis_report,
     kschur_basis_report,
     project,
@@ -45,7 +44,6 @@ from .grassmann import (
     subalgebra_slices,
 )
 from .lagrangian import (
-    LagVector,
     lg_subalgebra_hilbert,
     lg_top_power,
     multiply,

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
 
     p = sub.add_parser("verify", parents=[common], help="run identity and conjecture sweeps")
-    p.add_argument("family", choices=("summand", "rt", "h-basis", "kschur-basis", "lg", *VERIFY_GROUPS))
+    p.add_argument("family", choices=(*FAMILIES, *VERIFY_GROUPS))
     p.add_argument("--max", type=int, help="clamp every grid bound to this value")
     p.add_argument("--ell", type=int, help="restrict box families to one ell (with --k)")
     p.add_argument("--k", type=int, help="restrict box families to one k (with --ell)")

@@ -21,8 +21,9 @@ in-box row of h_lambda is the row of h_(lambda without its first part)
 pushed through one in-box Pieri map, and the in-box row of a k-Schur function
 follows its weak Pieri recursion (the h_r image of the row of nu minus the
 rows of the other targets).  Both are memoised per box, and no candidate is
-expanded over the Schur terms outside the box.  `project` and `contains`,
-over `h_to_schur` and `k_schur`, are the SymVector reference.
+expanded over the Schur terms outside the box.  The reference is `project` over
+`h_to_schur` and `k_schur`: a SymVector expansion cut down to the box, whose
+membership in a graded piece `DegreeSlice.contains_vector` tests.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from .schur import SymVector, _horizontal_strips
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
     """Drop every Schur term whose index does not fit the ell x k box."""
-    out = SymVector.__new__(SymVector)
-    out._terms = {p: c for p, c in v.items() if p.fits(ell, k)}
-    return out
+    return SymVector._wrap({p: c for p, c in v.items() if p.fits(ell, k)})
 
 
 @cache
@@ -82,16 +81,6 @@ def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:
     """Hilbert series of the subalgebra generated in degrees at most m."""
     slices = subalgebra_slices(ell, k, m)
     return QPoly({sl.degree: sl.rank for sl in slices})
-
-
-def contains(slice_: DegreeSlice, v: SymVector) -> bool:
-    """Membership of a homogeneous, already-projected vector in a graded piece."""
-    if v.is_zero:
-        return True
-    degrees = {p.size for p in v}
-    if degrees != {slice_.degree}:
-        raise ValueError(f"vector of degrees {sorted(degrees)} against slice of degree {slice_.degree}")
-    return slice_.contains_vector(dict(v.items()))
 
 
 @dataclass(frozen=True)

@@ -18,111 +18,30 @@ columns c in which mu/lambda has a box and column c + 1 has none.  The shared
 builder `echelon.generated_slices` pushes integer echelon rows through these
 maps.
 
-The e-monomial presentation is the reference: `LagVector` holds rational
-combinations of square-free index sets, and `normal_form` and `multiply`
-reduce products by a terminating rewriting system that replaces a repeated
-pair by its quadratic relation.  Rewriting a pair keeps the factor count while
-strictly increasing the sum of squared indices (or drops the count when e_0
-appears), both bounded, so reduction terminates; the square-free monomials it
-lands on are counted by the ring's Hilbert series, hence form a basis and the
-normal form is independent of the pair-selection strategy.
+The e-monomial presentation is the reference.  Its square-free monomials
+e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
+as the Schubert columns, so its vectors are `SymVector`s keyed by them.
+`normal_form` and `multiply` reduce products by a terminating rewriting
+system that replaces a repeated pair by its quadratic relation.  Rewriting a
+pair keeps the factor count while strictly increasing the sum of squared
+indices (or drops the count when e_0 appears), both bounded, so reduction
+terminates; the square-free monomials it lands on are counted by the ring's
+Hilbert series, hence form a basis and the normal form is independent of the
+pair-selection strategy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .echelon import DegreeSlice, apply_map, generated_slices
 from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
+from .schur import SymVector
 
 STRATEGIES = ("smallest", "largest")
-
-
-class LagVector:
-    """Rational combination of square-free index sets {i1 < ... < ir} in [1, n]."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction | int] | None = None, check: bool = True):
-        data: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    key = tuple(key)
-                    if check and any(a >= b for a, b in zip(key, key[1:])):
-                        raise ValueError(f"index sets must be strictly increasing, got {key}")
-                    data[key] = c
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "LagVector":
-        return cls()
-
-    @classmethod
-    def unit(cls) -> "LagVector":
-        return cls({(): Fraction(1)}, check=False)
-
-    @classmethod
-    def generator(cls, i: int) -> "LagVector":
-        return cls({(i,): Fraction(1)}, check=False)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, key: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(key), Fraction(0))
-
-    def items(self):
-        return self._terms.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LagVector) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LagVector(0)"
-        bits = [f"{c}*e{list(key)}" for key, c in sorted(self._terms.items(), key=_key_order)]
-        return "LagVector(" + " + ".join(bits) + ")"
-
-    def scale(self, c) -> "LagVector":
-        c = Fraction(c)
-        if not c:
-            return LagVector.zero()
-        out = LagVector.__new__(LagVector)
-        out._terms = {k: v * c for k, v in self._terms.items()}
-        return out
-
-    def __add__(self, other: "LagVector") -> "LagVector":
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            new = data.get(k, 0) + c
-            if new:
-                data[k] = new
-            else:
-                data.pop(k, None)
-        out = LagVector.__new__(LagVector)
-        out._terms = data
-        return out
-
-    def __sub__(self, other: "LagVector") -> "LagVector":
-        return self + other.scale(-1)
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"set": list(key), "coeff": str(c)}
-            for key, c in sorted(self._terms.items(), key=_key_order)
-        ]
-
-
-def _key_order(item):
-    # sort (index set, coeff) pairs by degree, then lex-decreasing partitions
-    key = item[0]
-    return (sum(key), tuple(-v for v in sorted(key, reverse=True)))
 
 
 def _find_repeat(mono: tuple[int, ...], strategy: str) -> int | None:
@@ -157,8 +76,9 @@ def _reduce_monomial(mono: tuple[int, ...], n: int, strategy: str) -> tuple[tupl
     return tuple(sorted(out.items()))
 
 
-def normal_form(indices: Iterable[int], n: int, strategy: str = "smallest") -> LagVector:
-    """Expand a monomial in the generators over the square-free basis.
+def normal_form(indices: Iterable[int], n: int, strategy: str = "smallest") -> SymVector:
+    """Expand a monomial in the generators over the square-free basis, keyed
+    by strict partitions: lambda stands for e_(lambda_1) ... e_(lambda_r).
 
     The default strategy rewrites the smallest repeated index first; the
     output is strategy-independent (the basis argument), which the test suite
@@ -169,26 +89,17 @@ def normal_form(indices: Iterable[int], n: int, strategy: str = "smallest") -> L
     mono = tuple(sorted(indices))
     if any(i < 1 or i > n for i in mono):
         raise ValueError(f"indices must lie in [1, {n}], got {mono}")
-    return LagVector(
-        {key: Fraction(c) for key, c in _reduce_monomial(mono, n, strategy)}, check=False
+    return SymVector._wrap(
+        {Partition(key[::-1], check=False): Fraction(c) for key, c in _reduce_monomial(mono, n, strategy)}
     )
 
 
-def multiply(u: LagVector, v: LagVector, n: int) -> LagVector:
-    """Product in the quotient ring: multiset union of index sets, renormalised."""
-    data: dict[tuple[int, ...], Fraction] = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            c = ca * cb
-            for key, coeff in _reduce_monomial(tuple(sorted(a + b)), n, "smallest"):
-                new = data.get(key, 0) + c * coeff
-                if new:
-                    data[key] = new
-                else:
-                    data.pop(key, None)
-    out = LagVector.__new__(LagVector)
-    out._terms = data
-    return out
+def multiply(u: SymVector, v: SymVector, n: int) -> SymVector:
+    """Product in the quotient ring: multiset union of the indices, renormalised."""
+    return sum(
+        (normal_form(a.parts + b.parts, n).scale(ca * cb) for a, ca in u.items() for b, cb in v.items()),
+        SymVector.zero(),
+    )
 
 
 @cache

@@ -111,12 +111,6 @@ class Partition:
             for r in range(len(self._parts))
         ]
 
-    def contains(self, other: "Partition") -> bool:
-        """Diagram containment: other fits inside self row by row."""
-        return len(other) <= len(self._parts) and all(
-            other[i] <= self._parts[i] for i in range(len(other))
-        )
-
     def fits(self, rows: int, cols: int) -> bool:
         """True when the diagram fits in a rows x cols box."""
         return len(self._parts) <= rows and self.first <= cols
@@ -310,16 +304,28 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
 
 
 def _box_tuples(maxpart: int, rows: int, total: int) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
+    # Iterative, so a tall box does not recurse once per row: fill greedily
+    # (the lexicographically largest tail), then lower the last part that can
+    # drop by one with the rows after it still holding the rest, and refill.
+    if total > maxpart * rows:
         return
-    if rows == 0 or maxpart == 0:
-        return
-    for head in range(min(maxpart, total), 0, -1):
-        if total - head > head * (rows - 1):
-            continue
-        for rest in _box_tuples(head, rows - 1, total - head):
-            yield (head,) + rest
+    parts: list[int] = []
+    cap, rest = maxpart, total
+    while True:
+        while rest:
+            parts.append(min(cap, rest))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts:
+            head = parts.pop()
+            rest += head
+            if head > 1 and rest - head + 1 <= (head - 1) * (rows - len(parts) - 1):
+                cap = head - 1
+                parts.append(cap)
+                rest -= cap
+                break
+        else:
+            return
 
 
 def _strict_tuples(maxpart: int, total: int) -> Iterator[tuple[int, ...]]:

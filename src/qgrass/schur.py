@@ -19,7 +19,8 @@ def _order_key(p: Partition):
 
 
 class SymVector:
-    """Finite rational linear combination of Schur basis elements."""
+    """Finite rational linear combination of basis elements indexed by
+    partitions: Schur functions here, square-free e-monomials in `lagrangian`."""
 
     __slots__ = ("_terms",)
 
@@ -65,6 +66,13 @@ class SymVector:
     def __len__(self) -> int:
         return len(self._terms)
 
+    @classmethod
+    def _wrap(cls, terms: dict[Partition, Fraction]) -> "SymVector":
+        # a finished dict: partition keys, nonzero Fraction coefficients
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     def __add__(self, other: "SymVector") -> "SymVector":
         data = dict(self._terms)
         for p, c in other._terms.items():
@@ -73,29 +81,16 @@ class SymVector:
                 data[p] = new
             else:
                 data.pop(p, None)
-        out = SymVector.__new__(SymVector)
-        out._terms = data
-        return out
+        return SymVector._wrap(data)
 
     def __sub__(self, other: "SymVector") -> "SymVector":
-        data = dict(self._terms)
-        for p, c in other._terms.items():
-            new = data.get(p, 0) - c
-            if new:
-                data[p] = new
-            else:
-                data.pop(p, None)
-        out = SymVector.__new__(SymVector)
-        out._terms = data
-        return out
+        return self + other.scale(-1)
 
     def scale(self, c) -> "SymVector":
         c = Fraction(c)
         if not c:
             return SymVector.zero()
-        out = SymVector.__new__(SymVector)
-        out._terms = {p: v * c for p, v in self._terms.items()}
-        return out
+        return SymVector._wrap({p: v * c for p, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymVector) and self._terms == other._terms
@@ -179,9 +174,7 @@ def _pieri(name: str, strips, r: int, v: SymVector) -> SymVector:
                 data[key] = new
             else:
                 data.pop(key, None)
-    out = SymVector.__new__(SymVector)
-    out._terms = data
-    return out
+    return SymVector._wrap(data)
 
 
 def pieri_h(r: int, v: SymVector) -> SymVector:
@@ -210,6 +203,4 @@ def h_to_schur(lam: Partition) -> SymVector:
 
 def omega(v: SymVector) -> SymVector:
     """Fundamental involution: transpose every Schur index, coefficients unchanged."""
-    out = SymVector.__new__(SymVector)
-    out._terms = {p.conjugate(): c for p, c in v.items()}
-    return out
+    return SymVector._wrap({p.conjugate(): c for p, c in v.items()})

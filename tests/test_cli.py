@@ -104,6 +104,13 @@ def test_verify_lg_single_n_markdown(capsys):
     assert out.startswith("| status |")
 
 
+@pytest.mark.parametrize("family", ["prop51", "decomp-shifted"])
+def test_verify_single_identity_family(capsys, family):
+    code, out, _ = run(capsys, "verify", family, "--n", "3")
+    assert code == 0
+    assert out.endswith("summary: pass=1 fail=0 error=0\n")
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"families": {"prop51": {"ns": [2, 3]}}}))
@@ -160,6 +167,12 @@ def test_verify_lg_rejects_n_below_one(tmp_path, capsys):
 
 def test_formula_without_recursion_limit(capsys):
     code, out, err = run(capsys, "formula", "rt", "--ell", "1", "--k", "1500", "--m", "1")
+    assert code == 0 and err == ""
+    assert out.strip().split(",") == ["1"] * 1501
+
+
+def test_hilb_tall_box_without_recursion_limit(capsys):
+    code, out, err = run(capsys, "hilb", "grass", "--ell", "1500", "--k", "1")
     assert code == 0 and err == ""
     assert out.strip().split(",") == ["1"] * 1501
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from qgrass.echelon import DegreeSlice
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
-    LagVector,
     _lg_pieri_map,
     _strict_columns,
     _strict_strips,
@@ -17,31 +16,34 @@ from qgrass.lagrangian import (
     multiply,
     normal_form,
 )
-from qgrass.partitions import strict_partitions_in_triangle, strict_partitions_of_size
+from qgrass.partitions import Partition, strict_partitions_in_triangle, strict_partitions_of_size
 from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
-from qgrass.schur import _horizontal_strips
+from qgrass.schur import SymVector, _horizontal_strips
 
 
-E = LagVector.generator
+def E(*parts):
+    """The square-free e-monomial e_(parts[0]) ... e_(parts[-1]), parts decreasing."""
+    return SymVector.schur(Partition(parts))
 
 
-def test_lagvector_basics():
+def V(terms):
+    """A combination of e-monomials, keyed by their decreasing index tuples."""
+    return SymVector({Partition(key): c for key, c in terms.items()})
+
+
+def test_emonomial_vector_basics():
     v = E(1) + E(1)
-    assert v.coeff((1,)) == 2
+    assert v.coeff(Partition((1,))) == 2
     assert (v - v).is_zero
-    assert LagVector({(1, 3): Fraction(1, 2)}).coeff([1, 3]) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        LagVector({(3, 1): 1})
-    with pytest.raises(ValueError):
-        LagVector({(1, 1): 1})
+    assert V({(3, 1): Fraction(1, 2)}).coeff(Partition((3, 1))) == Fraction(1, 2)
 
 
-def test_lagvector_json_order():
-    v = LagVector({(1, 2): 1, (3,): 2, (1,): 1})
+def test_emonomial_vector_json_order():
+    v = V({(2, 1): 1, (3,): 2, (1,): 1})
     assert v.to_json_obj() == [
-        {"set": [1], "coeff": "1"},
-        {"set": [3], "coeff": "2"},
-        {"set": [1, 2], "coeff": "1"},
+        {"partition": "1", "coeff": "1"},
+        {"partition": "3", "coeff": "2"},
+        {"partition": "2,1", "coeff": "1"},
     ]
 
 
@@ -49,10 +51,10 @@ def test_lagvector_json_order():
 
 
 def test_normal_form_examples():
-    assert normal_form((1, 1), 2) == LagVector({(2,): 2})
+    assert normal_form((1, 1), 2) == V({(2,): 2})
     assert normal_form((2, 2), 2).is_zero
-    assert normal_form((1, 2), 5) == LagVector({(1, 2): 1})
-    assert normal_form((), 3) == LagVector.unit()
+    assert normal_form((1, 2), 5) == E(2, 1)
+    assert normal_form((), 3) == SymVector.unit()
     with pytest.raises(ValueError):
         normal_form((0, 1), 3)
     with pytest.raises(ValueError):
@@ -63,10 +65,10 @@ def test_normal_form_examples():
 
 def test_normal_form_known_squares():
     # e_2^2 = 2 e_3 e_1 - 2 e_4 inside a rank-4 ring
-    assert normal_form((2, 2), 4) == LagVector({(1, 3): 2, (4,): -2})
+    assert normal_form((2, 2), 4) == V({(3, 1): 2, (4,): -2})
     # iterated powers of e_1 walk up the staircase
-    assert normal_form((1, 1, 1), 3) == LagVector({(1, 2): 2})
-    assert normal_form((1,) * 6, 3) == LagVector({(1, 2, 3): 16})
+    assert normal_form((1, 1, 1), 3) == V({(2, 1): 2})
+    assert normal_form((1,) * 6, 3) == V({(3, 2, 1): 16})
 
 
 def test_normal_form_output_is_square_free():
@@ -74,9 +76,9 @@ def test_normal_form_output_is_square_free():
     for _ in range(200):
         n = rng.randint(2, 6)
         mono = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
-        for key, _ in normal_form(mono, n).items():
-            assert all(a < b for a, b in zip(key, key[1:]))
-            assert sum(key) == sum(mono)
+        for lam, _ in normal_form(mono, n).items():
+            assert lam.is_strict and lam.first <= n
+            assert lam.size == sum(mono)
 
 
 @given(st.integers(2, 6), st.data())
@@ -93,10 +95,10 @@ def test_normal_form_strategy_independent(n, data):
 
 
 def test_multiply_examples():
-    assert multiply(E(1), E(1), 2) == LagVector({(2,): 2})
-    v = LagVector({(1, 3): 5, (2,): -1})
-    assert multiply(v, LagVector.unit(), 4) == v
-    assert multiply(E(1), LagVector({(2,): 2}), 2) == LagVector({(1, 2): 2})
+    assert multiply(E(1), E(1), 2) == V({(2,): 2})
+    v = V({(3, 1): 5, (2,): -1})
+    assert multiply(v, SymVector.unit(), 4) == v
+    assert multiply(E(1), V({(2,): 2}), 2) == V({(2, 1): 2})
 
 
 def test_multiply_commutative_and_associative_random():
@@ -106,9 +108,9 @@ def test_multiply_commutative_and_associative_random():
         terms = {}
         for _ in range(rng.randint(1, 3)):
             size = rng.randint(0, n)
-            key = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            key = tuple(sorted(rng.sample(range(1, n + 1), size), reverse=True))
             terms[key] = rng.randint(-2, 2)
-        return LagVector(terms)
+        return V(terms)
 
     for _ in range(30):
         n = rng.randint(2, 5)
@@ -259,21 +261,19 @@ def test_strict_strips_are_the_filtered_strips():
 
 def reference_slices(n, m):
     """The subalgebra pieces built over e-monomials: multiply each unit-pivot
-    basis vector of degree d - i by e_i through `normal_form` and insert."""
+    basis vector of degree d - i by e_i through `multiply` and insert."""
     slices = []
     for d in range(n * (n + 1) // 2 + 1):
-        sl = DegreeSlice(d, tuple(tuple(reversed(p.parts)) for p in strict_partitions_of_size(n, d)))
+        sl = DegreeSlice(d, tuple(strict_partitions_of_size(n, d)))
         if d == 0:
-            sl.add_vector({(): 1})
+            sl.add_vector({Partition(): 1})
         for i in range(1, min(m, d) + 1):
             if sl.saturated:
                 break
             for row in slices[d - i].basis_rows():
                 if sl.saturated:
                     break
-                image = LagVector.zero()
-                for key, c in row.items():
-                    image = image + normal_form(key + (i,), n).scale(c)
+                image = multiply(SymVector(row), E(i), n)
                 if not image.is_zero:
                     sl.add_vector(dict(image.items()))
         slices.append(sl)
