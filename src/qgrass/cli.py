@@ -132,8 +132,16 @@ def _verify_config(args) -> dict:
             return validate_config(json.load(fh))
     if (args.ell is None) != (args.k is None):
         raise ConfigError("--ell and --k must be given together")
+    names = VERIFY_GROUPS.get(args.family, [args.family])
+    grids = {FAMILIES[name].grid for name in names}
+    for flag, value, grid, other in (
+        ("--ell/--k", args.ell, PAIRS, "staircase orders n"),
+        ("--n", args.n, NS, "(ell, k) boxes"),
+    ):
+        if value is not None and grid not in grids:
+            raise ConfigError(f"{flag} does not apply to {args.family!r}, which runs over {other} only")
     families = {}
-    for name in VERIFY_GROUPS.get(args.family, [args.family]):
+    for name in names:
         spec = dict(DEFAULT_CONFIG["families"][name])
         if args.max is not None:
             spec["max"] = min(spec["max"], args.max)

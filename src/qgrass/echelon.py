@@ -1,34 +1,31 @@
 """Exact reduced row-echelon bases over a fixed, ordered set of coordinates.
 
-Rows are stored as integer vectors (gcd-normalised, leading entry positive)
-and kept fully reduced against one another, so the stored basis depends only
-on the span, never on the order or scaling of the inserted rows.  Integer
-rows go in as they are (fraction-free row reduction); rational vectors are
-cleared of denominators first, and unit-pivot rational rows are produced on
-demand.  Pivoting is by first nonzero column - no numerical heuristics are
-involved anywhere.
+Rows are primitive integer vectors with a positive lead, kept fully reduced
+against one another, so the basis depends only on the span.  A fully reduced
+row is zero at every other pivot, so it is stored as its pivot, its lead and
+a tail over the free (not yet pivot) columns: reduction, back-substitution
+and normalisation run over the n - r free entries, and a new pivot deletes
+its column from every tail.  Integer rows go in as they are (fraction-free);
+rational vectors are cleared of denominators first; dense rows are built on
+demand.  Pivots are first nonzero columns, with no numerical heuristics.
 
-`generated_slices` builds, degree by degree, the graded pieces of the
-subalgebra generated in degrees at most m of a graded ring that is given by a
-basis of each degree and integer Pieri maps for its generators; the ordinary
-and the Lagrangian Grassmannian rings are both built through it.
+`generated_slices` builds the graded pieces of the subalgebra generated in
+degrees at most m of a graded ring given by a basis of each degree and
+integer Pieri maps for its generators; both Grassmannian rings use it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
-def _normalized(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    if g == 0:
-        return row
-    if next(filter(None, row)) < 0:
-        g = -g
-    return row if g == 1 else [a // g for a in row]
+def _primitive(lead: int, tail: list[int]) -> tuple[int, list[int]]:
+    g = gcd(lead, *tail) if lead > 0 else -gcd(lead, *tail)
+    return (lead, tail) if g == 1 else (lead // g, [a // g for a in tail])
 
 
 class DegreeSlice:
@@ -38,72 +35,88 @@ class DegreeSlice:
         self.degree = degree
         self.columns = tuple(columns)
         self._index = {c: i for i, c in enumerate(self.columns)}
-        self._rows: list[list[int]] = []
+        # row i is _leads[i] at column _pivots[i] (increasing), _tails[i] over
+        # the columns _free and zero at every other pivot
         self._pivots: list[int] = []
+        self._leads: list[int] = []
+        self._tails: list[list[int]] = []
+        self._free = list(range(len(self.columns)))
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def saturated(self) -> bool:
-        return len(self._rows) == len(self.columns)
+        return not self._free
 
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)
 
-    def _to_int_row(self, vec: Mapping[Hashable, Fraction | int]) -> list[int]:
-        row = [0] * len(self.columns)
-        denom = 1
-        for key, val in vec.items():
-            idx = self._index.get(key)
-            if idx is None:
-                raise ValueError(f"coordinate {key!r} is not a column of this degree slice")
-            val = Fraction(val)
-            denom = lcm(denom, val.denominator)
-        for key, val in vec.items():
-            val = Fraction(val)
-            row[self._index[key]] = int(val * denom)
-        return row
+    def row_terms(self) -> Iterator[Iterator[tuple[int, int]]]:
+        """Each stored row, in pivot order, as (column, entry) pairs over its pivot and the free columns."""
+        for p, lead, tail in zip(self._pivots, self._leads, self._tails):
+            yield chain(((p, lead),), zip(self._free, tail))
 
-    def _reduced(self, row: list[int]) -> list[int]:
-        # The stored rows vanish at one another's pivots, so the row minus its
-        # component along every pivot is one combination of them; scaling by
-        # the lcm of their leads keeps it integral.  Zero exactly when the row
-        # lies in the span; otherwise a multiple of the reduced row.
-        hits = [(row[p], prow, prow[p]) for prow, p in zip(self._rows, self._pivots) if row[p]]
-        if not hits:
-            return row
-        scale = lcm(*(lead for _, _, lead in hits))
-        row = [a * scale for a in row]
-        for c, prow, lead in hits:
+    @property
+    def _rows(self) -> list[list[int]]:
+        """The stored rows as dense integer lists over all the columns."""
+        rows = [[0] * len(self.columns) for _ in self._pivots]
+        for row, terms in zip(rows, self.row_terms()):
+            for j, a in terms:
+                row[j] = a
+        return rows
+
+    def _to_int_row(self, vec: Mapping[Hashable, Fraction | int]) -> list[int]:
+        row: list[Fraction | int] = [0] * len(self.columns)
+        for key, val in vec.items():
+            if key not in self._index:
+                raise ValueError(f"coordinate {key!r} is not a column of this degree slice")
+            row[self._index[key]] = Fraction(val)
+        denom = lcm(1, *(a.denominator for a in row))
+        return [int(a * denom) for a in row]
+
+    def _reduced(self, row: Sequence[int]) -> list[int]:
+        # The row minus its component along each pivot, times the lcm of the
+        # leads it meets; zero at every pivot, so only its free entries return.
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
+        free = [row[j] for j in self._free]
+        hits = [(row[p], lead, tail) for p, lead, tail in zip(self._pivots, self._leads, self._tails) if row[p]]
+        scale = lcm(*(lead for _, lead, _ in hits))
+        if scale != 1:
+            free = [a * scale for a in free]
+        for c, lead, tail in hits:
             f = c * (scale // lead)
-            row = [a - f * b for a, b in zip(row, prow)]
-        return row
+            free = [a - f * b for a, b in zip(free, tail)]
+        return free
 
     def add_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
         """Insert a vector, returning True when it enlarges the span."""
         return self.add_row(self._to_int_row(vec))
 
     def add_row(self, row: Sequence[int]) -> bool:
-        """Insert a dense integer row over the columns, returning True when it
-        enlarges the span."""
-        if len(row) != len(self.columns):
-            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
-        row = self._reduced(list(row))
-        if not any(row):
+        """Insert a dense integer row over the columns; True when it enlarges the span."""
+        tail = self._reduced(row)
+        lead = next(filter(None, tail), 0)
+        if not lead:
             return False
-        row = _normalized(row)
-        pivot = next(i for i, a in enumerate(row) if a)
-        lead = row[pivot]
-        for i, prow in enumerate(self._rows):
-            c = prow[pivot]
+        j = tail.index(lead)
+        del tail[j]
+        lead, tail = _primitive(lead, tail)
+        # back-substitution clears the new pivot column from every stored row
+        for i, prow in enumerate(self._tails):
+            c = prow.pop(j)
             if c:
-                self._rows[i] = _normalized([a * lead - b * c for a, b in zip(prow, row)])
+                self._leads[i], self._tails[i] = _primitive(
+                    self._leads[i] * lead, [a * lead - c * b for a, b in zip(prow, tail)]
+                )
+        pivot = self._free.pop(j)
         pos = bisect_left(self._pivots, pivot)
-        self._rows.insert(pos, row)
         self._pivots.insert(pos, pivot)
+        self._leads.insert(pos, lead)
+        self._tails.insert(pos, tail)
         return True
 
     def contains_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
@@ -111,54 +124,41 @@ class DegreeSlice:
         return self.contains_row(self._to_int_row(vec))
 
     def contains_row(self, row: Sequence[int]) -> bool:
-        """True when a dense integer row over the columns reduces to zero
-        against the basis."""
-        if len(row) != len(self.columns):
-            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
-        return not any(self._reduced(list(row)))
+        """True when a dense integer row over the columns lies in the span."""
+        return not any(self._reduced(row))
 
     def basis_rows(self) -> list[dict[Hashable, Fraction]]:
         """Basis in reduced echelon form with unit pivots, as sparse mappings."""
-        out = []
-        for row, p in zip(self._rows, self._pivots):
-            lead = row[p]
-            out.append({self.columns[i]: Fraction(a, lead) for i, a in enumerate(row) if a})
-        return out
+        rows = zip(self._rows, self._leads)
+        return [{self.columns[j]: Fraction(a, lead) for j, a in enumerate(row) if a} for row, lead in rows]
 
 
 def apply_map(
-    row: Sequence[int], pieri_map: Sequence[tuple[int, Sequence[Sequence[int]]]], width: int
+    terms: Iterable[tuple[int, int]], pieri_map: Sequence[tuple[int, Sequence[Sequence[int]]]], width: int
 ) -> list[int]:
-    """Image of a dense integer row under a Pieri map into width columns.
-
-    The map multiplies by a generator of degree i, from degree d - i to degree
-    d, as (coefficient, per-source target column indices) pairs, one pair per
-    coefficient: each source column goes to the sum of its targets times the
-    coefficient."""
+    """Dense image over width columns of an integer row, given as (column,
+    entry) pairs (`enumerate` of a dense row, or one of `DegreeSlice.row_terms`),
+    under a Pieri map: multiplication by a generator of degree i from degree
+    d - i to d, as one (coefficient, per-source target columns) pair per coefficient."""
     image = [0] * width
-    for c, targets in pieri_map:
-        for a, hits in zip(row, targets):
-            if a:
+    for j, a in terms:
+        if a:
+            for c, targets in pieri_map:
                 ac = a * c
-                for t in hits:
+                for t in targets[j]:
                     image[t] += ac
     return image
 
 
 def generated_slices(
-    columns: Sequence[Sequence[Hashable]],
-    pieri_map: Callable[[int, int], Sequence[tuple[int, Sequence[Sequence[int]]]]],
-    m: int,
+    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], m: int
 ) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of every graded piece of the subalgebra generated by one
-    generator in each degree 1..m.
-
-    columns[d] is the basis of degree d (columns[0] is the unit alone), and
-    pieri_map(d, i) multiplies by the degree-i generator from degree d - i to
-    degree d, in the format of `apply_map`.  Every stored row of degree d - i
-    is pushed through that map into a dense integer row of degree d, until the
-    degree-d piece is saturated.
-    """
+    """Echelon bases of the graded pieces of the subalgebra generated by one
+    generator in each degree 1..m: columns[d] is the basis of degree d
+    (columns[0] is the unit alone), and pieri_map(d, i) multiplies by the
+    degree-i generator from degree d - i to d, in the format of `apply_map`.
+    Each stored row of degree d - i is pushed through it as sparse terms,
+    until the degree-d piece is saturated."""
     slices: list[DegreeSlice] = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
@@ -168,7 +168,7 @@ def generated_slices(
             if sl.saturated:
                 break
             step = pieri_map(d, i)
-            for src in slices[d - i]._rows:
+            for src in slices[d - i].row_terms():
                 if sl.saturated:
                     break
                 sl.add_row(apply_map(src, step, len(sl.columns)))

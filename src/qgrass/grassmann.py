@@ -143,7 +143,7 @@ def _h_row(ell: int, k: int, parts: tuple[int, ...]) -> tuple[int, ...]:
         return (1,)
     d = sum(parts)
     width = len(_box_columns(ell, k, d)[0])
-    return tuple(apply_map(_h_row(ell, k, parts[1:]), _pieri_map(ell, k, d, parts[0]), width))
+    return tuple(apply_map(enumerate(_h_row(ell, k, parts[1:])), _pieri_map(ell, k, d, parts[0]), width))
 
 
 @cache
@@ -156,7 +156,7 @@ def _k_schur_row(ell: int, k: int, parts: tuple[int, ...], level: int) -> tuple[
     r, nu, others = _weak_pieri_step(parts, level)
     d = sum(parts)
     width = len(_box_columns(ell, k, d)[0])
-    row = apply_map(_k_schur_row(ell, k, nu, level), _pieri_map(ell, k, d, r), width)
+    row = apply_map(enumerate(_k_schur_row(ell, k, nu, level)), _pieri_map(ell, k, d, r), width)
     for mu in others:
         row = [a - b for a, b in zip(row, _k_schur_row(ell, k, mu, level))]
     return tuple(row)

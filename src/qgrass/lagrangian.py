@@ -188,5 +188,5 @@ def lg_top_power(n: int) -> int:
     top = n * (n + 1) // 2
     row = [1]
     for d in range(1, top + 1):
-        row = apply_map(row, _lg_pieri_map(n, d, 1), len(_strict_columns(n, d)[0]))
+        row = apply_map(enumerate(row), _lg_pieri_map(n, d, 1), len(_strict_columns(n, d)[0]))
     return row[_strict_columns(n, top)[1][tuple(range(n, 0, -1))]]

@@ -111,6 +111,35 @@ def test_verify_single_identity_family(capsys, family):
     assert out.endswith("summary: pass=1 fail=0 error=0\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag, over",
+    [
+        (["decomp-vacant", "--n", "3"], "--n", "(ell, k) boxes"),
+        (["vacancy", "--n", "3", "--max", "2"], "--n", "(ell, k) boxes"),
+        (["prop51", "--ell", "2", "--k", "2"], "--ell/--k", "staircase orders n"),
+        (["lg", "--ell", "3", "--k", "3"], "--ell/--k", "staircase orders n"),
+    ],
+    ids=["decomp-vacant", "vacancy", "prop51", "lg"],
+)
+def test_verify_grid_flag_of_the_other_kind_exits_2(capsys, argv, flag, over):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} does not apply to {argv[0]!r}, which runs over {over} only\n"
+
+
+def test_verify_grid_flag_of_the_matching_kind_runs_one_point(capsys):
+    code, out, err = run(capsys, "verify", "decomp-vacant", "--ell", "3", "--k", "3")
+    assert code == 0 and err == ""
+    assert out.endswith("summary: pass=1 fail=0 error=0\n")
+    # a group runs the point on its families of that kind and the default grid on the rest
+    code, out, _ = run(capsys, "verify", "identities", "--n", "3", "--max", "2", "--format", "json")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    names = {"prop51", "vacant-roundtrip", "shifted-roundtrip", "vacancy-conjugation"}
+    assert {c["name"] for c in cases} == names
+    assert {c["params"]["n"] for c in cases if "n" in c["params"]} == {3}
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"families": {"prop51": {"ns": [2, 3]}}}))

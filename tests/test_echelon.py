@@ -1,4 +1,7 @@
+import random
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -67,8 +70,6 @@ def _rank_oracle(rows):
 
 
 def test_rank_matches_dense_oracle_on_random_matrices():
-    import random
-
     rng = random.Random(20240817)
     for _ in range(40):
         ncols = rng.randint(1, 6)
@@ -83,8 +84,6 @@ def test_rank_matches_dense_oracle_on_random_matrices():
 
 
 def test_contains_row_agrees_with_contains_vector():
-    import random
-
     rng = random.Random(20261018)
     seen = set()
     for _ in range(40):
@@ -111,3 +110,122 @@ def test_contains_row_rejects_wrong_length():
         sl.contains_row([1])
     with pytest.raises(ValueError):
         sl.contains_row([1, 0, 0])
+
+
+# --- the dense reference echelon ----------------------------------------------
+
+
+def _dense_normalized(row):
+    g = gcd(*row)
+    if g == 0:
+        return row
+    if next(filter(None, row)) < 0:
+        g = -g
+    return row if g == 1 else [a // g for a in row]
+
+
+class DenseEchelon:
+    """The fraction-free echelon over dense rows that `DegreeSlice` replaced,
+    frozen as a reference: every stored row is a full list over the columns,
+    reduced against all of them and normalised as a whole."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def _reduced(self, row):
+        hits = [(row[p], prow, prow[p]) for prow, p in zip(self.rows, self.pivots) if row[p]]
+        if not hits:
+            return row
+        scale = lcm(*(lead for _, _, lead in hits))
+        row = [a * scale for a in row]
+        for c, prow, lead in hits:
+            f = c * (scale // lead)
+            row = [a - f * b for a, b in zip(row, prow)]
+        return row
+
+    def add_row(self, row):
+        row = self._reduced(list(row))
+        if not any(row):
+            return False
+        row = _dense_normalized(row)
+        pivot = next(i for i, a in enumerate(row) if a)
+        lead = row[pivot]
+        for i, prow in enumerate(self.rows):
+            c = prow[pivot]
+            if c:
+                self.rows[i] = _dense_normalized([a * lead - b * c for a, b in zip(prow, row)])
+        pos = bisect_left(self.pivots, pivot)
+        self.rows.insert(pos, row)
+        self.pivots.insert(pos, pivot)
+        return True
+
+    def contains_row(self, row):
+        return not any(self._reduced(list(row)))
+
+
+def _random_row(rng, ncols, bound, density):
+    return [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
+
+
+def _combination(rng, rows, ncols):
+    out = [0] * ncols
+    for row in rows:
+        c = rng.randint(-5, 5)
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def _random_sequence(rng, ncols):
+    """Integer rows with entries up to 3, 2^20 or 2^70 in size and of varying
+    density: ncols or more random ones (saturating) or combinations of fewer
+    than ncols (rank deficient), with zero rows and repeated, rescaled rows
+    mixed in."""
+    bound = rng.choice([3, 2**20, 2**70])
+    density = rng.choice([0.2, 0.5, 1.0])
+    if rng.random() < 0.5:
+        rows = [_random_row(rng, ncols, bound, density) for _ in range(ncols + rng.randint(0, 3))]
+    else:
+        base = [_random_row(rng, ncols, bound, density) for _ in range(rng.randint(0, ncols - 1))]
+        rows = [_combination(rng, base, ncols) for _ in range(len(base) + rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 3)):
+        extra = [0] * ncols
+        if rows and rng.random() < 0.7:
+            scale = rng.choice([1, -1, 3, -(2**40)])
+            extra = [scale * a for a in rng.choice(rows)]
+        rows.insert(rng.randint(0, len(rows)), extra)
+    return rows
+
+
+def test_free_column_echelon_matches_dense_reference():
+    rng = random.Random(20261018)
+    seen = {"saturated": 0, "deficient": 0, "redundant": 0, "inside": 0, "outside": 0}
+    for _ in range(400):
+        ncols = rng.randint(1, 12)
+        rows = _random_sequence(rng, ncols)
+        sl = DegreeSlice(0, tuple(range(ncols)))
+        ref = DenseEchelon()
+        for row in rows:
+            added = sl.add_row(row)
+            assert added == ref.add_row(row)
+            seen["redundant"] += not added
+        assert sl.rank == len(ref.rows)
+        assert sl.pivots == tuple(ref.pivots)
+        assert sl._rows == ref.rows
+        assert sl.saturated == (sl.rank == ncols)
+        seen["saturated" if sl.saturated else "deficient"] += 1
+        probes = rows + [_combination(rng, rows, ncols) for _ in range(3)]
+        probes += [_random_row(rng, ncols, 2**70, 0.5) for _ in range(3)]
+        for probe in probes:
+            inside = sl.contains_row(probe)
+            assert inside == ref.contains_row(probe)
+            seen["inside" if inside else "outside"] += 1
+        # the stored rows depend only on the span
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        again = DegreeSlice(0, tuple(range(ncols)))
+        for row in shuffled:
+            again.add_row(row)
+        assert again.pivots == sl.pivots
+        assert again._rows == sl._rows
+    assert all(seen.values()), seen
