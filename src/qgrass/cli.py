@@ -66,10 +66,6 @@ def _emit_report(report: Report, fmt: str) -> str:
     return report.to_text()
 
 
-def _parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text", help="output format")
@@ -154,6 +150,27 @@ def _verify_config(args) -> dict:
     return validate_config({"families": families})
 
 
+def _series(args) -> QPoly:
+    """The Hilbert series `hilb` computes or `formula` states.  The size flags
+    are checked before the default m is derived from them, so an error names
+    only values the user gave."""
+    which = args.space if args.command == "hilb" else args.which
+    name = f"{args.command} {which}"
+    if which == "lg":
+        if args.n is None:
+            raise ValueError(f"{name} requires --n")
+        if args.n < 1:
+            raise ValueError(f"need n >= 1, got n={args.n}")
+        m = args.n if args.m is None else args.m
+        return (lg_subalgebra_hilbert if args.command == "hilb" else lg_subalgebra_formula)(args.n, m)
+    if args.ell is None or args.k is None:
+        raise ValueError(f"{name} requires --ell and --k")
+    if args.ell < 0 or args.k < 0:
+        raise ValueError(f"need ell, k >= 0, got ell={args.ell}, k={args.k}")
+    m = min(args.ell, args.k) if args.m is None else args.m
+    return (subalgebra_hilbert if args.command == "hilb" else grass_subalgebra_formula)(args.ell, args.k, m)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -162,48 +179,30 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     fmt = args.format
     try:
-        if args.command == "hilb":
-            if args.space == "grass":
-                if args.ell is None or args.k is None:
-                    raise ValueError("hilb grass requires --ell and --k")
-                m = min(args.ell, args.k) if args.m is None else args.m
-                print(_emit_qpoly(subalgebra_hilbert(args.ell, args.k, m), fmt))
-            else:
-                if args.n is None:
-                    raise ValueError("hilb lg requires --n")
-                m = args.n if args.m is None else args.m
-                print(_emit_qpoly(lg_subalgebra_hilbert(args.n, m), fmt))
-        elif args.command == "formula":
-            if args.which == "rt":
-                if args.ell is None or args.k is None:
-                    raise ValueError("formula rt requires --ell and --k")
-                m = min(args.ell, args.k) if args.m is None else args.m
-                print(_emit_qpoly(grass_subalgebra_formula(args.ell, args.k, m), fmt))
-            else:
-                if args.n is None:
-                    raise ValueError("formula lg requires --n")
-                m = args.n if args.m is None else args.m
-                print(_emit_qpoly(lg_subalgebra_formula(args.n, m), fmt))
+        if args.command in ("hilb", "formula"):
+            print(_emit_qpoly(_series(args), fmt))
         elif args.command == "kconj":
-            lam = _parse_partition(args.partition)
+            lam = Partition.parse(args.partition)
             print(_emit_partition(k_conjugate(lam, args.k), fmt))
         elif args.command == "core":
-            lam = _parse_partition(args.partition)
+            lam = Partition.parse(args.partition)
             if args.to_bounded:
                 print(_emit_partition(bounded_from_core(lam, args.k), fmt))
             else:
                 print(_emit_partition(core_from_bounded(lam, args.k), fmt))
         elif args.command == "vacancy":
-            lam = _parse_partition(args.partition)
+            lam = Partition.parse(args.partition)
             if args.ell is not None and len(lam) > args.ell:
                 raise ValueError(f"{lam} has more than {args.ell} rows")
             print(_emit_int(vacancy(lam, args.k), fmt))
         elif args.command == "kschur":
-            lam = _parse_partition(args.partition)
+            lam = Partition.parse(args.partition)
             print(_emit_symvector(k_schur(lam, args.k), fmt))
         elif args.command == "verify":
             config = _verify_config(args)
-            report = sweep(config, keep_going=args.keep_going or None)
+            if args.keep_going:
+                config["keep_going"] = True
+            report = sweep(config)
             print(_emit_report(report, fmt))
             return 0 if report.ok else 1
         return 0

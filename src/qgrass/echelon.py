@@ -5,9 +5,10 @@ against one another, so the basis depends only on the span.  A fully reduced
 row is zero at every other pivot, so it is stored as its pivot, its lead and
 a tail over the free (not yet pivot) columns: reduction, back-substitution
 and normalisation run over the n - r free entries, and a new pivot deletes
-its column from every tail.  Integer rows go in as they are (fraction-free);
-rational vectors are cleared of denominators first; dense rows are built on
-demand.  Pivots are first nonzero columns, with no numerical heuristics.
+its column from every tail.  Rows and vectors go in as integers
+(fraction-free); any other entry is rejected, never rounded; dense rows are
+built on demand.  Pivots are first nonzero columns, with no numerical
+heuristics.
 
 `generated_slices` builds the graded pieces of the subalgebra generated in
 degrees at most m of a graded ring given by a basis of each degree and
@@ -17,7 +18,6 @@ integer Pieri maps for its generators; both Grassmannian rings use it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -68,14 +68,15 @@ class DegreeSlice:
                 row[j] = a
         return rows
 
-    def _to_int_row(self, vec: Mapping[Hashable, Fraction | int]) -> list[int]:
-        row: list[Fraction | int] = [0] * len(self.columns)
+    def _to_int_row(self, vec: Mapping[Hashable, int]) -> list[int]:
+        row = [0] * len(self.columns)
         for key, val in vec.items():
             if key not in self._index:
                 raise ValueError(f"coordinate {key!r} is not a column of this degree slice")
-            row[self._index[key]] = Fraction(val)
-        denom = lcm(1, *(a.denominator for a in row))
-        return [int(a * denom) for a in row]
+            if type(val) is not int:
+                raise TypeError(f"entries must be ints, got {val!r} at {key!r}")
+            row[self._index[key]] = val
+        return row
 
     def _reduced(self, row: Sequence[int]) -> list[int]:
         # The row minus its component along each pivot, times the lcm of the
@@ -92,7 +93,7 @@ class DegreeSlice:
             free = [a - f * b for a, b in zip(free, tail)]
         return free
 
-    def add_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
+    def add_vector(self, vec: Mapping[Hashable, int]) -> bool:
         """Insert a vector, returning True when it enlarges the span."""
         return self.add_row(self._to_int_row(vec))
 
@@ -119,7 +120,7 @@ class DegreeSlice:
         self._tails.insert(pos, tail)
         return True
 
-    def contains_vector(self, vec: Mapping[Hashable, Fraction | int]) -> bool:
+    def contains_vector(self, vec: Mapping[Hashable, int]) -> bool:
         """True when the vector reduces to zero against the basis."""
         return self.contains_row(self._to_int_row(vec))
 
@@ -127,10 +128,9 @@ class DegreeSlice:
         """True when a dense integer row over the columns lies in the span."""
         return not any(self._reduced(row))
 
-    def basis_rows(self) -> list[dict[Hashable, Fraction]]:
-        """Basis in reduced echelon form with unit pivots, as sparse mappings."""
-        rows = zip(self._rows, self._leads)
-        return [{self.columns[j]: Fraction(a, lead) for j, a in enumerate(row) if a} for row, lead in rows]
+    def basis_rows(self) -> list[dict[Hashable, int]]:
+        """The stored primitive integer rows, in pivot order, as sparse {column: entry} mappings."""
+        return [{self.columns[j]: a for j, a in terms if a} for terms in self.row_terms()]
 
 
 def apply_map(

@@ -28,8 +28,8 @@ membership in a graded piece `DegreeSlice.contains_vector` tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .echelon import DegreeSlice, apply_map, generated_slices
 from .kschur import _weak_pieri_step
@@ -83,8 +83,7 @@ def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:
     return QPoly({sl.degree: sl.rank for sl in slices})
 
 
-@dataclass(frozen=True)
-class BasisDegree:
+class BasisDegree(NamedTuple):
     degree: int
     candidates: int
     rank: int
@@ -98,8 +97,7 @@ class BasisDegree:
         return self.independent and self.spans and self.contained
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     """Per-degree rank data for a candidate basis of a filtered subalgebra.
 
     Raw ranks are always listed so that a failing degree documents itself.

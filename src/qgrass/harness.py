@@ -10,7 +10,6 @@ the same bytes on every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -45,8 +44,7 @@ FAIL = "fail"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     name: str
     params: dict
     status: str
@@ -66,9 +64,8 @@ class Case:
         }
 
 
-@dataclass
-class Report:
-    cases: list[Case] = field(default_factory=list)
+class Report(NamedTuple):
+    cases: list[Case]
 
     @property
     def summary(self) -> dict[str, int]:
@@ -142,12 +139,8 @@ def check_summand_identity(ell: int, k: int, i: int) -> Case:
         raise ValueError(f"need 1 <= i <= min(ell, k), got ell={ell}, k={k}, i={i}")
     formula = QPoly.q_power(i) * q_binomial(k, i) * q_binomial_prime(ell, i, k)
     vacant_sum = gen_sum(vacant_partitions(ell, k, i))
-    conj_family = [
-        k_conjugate(lam, k)
-        for lam in partitions_in_box(ell, k)
-        if k_conjugate(lam, k).first == i
-    ]
-    conj_sum = gen_sum(conj_family)
+    conjugates = (k_conjugate(lam, k) for lam in partitions_in_box(ell, k))
+    conj_sum = gen_sum(mu for mu in conjugates if mu.first == i)
     params = {"ell": ell, "k": k, "i": i}
     if vacant_sum != formula:
         return _case("summand", params, THEOREM, formula, vacant_sum,
@@ -481,7 +474,7 @@ def _tasks_for(config: dict) -> list[tuple[str, dict, Callable]]:
 def _run_tasks(tasks, keep_going: bool) -> Report:
     """Run each task as check(**params), in order.  A check returns a Case or
     a list of them; an exception becomes an error case naming the task."""
-    report = Report()
+    report = Report([])
     for family, params, check in tasks:
         try:
             result = check(**params)
@@ -500,17 +493,12 @@ def _run_tasks(tasks, keep_going: bool) -> Report:
         if not keep_going and any(c.kind == THEOREM and c.status in (FAIL, ERROR) for c in cases):
             last = report.cases[-1]
             detail = (last.detail + "; " if last.detail else "") + "sweep aborted on theorem failure"
-            report.cases[-1] = replace(last, detail=detail)
+            report.cases[-1] = last._replace(detail=detail)
             break
     return report
 
 
-def sweep(config: dict | None = None, keep_going: bool | None = None) -> Report:
-    """Run every configured check family and collect the cases in order.
-
-    A `keep_going` argument overrides the value in the config.
-    """
+def sweep(config: dict | None = None) -> Report:
+    """Run every configured check family and collect the cases in order."""
     config = validate_config(DEFAULT_CONFIG if config is None else config)
-    if keep_going is None:
-        keep_going = config.get("keep_going", False)
-    return _run_tasks(_tasks_for(config), keep_going)
+    return _run_tasks(_tasks_for(config), config.get("keep_going", False))

@@ -32,7 +32,6 @@ pair-selection strategy.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
@@ -90,7 +89,7 @@ def normal_form(indices: Iterable[int], n: int, strategy: str = "smallest") -> S
     if any(i < 1 or i > n for i in mono):
         raise ValueError(f"indices must lie in [1, {n}], got {mono}")
     return SymVector._wrap(
-        {Partition(key[::-1], check=False): Fraction(c) for key, c in _reduce_monomial(mono, n, strategy)}
+        {Partition(key[::-1], check=False): c for key, c in _reduce_monomial(mono, n, strategy)}
     )
 
 

@@ -6,7 +6,6 @@ symmetric functions enter only as multiplication operators and expansions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Iterator, Mapping
 
@@ -19,18 +18,20 @@ def _order_key(p: Partition):
 
 
 class SymVector:
-    """Finite rational linear combination of basis elements indexed by
-    partitions: Schur functions here, square-free e-monomials in `lagrangian`."""
+    """Finite integer linear combination of basis elements indexed by
+    partitions: Schur functions here, square-free e-monomials in `lagrangian`.
+    Every coefficient is an int; any other coefficient raises TypeError."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Partition, Fraction | int] | None = None, check: bool = True):
-        data: dict[Partition, Fraction] = {}
+    def __init__(self, terms: Mapping[Partition, int] | None = None):
+        data: dict[Partition, int] = {}
         if terms:
             for p, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    raise TypeError(f"SymVector coefficients must be ints, got {c!r}")
                 if c:
-                    if check and not isinstance(p, Partition):
+                    if not isinstance(p, Partition):
                         raise TypeError(f"SymVector keys must be partitions, got {p!r}")
                     data[p] = c
         self._terms = data
@@ -41,18 +42,18 @@ class SymVector:
 
     @classmethod
     def unit(cls) -> "SymVector":
-        return cls({Partition(): Fraction(1)}, check=False)
+        return cls._wrap({Partition(): 1})
 
     @classmethod
     def schur(cls, lam: Partition) -> "SymVector":
-        return cls({lam: Fraction(1)}, check=False)
+        return cls._wrap({lam: 1})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, lam: Partition) -> Fraction:
-        return self._terms.get(lam, Fraction(0))
+    def coeff(self, lam: Partition) -> int:
+        return self._terms.get(lam, 0)
 
     def items(self):
         return self._terms.items()
@@ -67,8 +68,8 @@ class SymVector:
         return len(self._terms)
 
     @classmethod
-    def _wrap(cls, terms: dict[Partition, Fraction]) -> "SymVector":
-        # a finished dict: partition keys, nonzero Fraction coefficients
+    def _wrap(cls, terms: dict[Partition, int]) -> "SymVector":
+        # a finished dict: partition keys, nonzero int coefficients
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -86,8 +87,9 @@ class SymVector:
     def __sub__(self, other: "SymVector") -> "SymVector":
         return self + other.scale(-1)
 
-    def scale(self, c) -> "SymVector":
-        c = Fraction(c)
+    def scale(self, c: int) -> "SymVector":
+        if type(c) is not int:
+            raise TypeError(f"SymVector coefficients must be ints, got {c!r}")
         if not c:
             return SymVector.zero()
         return SymVector._wrap({p: v * c for p, v in self._terms.items()})
@@ -165,7 +167,7 @@ def _pieri(name: str, strips, r: int, v: SymVector) -> SymVector:
     # grow each Schur term of v by every strip that strips(parts, r) lists
     if r < 1:
         raise ValueError(f"{name} needs r >= 1, got {r}")
-    data: dict[Partition, Fraction] = {}
+    data: dict[Partition, int] = {}
     for lam, c in v.items():
         for mu in strips(lam.parts, r):
             key = Partition(mu, check=False)

@@ -8,7 +8,6 @@ criteria.
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from qgrass.grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
@@ -180,7 +179,7 @@ def test_criterion_5_kschur_validation():
                             assert dominance_leq(lam, mu) and not dominance_leq(mu, lam)
                     assert omega(v) == k_schur(k_conjugate(lam, k), k)
                     # h expansion by iterated weak Pieri reproduces the classical one
-                    coords = {Partition(): Fraction(1)}
+                    coords = {Partition(): 1}
                     for r in lam:
                         new = {}
                         for nu, c in coords.items():

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qgrass
+from qgrass import harness
 from qgrass.cli import main
+from qgrass.kschur import k_schur
+from qgrass.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -70,6 +77,138 @@ def test_kschur_command(capsys):
         {"partition": "3", "coeff": "1"},
         {"partition": "2,1", "coeff": "1"},
     ]
+
+
+# `qgrass kschur` output bytes, pinned per format: k = 1 gives h_1^8, whose
+# Schur coefficients are the standard tableaux counts (90 at 4,2,1,1).
+KSCHUR_PINS = {
+    ("1", "1,1,1,1,1,1,1,1"): {
+        "text": """\
+s(8): 1
+s(7,1): 7
+s(6,2): 20
+s(6,1,1): 21
+s(5,3): 28
+s(5,2,1): 64
+s(5,1,1,1): 35
+s(4,4): 14
+s(4,3,1): 70
+s(4,2,2): 56
+s(4,2,1,1): 90
+s(4,1,1,1,1): 35
+s(3,3,2): 42
+s(3,3,1,1): 56
+s(3,2,2,1): 70
+s(3,2,1,1,1): 64
+s(3,1,1,1,1,1): 21
+s(2,2,2,2): 14
+s(2,2,2,1,1): 28
+s(2,2,1,1,1,1): 20
+s(2,1,1,1,1,1,1): 7
+s(1,1,1,1,1,1,1,1): 1
+""",
+        "md": """\
+| partition | coeff |
+| --- | --- |
+| 8 | 1 |
+| 7,1 | 7 |
+| 6,2 | 20 |
+| 6,1,1 | 21 |
+| 5,3 | 28 |
+| 5,2,1 | 64 |
+| 5,1,1,1 | 35 |
+| 4,4 | 14 |
+| 4,3,1 | 70 |
+| 4,2,2 | 56 |
+| 4,2,1,1 | 90 |
+| 4,1,1,1,1 | 35 |
+| 3,3,2 | 42 |
+| 3,3,1,1 | 56 |
+| 3,2,2,1 | 70 |
+| 3,2,1,1,1 | 64 |
+| 3,1,1,1,1,1 | 21 |
+| 2,2,2,2 | 14 |
+| 2,2,2,1,1 | 28 |
+| 2,2,1,1,1,1 | 20 |
+| 2,1,1,1,1,1,1 | 7 |
+| 1,1,1,1,1,1,1,1 | 1 |
+""",
+        "json": (
+            '[{"partition":"8","coeff":"1"},{"partition":"7,1","coeff":"7"},'
+            '{"partition":"6,2","coeff":"20"},{"partition":"6,1,1","coeff":"21"},'
+            '{"partition":"5,3","coeff":"28"},{"partition":"5,2,1","coeff":"64"},'
+            '{"partition":"5,1,1,1","coeff":"35"},{"partition":"4,4","coeff":"14"},'
+            '{"partition":"4,3,1","coeff":"70"},{"partition":"4,2,2","coeff":"56"},'
+            '{"partition":"4,2,1,1","coeff":"90"},{"partition":"4,1,1,1,1","coeff":"35"},'
+            '{"partition":"3,3,2","coeff":"42"},{"partition":"3,3,1,1","coeff":"56"},'
+            '{"partition":"3,2,2,1","coeff":"70"},{"partition":"3,2,1,1,1","coeff":"64"},'
+            '{"partition":"3,1,1,1,1,1","coeff":"21"},{"partition":"2,2,2,2","coeff":"14"},'
+            '{"partition":"2,2,2,1,1","coeff":"28"},{"partition":"2,2,1,1,1,1","coeff":"20"},'
+            '{"partition":"2,1,1,1,1,1,1","coeff":"7"},'
+            '{"partition":"1,1,1,1,1,1,1,1","coeff":"1"}]\n'
+        ),
+    },
+    ("3", "3,2,1"): {
+        "text": """\
+s(5,1): 1
+s(4,2): 1
+s(4,1,1): 1
+s(3,2,1): 1
+""",
+        "md": """\
+| partition | coeff |
+| --- | --- |
+| 5,1 | 1 |
+| 4,2 | 1 |
+| 4,1,1 | 1 |
+| 3,2,1 | 1 |
+""",
+        "json": (
+            '[{"partition":"5,1","coeff":"1"},{"partition":"4,2","coeff":"1"},'
+            '{"partition":"4,1,1","coeff":"1"},{"partition":"3,2,1","coeff":"1"}]\n'
+        ),
+    },
+    ("2", "2,2,1,1"): {
+        "text": """\
+s(5,1): 1
+s(4,2): 1
+s(4,1,1): 2
+s(3,3): 1
+s(3,2,1): 2
+s(3,1,1,1): 1
+s(2,2,1,1): 1
+""",
+        "md": """\
+| partition | coeff |
+| --- | --- |
+| 5,1 | 1 |
+| 4,2 | 1 |
+| 4,1,1 | 2 |
+| 3,3 | 1 |
+| 3,2,1 | 2 |
+| 3,1,1,1 | 1 |
+| 2,2,1,1 | 1 |
+""",
+        "json": (
+            '[{"partition":"5,1","coeff":"1"},{"partition":"4,2","coeff":"1"},'
+            '{"partition":"4,1,1","coeff":"2"},{"partition":"3,3","coeff":"1"},'
+            '{"partition":"3,2,1","coeff":"2"},{"partition":"3,1,1,1","coeff":"1"},'
+            '{"partition":"2,2,1,1","coeff":"1"}]\n'
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "md", "json"])
+@pytest.mark.parametrize("k, lam", list(KSCHUR_PINS))
+def test_kschur_output_bytes(capsys, k, lam, fmt):
+    code, out, err = run(capsys, "kschur", "--k", k, lam, "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == KSCHUR_PINS[k, lam][fmt]
+
+
+def test_readme_kschur_repr():
+    assert repr(k_schur(Partition((2, 1)), 2)) == "SymVector(1*s(3) + 1*s(2,1))"
 
 
 def test_empty_partition_argument(capsys):
@@ -223,3 +362,50 @@ def test_data_and_diagnostics_are_separated(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hilb", "grass", "--ell", "-1", "--k", "2"], "need ell, k >= 0, got ell=-1, k=2"),
+        (["formula", "rt", "--ell", "2", "--k", "-3"], "need ell, k >= 0, got ell=2, k=-3"),
+        (["hilb", "lg", "--n", "0"], "need n >= 1, got n=0"),
+        (["formula", "lg", "--n", "0"], "need n >= 1, got n=0"),
+        (["hilb", "lg", "--n", "-2", "--m", "1"], "need n >= 1, got n=-2"),
+    ],
+    ids=["hilb-grass", "formula-rt", "hilb-lg", "formula-lg", "hilb-lg-given-m"],
+)
+def test_size_errors_name_only_given_values(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_keep_going_flag_sets_the_config_key(tmp_path, capsys, monkeypatch):
+    # a failing theorem case aborts the sweep unless --keep-going (or the
+    # config key) says otherwise, with or without --config
+    monkeypatch.setattr(harness, "check_prop51", lambda n: harness._case(
+        "prop51", {"n": n}, harness.THEOREM, harness.QPoly.one(), harness.QPoly.zero()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": {"prop51": {"ns": [1, 2, 3]}}}))
+    for extra in ([], ["--config", str(cfg)]):
+        code, out, _ = run(capsys, "verify", "prop51", "--max", "3", *extra)
+        assert code == 1 and out.endswith("summary: pass=0 fail=1 error=0\n")
+        assert "sweep aborted on theorem failure" in out
+        code, out, _ = run(capsys, "verify", "prop51", "--max", "3", "--keep-going", *extra)
+        assert code == 1 and out.endswith("summary: pass=0 fail=3 error=0\n")
+    cfg.write_text(json.dumps({"keep_going": True, "families": {"prop51": {"ns": [1, 2]}}}))
+    code, out, _ = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 1 and out.endswith("summary: pass=0 fail=2 error=0\n")
+
+
+def test_cli_import_leaves_out_fractions_and_dataclasses():
+    src = os.path.dirname(os.path.dirname(qgrass.__file__))
+    probe = (
+        "import sys, qgrass.cli; qgrass.cli.build_parser(); "
+        "print(sorted(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

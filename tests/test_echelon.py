@@ -35,20 +35,36 @@ def test_unknown_coordinate_rejected():
         sl.add_vector({"z": 1})
 
 
-def test_rational_input_and_unit_pivots():
+def test_rational_input_rejected_and_primitive_rows():
     sl = DegreeSlice(3, ("a", "b", "c"))
-    sl.add_vector({"a": Fraction(1, 2), "b": Fraction(1, 3)})
-    sl.add_vector({"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(5, 7)})
+    with pytest.raises(TypeError):
+        sl.add_vector({"a": Fraction(1, 2), "b": Fraction(1, 3)})
+    with pytest.raises(TypeError):
+        sl.add_vector({"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(5, 7)})
+    assert sl.rank == 0
+    sl.add_vector({"a": 6, "b": 4})
+    sl.add_vector({"a": 21, "b": 14, "c": 30})
     rows = sl.basis_rows()
-    assert len(rows) == 2
+    assert rows == [{"a": 3, "b": 2}, {"c": 1}]
     pivots = sl.pivots
     assert list(pivots) == sorted(pivots)
     for row, p in zip(rows, pivots):
-        assert row[sl.columns[p]] == 1
+        assert row[sl.columns[p]] > 0 and gcd(*row.values()) == 1
         # pivot columns are eliminated from every other row
         for other in rows:
             if other is not row:
                 assert sl.columns[p] not in other
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, Fraction(2), True], ids=repr)
+def test_non_int_entries_rejected(c):
+    sl = DegreeSlice(1, ("a", "b"))
+    sl.add_vector({"a": 1})
+    with pytest.raises(TypeError):
+        sl.add_vector({"b": c})
+    with pytest.raises(TypeError):
+        sl.contains_vector({"a": c})
+    assert sl.rank == 1 and sl.basis_rows() == [{"a": 1}]
 
 
 def _rank_oracle(rows):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +17,7 @@ def S(*parts):
 def h_in_kschur_coordinates(lam, k):
     """Expand the product of h-generators indexed by lam over k-Schur indices by
     iterating the weak Pieri rule, then substitute each Schur expansion."""
-    coords = {Partition(): Fraction(1)}
+    coords = {Partition(): 1}
     for r in lam:
         new = {}
         for nu, c in coords.items():

@@ -33,7 +33,7 @@ def small_vectors(draw):
     for _ in range(n):
         parts = draw(st.lists(st.integers(1, 4), max_size=4))
         coeff = draw(st.integers(-3, 3))
-        terms[Partition(sorted(parts, reverse=True))] = Fraction(coeff)
+        terms[Partition(sorted(parts, reverse=True))] = coeff
     return SymVector(terms)
 
 
@@ -44,11 +44,20 @@ def test_symvector_basics():
     v = S(2, 1) + S(2, 1)
     assert v.coeff(P(2, 1)) == 2
     assert (v - v).is_zero
-    assert v.scale(Fraction(1, 2)) == S(2, 1)
+    with pytest.raises(TypeError):
+        v.scale(Fraction(1, 2))
     assert SymVector({P(1): 0}).is_zero
     assert v.support() == [P(2, 1)]
     with pytest.raises(TypeError):
         SymVector({(2, 1): 1})
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, Fraction(2), 2.0, True], ids=repr)
+def test_symvector_rejects_non_int_coefficients(c):
+    with pytest.raises(TypeError):
+        SymVector({P(2, 1): c})
+    with pytest.raises(TypeError):
+        S(2, 1).scale(c)
 
 
 def test_symvector_json_is_sorted_and_stringly():
