@@ -128,6 +128,9 @@ def _verify_config(args) -> dict:
             return validate_config(json.load(fh))
     if (args.ell is None) != (args.k is None):
         raise ConfigError("--ell and --k must be given together")
+    for flag, value, low in (("--ell", args.ell, 1), ("--k", args.k, 1), ("--n", args.n, 0)):
+        if value is not None and value < low:
+            raise ConfigError(f"{flag} must be at least {low}, got {value}")
     names = VERIFY_GROUPS.get(args.family, [args.family])
     grids = {FAMILIES[name].grid for name in names}
     for flag, value, grid, other in (

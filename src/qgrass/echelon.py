@@ -12,12 +12,19 @@ heuristics.
 
 `generated_slices` builds the graded pieces of the subalgebra generated in
 degrees at most m of a graded ring given by a basis of each degree and
-integer Pieri maps for its generators; both Grassmannian rings use it.
+integer Pieri maps for its generators; both Grassmannian rings use it.  A
+monomial in the generators factors out its smallest one, so the degree-d
+piece is g_1 times the piece of degree d - 1 plus, for each i >= 2, g_i times
+the span of the monomials in g_i..g_m of degree d - i.  Each higher
+generator takes the smaller of two spanning sets of a space that holds that
+product: those monomials, counted before any is built, or the stored rows of
+degree d - i.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -150,15 +157,63 @@ def apply_map(
     return image
 
 
+def _monomial_counts(lo: int, hi: int, top: int) -> list[int]:
+    """counts[e], for e <= top: the number of monomials of degree e in
+    generators of degrees lo..hi, that is of partitions of e with parts in
+    [lo, hi]."""
+    counts = [1] + [0] * top
+    for b in range(lo, min(hi, top) + 1):
+        for e in range(b, top + 1):
+            counts[e] += counts[e - b]
+    return counts
+
+
+def _monomials(e: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The monomials of degree e in generators of degrees lo..hi, as
+    nondecreasing tuples of degrees, in lexicographic order.  Iterative; a
+    part b is placed only when the rest of the degree is a sum of parts in
+    [b, hi], so no branch dead-ends."""
+    stack = [((), e, lo)]
+    while stack:
+        head, rest, low = stack.pop()
+        if not rest:
+            yield head
+        for b in range(min(hi, rest), low - 1, -1):
+            left = rest - b
+            if not left or -(-left // hi) <= left // b:
+                stack.append((head + (b,), left, b))
+
+
 def generated_slices(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], m: int
 ) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of the graded pieces of the subalgebra generated by one
-    generator in each degree 1..m: columns[d] is the basis of degree d
-    (columns[0] is the unit alone), and pieri_map(d, i) multiplies by the
-    degree-i generator from degree d - i to d, in the format of `apply_map`.
-    Each stored row of degree d - i is pushed through it as sparse terms,
-    until the degree-d piece is saturated."""
+    """Echelon bases of the graded pieces of the subalgebra A generated by one
+    generator g_i in each degree i = 1..m: columns[d] is the basis of degree d
+    (columns[0] is the unit alone), and pieri_map(d, i) multiplies by g_i from
+    degree d - i to d, in the format of `apply_map`.
+
+    A monomial of degree d factors out its smallest generator, so A_d is g_1
+    A_(d-1) plus g_i C_(d-i) over i >= 2, where C_(d-i) is spanned by the
+    monomials in g_i..g_m and lies in A_(d-i).  g_1 takes the stored rows of
+    A_(d-1) as sparse terms; each g_i with i >= 2 takes the monomial rows of
+    C_(d-i) when there are fewer of them than A_(d-i) has rows, and those
+    rows otherwise.  Monomial rows are built through the Pieri maps and kept
+    for this build only.  Pushing stops once the degree-d piece is saturated."""
+    top = len(columns) - 1
+    counts = cache(lambda i: _monomial_counts(i, m, top))
+    rows: dict[tuple[int, ...], list[int]] = {(): [1]}
+
+    def monomial_row(parts: tuple[int, ...]) -> list[int]:
+        # every suffix is a monomial too: build up from the longest one kept
+        j = 0
+        while parts[j:] not in rows:
+            j += 1
+        for j in range(j - 1, -1, -1):
+            key = parts[j:]
+            e = sum(key)
+            rows[key] = apply_map(enumerate(rows[key[1:]]), pieri_map(e, key[0]), len(columns[e]))
+        return rows[parts]
+
     slices: list[DegreeSlice] = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
@@ -167,8 +222,12 @@ def generated_slices(
         for i in range(1, min(m, d) + 1):
             if sl.saturated:
                 break
+            below = slices[d - i]
+            sources: Iterable[Iterable[tuple[int, int]]] = below.row_terms()
+            if i > 1 and counts(i)[d - i] < below.rank:
+                sources = (enumerate(monomial_row(b)) for b in _monomials(d - i, i, m))
             step = pieri_map(d, i)
-            for src in slices[d - i].row_terms():
+            for src in sources:
                 if sl.saturated:
                     break
                 sl.add_row(apply_map(src, step, len(sl.columns)))

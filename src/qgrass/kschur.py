@@ -107,6 +107,8 @@ def k_schur(lam: Partition, k: int) -> SymVector:
     Unitriangular with leading coefficient 1: every other term strictly
     dominates lam.  The empty partition maps to the unit for any k >= 0.
     """
+    if k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k}")
     if lam.first > k:
         raise ValueError(f"{lam!r} is not {k}-bounded")
     return _k_schur(lam.parts, k)

@@ -15,8 +15,11 @@ Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
 2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
 mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
 columns c in which mu/lambda has a box and column c + 1 has none.  The shared
-builder `echelon.generated_slices` pushes integer echelon rows through these
-maps.
+builder `echelon.generated_slices` pushes integer rows through these maps:
+sigma_1 takes every stored echelon row of degree d - 1, and each sigma_i with
+i >= 2 only the products of sigma_i..sigma_m (built through the same maps)
+when they are fewer than the stored rows of degree d - i, since every
+monomial factors out its smallest generator.
 
 The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda

@@ -86,7 +86,7 @@ class Partition:
         return self._parts <= other._parts
 
     def __repr__(self) -> str:
-        return f"Partition{self._parts}"
+        return f"Partition({', '.join(map(str, self._parts))})"
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self._parts)
@@ -377,14 +377,24 @@ def vacant_partitions(ell: int, k: int, i: int) -> Iterator[Partition]:
             yield lam
 
 
+@cache
+def _box_k_conjugates(ell: int, k: int) -> tuple[tuple[Partition, ...], ...]:
+    """For each degree, the k-conjugates of the partitions of that size in the
+    ell x k box, sorted decreasing."""
+    return tuple(
+        tuple(sorted((k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)), reverse=True))
+        for d in range(ell * k + 1)
+    )
+
+
 def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:
     """Partitions with first part at most m whose k-conjugate fits the ell x k box.
 
     Computed by pushing the box family through k-conjugation (an involution on
-    k-bounded partitions) and filtering on the first part.
+    k-bounded partitions), once per box for every m, and filtering on the
+    first part.
     """
     if m > k:
         raise ValueError(f"m={m} exceeds k={k}: k-conjugation is undefined beyond k-bounded parts")
-    for d in range(ell * k + 1):
-        images = [k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)]
-        yield from sorted((p for p in images if p.first <= m), reverse=True)
+    for images in _box_k_conjugates(ell, k):
+        yield from (p for p in images if p.first <= m)

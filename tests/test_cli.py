@@ -215,6 +215,8 @@ def test_empty_partition_argument(capsys):
     code, out, _ = run(capsys, "kconj", "--k", "3", "")
     assert code == 0
     assert out == "\n"
+    # k = 0 is a valid level for the empty partition
+    assert run(capsys, "kschur", "--k", "0", "") == (0, "s(-): 1\n", "")
 
 
 def test_verify_rt_small(capsys):
@@ -351,8 +353,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "kconj", "--k", "2", "3,1")[0] == 2
     assert run(capsys, "hilb", "grass", "--ell", "3")[0] == 2
     # generators beyond min(ell, k) are redundant but legal for the computed series
-    code, out, _ = run(capsys, "hilb", "grass", "--ell", "3", "--k", "3", "--m", "9")
-    assert code == 0 and out.strip() == "1,1,2,3,3,3,3,2,1,1"
+    for m in ("9", "5000"):
+        code, out, _ = run(capsys, "hilb", "grass", "--ell", "3", "--k", "3", "--m", m)
+        assert code == 0 and out.strip() == "1,1,2,3,3,3,3,2,1,1"
     code, _, err = run(capsys, "formula", "rt", "--ell", "3", "--k", "3", "--m", "9")
     assert code == 2 and "error:" in err
 
@@ -372,8 +375,15 @@ def test_data_and_diagnostics_are_separated(capsys):
         (["hilb", "lg", "--n", "0"], "need n >= 1, got n=0"),
         (["formula", "lg", "--n", "0"], "need n >= 1, got n=0"),
         (["hilb", "lg", "--n", "-2", "--m", "1"], "need n >= 1, got n=-2"),
+        (["verify", "summand", "--ell", "0", "--k", "2"], "--ell must be at least 1, got 0"),
+        (["verify", "rt", "--ell", "0", "--k", "0"], "--ell must be at least 1, got 0"),
+        (["verify", "rt", "--ell", "2", "--k", "-3"], "--k must be at least 1, got -3"),
+        (["verify", "lg", "--n", "-1"], "--n must be at least 0, got -1"),
+        (["kschur", "--k", "-1", ""], "k must be a nonnegative integer, got -1"),
+        (["kschur", "--k", "3", "4"], "Partition(4) is not 3-bounded"),
     ],
-    ids=["hilb-grass", "formula-rt", "hilb-lg", "formula-lg", "hilb-lg-given-m"],
+    ids=["hilb-grass", "formula-rt", "hilb-lg", "formula-lg", "hilb-lg-given-m", "verify-summand", "verify-rt",
+         "verify-rt-k", "verify-lg", "kschur-negative-k", "kschur-one-part"],
 )
 def test_size_errors_name_only_given_values(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,11 +1,15 @@
+import functools
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
 
-from qgrass.echelon import DegreeSlice
+from qgrass.echelon import DegreeSlice, _monomial_counts, _monomials, apply_map, generated_slices
+from qgrass.grassmann import _box_columns, _pieri_map
+from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
 
 def test_rank_and_redundancy():
@@ -245,3 +249,92 @@ def test_free_column_echelon_matches_dense_reference():
         assert again.pivots == sl.pivots
         assert again._rows == sl._rows
     assert all(seen.values()), seen
+
+
+# --- the push-every-row reference builder -------------------------------------
+
+
+def push_every_row_slices(columns, pieri_map, m):
+    """The builder that `generated_slices` replaced, frozen as a reference:
+    every stored row of degree d - i is pushed through the degree-i
+    generator, for every i, until the degree-d piece saturates."""
+    slices = []
+    for d, cols in enumerate(columns):
+        sl = DegreeSlice(d, cols)
+        if d == 0:
+            sl.add_row([1])
+        for i in range(1, min(m, d) + 1):
+            if sl.saturated:
+                break
+            step = pieri_map(d, i)
+            for src in slices[d - i].row_terms():
+                if sl.saturated:
+                    break
+                sl.add_row(apply_map(src, step, len(sl.columns)))
+        slices.append(sl)
+    return tuple(slices)
+
+
+def _assert_same_slices(built, ref, point):
+    assert len(built) == len(ref)
+    for got, want in zip(built, ref):
+        assert got.columns == want.columns
+        assert got._pivots == want._pivots, (point, got.degree)
+        assert got._rows == want._rows, (point, got.degree)
+
+
+def _spanning_sets(slices, m):
+    """The spanning sets `generated_slices` pushes through g_i, i >= 2, in
+    the degrees left unsaturated, where every step runs: "monomials" when
+    C_(d-i) has fewer monomials than A_(d-i) has rows, else "rows"."""
+    top = len(slices) - 1
+    return {
+        "monomials" if _monomial_counts(i, m, top)[sl.degree - i] < slices[sl.degree - i].rank else "rows"
+        for sl in slices
+        if not sl.saturated
+        for i in range(2, min(m, sl.degree) + 1)
+    }
+
+
+def test_generated_slices_match_push_every_row_reference_in_boxes():
+    for ell in range(1, 7):
+        for k in range(1, 7):
+            columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+            pieri = functools.partial(_pieri_map, ell, k)
+            # generators past min(ell, k) are redundant but legal
+            for m in range(max(ell, k) + 1):
+                built = generated_slices(columns, pieri, m)
+                _assert_same_slices(built, push_every_row_slices(columns, pieri, m), (ell, k, m))
+
+
+def test_generated_slices_match_push_every_row_reference_for_lg():
+    # these points take both spanning sets for the higher generators
+    seen = set()
+    for n in range(1, 10):
+        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        pieri = functools.partial(_lg_pieri_map, n)
+        for m in range(1, n + 1):
+            built = generated_slices(columns, pieri, m)
+            _assert_same_slices(built, push_every_row_slices(columns, pieri, m), (n, m))
+            seen |= _spanning_sets(built, m)
+    assert seen == {"monomials", "rows"}
+
+
+def test_monomial_counts_and_enumeration_match_brute_force():
+    for lo in range(1, 5):
+        for hi in range(lo - 1, 7):
+            top = 14
+            counts = _monomial_counts(lo, hi, top)
+            assert len(counts) == top + 1
+            for e in range(top + 1):
+                brute = sorted(
+                    t
+                    for r in range(e // lo + 1)
+                    for t in combinations_with_replacement(range(lo, hi + 1), r)
+                    if sum(t) == e
+                )
+                assert list(_monomials(e, lo, hi)) == brute, (e, lo, hi)
+                assert counts[e] == len(brute), (e, lo, hi)
+    # parts past the top degree never fit, and long monomials do not recurse
+    assert _monomial_counts(2, 5000, 9) == _monomial_counts(2, 9, 9)
+    assert list(_monomials(6000, 2, 2)) == [(2,) * 3000]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qgrass import partitions as partitions_module
 from qgrass.partitions import (
     Partition,
     bounded_from_core,
@@ -334,6 +335,27 @@ def test_candidate_set_degree_seven_discrepancy():
     degree7 = {lam.parts for lam in candidate_partitions(3, 3, 3) if lam.size == 7}
     assert degree7 == {(2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1)}
     assert (2, 1, 1, 1, 1, 1) not in degree7
+
+
+def test_candidate_sets_k_conjugate_each_box_once(monkeypatch):
+    calls = []
+
+    def counted(lam, k):
+        calls.append((lam, k))
+        return k_conjugate(lam, k)
+
+    boxes = [(3, 3), (2, 4), (4, 3), (5, 5)]
+    partitions_module._box_k_conjugates.cache_clear()
+    monkeypatch.setattr(partitions_module, "k_conjugate", counted)
+    for ell, k in boxes:
+        for m in range(k + 1):
+            # the direct definition: every box partition conjugated again for this m
+            expected = []
+            for d in range(ell * k + 1):
+                images = [k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)]
+                expected += sorted((p for p in images if p.first <= m), reverse=True)
+            assert list(candidate_partitions(ell, k, m)) == expected, (ell, k, m)
+    assert len(calls) == sum(sum(1 for _ in partitions_in_box(ell, k)) for ell, k in boxes)
 
 
 def test_candidate_set_rejects_unbounded_m():
