@@ -321,9 +321,9 @@ def test_generated_slices_match_push_every_row_reference_for_lg():
 
 
 def test_monomial_counts_and_enumeration_match_brute_force():
+    top = 14
     for lo in range(1, 5):
         for hi in range(lo - 1, 7):
-            top = 14
             counts = _monomial_counts(lo, hi, top)
             assert len(counts) == top + 1
             for e in range(top + 1):
