@@ -128,7 +128,7 @@ def _verify_config(args) -> dict:
             return validate_config(json.load(fh))
     if (args.ell is None) != (args.k is None):
         raise ConfigError("--ell and --k must be given together")
-    for flag, value, low in (("--ell", args.ell, 1), ("--k", args.k, 1), ("--n", args.n, 0)):
+    for flag, value, low in (("--max", args.max, 1), ("--ell", args.ell, 1), ("--k", args.k, 1), ("--n", args.n, 0)):
         if value is not None and value < low:
             raise ConfigError(f"{flag} must be at least {low}, got {value}")
     names = VERIFY_GROUPS.get(args.family, [args.family])
@@ -194,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(_emit_partition(core_from_bounded(lam, args.k), fmt))
         elif args.command == "vacancy":
+            if args.ell is not None and args.ell < 0:
+                raise ValueError(f"--ell must be at least 0, got {args.ell}")
             lam = Partition.parse(args.partition)
             if args.ell is not None and len(lam) > args.ell:
                 raise ValueError(f"{lam} has more than {args.ell} rows")

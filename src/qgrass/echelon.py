@@ -41,7 +41,6 @@ class DegreeSlice:
     def __init__(self, degree: int, columns: Sequence[Hashable]):
         self.degree = degree
         self.columns = tuple(columns)
-        self._index = {c: i for i, c in enumerate(self.columns)}
         # row i is _leads[i] at column _pivots[i] (increasing), _tails[i] over
         # the columns _free and zero at every other pivot
         self._pivots: list[int] = []
@@ -76,13 +75,14 @@ class DegreeSlice:
         return rows
 
     def _to_int_row(self, vec: Mapping[Hashable, int]) -> list[int]:
+        index = {c: i for i, c in enumerate(self.columns)}
         row = [0] * len(self.columns)
         for key, val in vec.items():
-            if key not in self._index:
+            if key not in index:
                 raise ValueError(f"coordinate {key!r} is not a column of this degree slice")
             if type(val) is not int:
                 raise TypeError(f"entries must be ints, got {val!r} at {key!r}")
-            row[self._index[key]] = val
+            row[index[key]] = val
         return row
 
     def _reduced(self, row: Sequence[int]) -> list[int]:

@@ -5,9 +5,6 @@ by a complete homogeneous generator h_r spreads it over the k-bounded
 horizontal r-strips whose k-conjugates grow by a vertical r-strip.  Peeling
 off the first part of the index and subtracting the dominance-larger targets
 pins each expansion down uniquely.
-
-The memo table is the only shared state; entries are immutable and recomputing
-one yields an identical value, so concurrent use is safe.
 """
 
 from __future__ import annotations

@@ -25,12 +25,11 @@ The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
 as the Schubert columns, so its vectors are `SymVector`s keyed by them.
 `normal_form` and `multiply` reduce products by a terminating rewriting
-system that replaces a repeated pair by its quadratic relation.  Rewriting a
-pair keeps the factor count while strictly increasing the sum of squared
-indices (or drops the count when e_0 appears), both bounded, so reduction
-terminates; the square-free monomials it lands on are counted by the ring's
-Hilbert series, hence form a basis and the normal form is independent of the
-pair-selection strategy.
+system that replaces the first repeated pair by its quadratic relation.
+Rewriting a pair keeps the factor count while strictly increasing the sum of
+squared indices (or drops the count when e_0 appears), both bounded, so
+reduction terminates; the square-free monomials it lands on are counted by
+the ring's Hilbert series, hence form a basis and the normal form is unique.
 """
 
 from __future__ import annotations
@@ -43,31 +42,22 @@ from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
 from .schur import SymVector
 
-STRATEGIES = ("smallest", "largest")
-
-
-def _find_repeat(mono: tuple[int, ...], strategy: str) -> int | None:
-    hits = [mono[idx] for idx in range(len(mono) - 1) if mono[idx] == mono[idx + 1]]
-    if not hits:
-        return None
-    return hits[0] if strategy == "smallest" else hits[-1]
-
 
 @cache
-def _reduce_monomial(mono: tuple[int, ...], n: int, strategy: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _reduce_monomial(mono: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     out: dict[tuple[int, ...], int] = {}
     stack: list[tuple[tuple[int, ...], int]] = [(mono, 1)]
     while stack:
         m, c = stack.pop()
-        i = _find_repeat(m, strategy)
-        if i is None:
+        pos = next((idx for idx in range(len(m) - 1) if m[idx] == m[idx + 1]), None)
+        if pos is None:
             new = out.get(m, 0) + c
             if new:
                 out[m] = new
             else:
                 out.pop(m, None)
             continue
-        pos = m.index(i)
+        i = m[pos]
         rest = m[:pos] + m[pos + 2 :]
         for t in range(1, n - i + 1):
             lo, hi = i - t, i + t
@@ -78,22 +68,13 @@ def _reduce_monomial(mono: tuple[int, ...], n: int, strategy: str) -> tuple[tupl
     return tuple(sorted(out.items()))
 
 
-def normal_form(indices: Iterable[int], n: int, strategy: str = "smallest") -> SymVector:
+def normal_form(indices: Iterable[int], n: int) -> SymVector:
     """Expand a monomial in the generators over the square-free basis, keyed
-    by strict partitions: lambda stands for e_(lambda_1) ... e_(lambda_r).
-
-    The default strategy rewrites the smallest repeated index first; the
-    output is strategy-independent (the basis argument), which the test suite
-    enforces rather than assumes.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    by strict partitions: lambda stands for e_(lambda_1) ... e_(lambda_r)."""
     mono = tuple(sorted(indices))
     if any(i < 1 or i > n for i in mono):
         raise ValueError(f"indices must lie in [1, {n}], got {mono}")
-    return SymVector._wrap(
-        {Partition(key[::-1], check=False): c for key, c in _reduce_monomial(mono, n, strategy)}
-    )
+    return SymVector._wrap({Partition(key[::-1], check=False): c for key, c in _reduce_monomial(mono, n)})
 
 
 def multiply(u: SymVector, v: SymVector, n: int) -> SymVector:

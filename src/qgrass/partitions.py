@@ -1,11 +1,10 @@
 """Integer partitions: hooks, cores, k-conjugation, vacancy, and bijective decompositions.
 
-Everything in this module is a pure function on immutable values, so all
-operations are safe to call concurrently.  Partitions are value objects:
-construction trims trailing zeros and validates the weakly decreasing
-invariant.  The text format used by the CLI and JSON reports is a
-comma-separated list of parts, with the empty string denoting the empty
-partition.
+Everything in this module is a pure function on immutable values.
+Partitions are value objects: construction trims trailing zeros and validates
+the weakly decreasing invariant.  The text format used by the CLI and JSON
+reports is a comma-separated list of parts, with the empty string denoting
+the empty partition.
 """
 
 from __future__ import annotations

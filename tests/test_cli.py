@@ -381,9 +381,11 @@ def test_data_and_diagnostics_are_separated(capsys):
         (["verify", "lg", "--n", "-1"], "--n must be at least 0, got -1"),
         (["kschur", "--k", "-1", ""], "k must be a nonnegative integer, got -1"),
         (["kschur", "--k", "3", "4"], "Partition(4) is not 3-bounded"),
+        (["verify", "lg", "--n", "1", "--max", "-5"], "--max must be at least 1, got -5"),
+        (["vacancy", "--k", "3", "--ell", "-1", "1"], "--ell must be at least 0, got -1"),
     ],
     ids=["hilb-grass", "formula-rt", "hilb-lg", "formula-lg", "hilb-lg-given-m", "verify-summand", "verify-rt",
-         "verify-rt-k", "verify-lg", "kschur-negative-k", "kschur-one-part"],
+         "verify-rt-k", "verify-lg", "kschur-negative-k", "kschur-one-part", "verify-max", "vacancy-ell"],
 )
 def test_size_errors_name_only_given_values(capsys, argv, message):
     code, out, err = run(capsys, *argv)
