@@ -155,19 +155,23 @@ def _verify_config(args) -> dict:
 
 def _series(args) -> QPoly:
     """The Hilbert series `hilb` computes or `formula` states.  The size flags
-    are checked before the default m is derived from them, so an error names
-    only values the user gave."""
+    (the space's own, and only those) are checked before the default m is
+    derived from them, so an error names only values the user gave."""
     which = args.space if args.command == "hilb" else args.which
     name = f"{args.command} {which}"
+    sizes = ("--n",) if which == "lg" else ("--ell", "--k")
+    takes = " and ".join(sizes)
+    for flag in ("--ell", "--k", "--n"):
+        given = getattr(args, flag[2:]) is not None
+        if given and flag not in sizes:
+            raise ValueError(f"{flag} does not apply to {name!r}, which takes {takes}")
+        if not given and flag in sizes:
+            raise ValueError(f"{name} requires {takes}")
     if which == "lg":
-        if args.n is None:
-            raise ValueError(f"{name} requires --n")
         if args.n < 1:
             raise ValueError(f"need n >= 1, got n={args.n}")
         m = args.n if args.m is None else args.m
         return (lg_subalgebra_hilbert if args.command == "hilb" else lg_subalgebra_formula)(args.n, m)
-    if args.ell is None or args.k is None:
-        raise ValueError(f"{name} requires --ell and --k")
     if args.ell < 0 or args.k < 0:
         raise ValueError(f"need ell, k >= 0, got ell={args.ell}, k={args.k}")
     m = min(args.ell, args.k) if args.m is None else args.m

@@ -10,15 +10,15 @@ its column from every tail.  Rows and vectors go in as integers
 built on demand.  Pivots are first nonzero columns, with no numerical
 heuristics.
 
-`generated_slices` builds the graded pieces of the subalgebra generated in
-degrees at most m of a graded ring given by a basis of each degree and
-integer Pieri maps for its generators; both Grassmannian rings use it.  A
-monomial in the generators factors out its smallest one, so the degree-d
-piece is g_1 times the piece of degree d - 1 plus, for each i >= 2, g_i times
-the span of the monomials in g_i..g_m of degree d - i.  Each higher
-generator takes the smaller of two spanning sets of a space that holds that
-product: those monomials, counted before any is built, or the stored rows of
-degree d - i.
+`generated_slices` builds the graded pieces of the subalgebra generated by
+one generator in each of a list of degrees (1..m in the Grassmannian, the odd
+degrees up to m in the Lagrangian ring), given a basis of each degree and
+integer Pieri maps for the generators.  A monomial in the generators factors
+out its smallest one, so the degree-d piece is the sum, over the generator
+degrees i, of g_i times the span of the monomials of degree d - i in the
+generators of degree at least i.  Each generator takes the smaller of two
+spanning sets of a space that holds that product: those monomials, counted
+before any is built, or the stored rows of degree d - i.
 """
 
 from __future__ import annotations
@@ -157,50 +157,53 @@ def apply_map(
     return image
 
 
-def _monomial_counts(lo: int, hi: int, top: int) -> list[int]:
+def _monomial_counts(parts: Sequence[int], top: int) -> list[int]:
     """counts[e], for e <= top: the number of monomials of degree e in
-    generators of degrees lo..hi, that is of partitions of e with parts in
-    [lo, hi]."""
+    generators of the given degrees, that is of partitions of e with every
+    part in parts."""
     counts = [1] + [0] * top
-    for b in range(lo, min(hi, top) + 1):
+    for b in parts:
         for e in range(b, top + 1):
             counts[e] += counts[e - b]
     return counts
 
 
-def _monomials(e: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """The monomials of degree e in generators of degrees lo..hi, as
-    nondecreasing tuples of degrees, in lexicographic order.  Iterative; a
-    part b is placed only when the rest of the degree is a sum of parts in
-    [b, hi], so no branch dead-ends."""
-    stack = [((), e, lo)]
+def _monomials(e: int, parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The monomials of degree e in generators of the given increasing
+    degrees, as nondecreasing tuples of degrees, in lexicographic order.
+    Iterative; a part is placed only when the rest of the degree is a sum of
+    parts at least as large, so no branch dead-ends."""
+    parts = [b for b in parts if b <= e]
+    fits = [_monomial_counts(parts[j:], e) for j in range(len(parts))]
+    stack = [((), e, 0)]
     while stack:
         head, rest, low = stack.pop()
         if not rest:
             yield head
-        for b in range(min(hi, rest), low - 1, -1):
-            left = rest - b
-            if not left or -(-left // hi) <= left // b:
-                stack.append((head + (b,), left, b))
+        for j in range(len(parts) - 1, low - 1, -1):
+            left = rest - parts[j]
+            if left >= 0 and fits[j][left]:
+                stack.append((head + (parts[j],), left, j))
 
 
 def generated_slices(
-    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], m: int
+    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
 ) -> tuple[DegreeSlice, ...]:
     """Echelon bases of the graded pieces of the subalgebra A generated by one
-    generator g_i in each degree i = 1..m: columns[d] is the basis of degree d
-    (columns[0] is the unit alone), and pieri_map(d, i) multiplies by g_i from
-    degree d - i to d, in the format of `apply_map`.
+    generator g_i in each degree i of the increasing degrees: columns[d] is
+    the basis of degree d (columns[0] is the unit alone), and pieri_map(d, i)
+    multiplies by g_i from degree d - i to d, in the format of `apply_map`.
 
-    A monomial of degree d factors out its smallest generator, so A_d is g_1
-    A_(d-1) plus g_i C_(d-i) over i >= 2, where C_(d-i) is spanned by the
-    monomials in g_i..g_m and lies in A_(d-i).  g_1 takes the stored rows of
-    A_(d-1) as sparse terms; each g_i with i >= 2 takes the monomial rows of
-    C_(d-i) when there are fewer of them than A_(d-i) has rows, and those
-    rows otherwise.  Monomial rows are built through the Pieri maps and kept
-    for this build only.  Pushing stops once the degree-d piece is saturated."""
+    A monomial of degree d factors out its smallest generator, so A_d is the
+    sum over the degrees i of g_i C_(d-i), where C_(d-i) is spanned by the
+    monomials in the generators of degree at least i and lies in A_(d-i).
+    Each g_i takes the monomial rows of C_(d-i) when there are fewer of them
+    than A_(d-i) has rows, and those rows otherwise; the smallest generator
+    always takes the rows, since its monomials span A_(d-i).  Monomial rows
+    are built through the Pieri maps and kept for this build only.  Pushing
+    stops once the degree-d piece is saturated."""
     top = len(columns) - 1
-    counts = cache(lambda i: _monomial_counts(i, m, top))
+    counts = cache(lambda j: _monomial_counts(degrees[j:], top))
     rows: dict[tuple[int, ...], list[int]] = {(): [1]}
 
     def monomial_row(parts: tuple[int, ...]) -> list[int]:
@@ -219,13 +222,13 @@ def generated_slices(
         sl = DegreeSlice(d, cols)
         if d == 0:
             sl.add_row([1])
-        for i in range(1, min(m, d) + 1):
-            if sl.saturated:
+        for j, i in enumerate(degrees):
+            if i > d or sl.saturated:
                 break
             below = slices[d - i]
             sources: Iterable[Iterable[tuple[int, int]]] = below.row_terms()
-            if i > 1 and counts(i)[d - i] < below.rank:
-                sources = (enumerate(monomial_row(b)) for b in _monomials(d - i, i, m))
+            if counts(j)[d - i] < below.rank:
+                sources = (enumerate(monomial_row(b)) for b in _monomials(d - i, degrees[j:]))
             step = pieri_map(d, i)
             for src in sources:
                 if sl.saturated:

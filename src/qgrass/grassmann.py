@@ -68,7 +68,7 @@ def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple
 @cache
 def _slice_data(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
     columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return generated_slices(columns, lambda d, i: _pieri_map(ell, k, d, i), m)
+    return generated_slices(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
 
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, _k_conjugate
+from .partitions import Partition, _dominance_leq, _k_conjugate
 from .schur import SymVector, _horizontal_strips, pieri_h
 
 
@@ -20,18 +20,6 @@ def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
         b = big[idx] if idx < len(big) else 0
         s = small[idx] if idx < len(small) else 0
         if not s <= b <= s + 1:
-            return False
-    return True
-
-
-def _strictly_dominates(mu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
-    if mu == lam:
-        return False
-    pa = pb = 0
-    for idx in range(max(len(mu), len(lam))):
-        pa += lam[idx] if idx < len(lam) else 0
-        pb += mu[idx] if idx < len(mu) else 0
-        if pa > pb:
             return False
     return True
 
@@ -79,7 +67,7 @@ def _weak_pieri_step(
         )
     others = tuple(mu for mu in targets if mu != parts)
     for mu in others:
-        if not _strictly_dominates(mu, parts):
+        if not _dominance_leq(parts, mu):
             raise RuntimeError(
                 f"weak Pieri rule inconsistency: target {mu} does not strictly "
                 f"dominate {parts} (r={r}, k={k})"

@@ -15,11 +15,12 @@ Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
 2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
 mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
 columns c in which mu/lambda has a box and column c + 1 has none.  The shared
-builder `echelon.generated_slices` pushes integer rows through these maps:
-sigma_1 takes every stored echelon row of degree d - 1, and each sigma_i with
-i >= 2 only the products of sigma_i..sigma_m (built through the same maps)
-when they are fewer than the stored rows of degree d - i, since every
-monomial factors out its smallest generator.
+builder `echelon.generated_slices` pushes integer rows through the maps of
+the odd generators alone.  The relation for e_j^2 ends in 2 (-1)^(j+1) e_(2j),
+so e_(2j) lies in the subalgebra of e_1, ..., e_(2j-1): the subalgebra
+generated in degrees at most 2j is that of the odd e_i < 2j, shares its
+build, and no Pieri map of an even sigma_i is built.  The `lg-stab` check
+tests this stabilisation as a membership.
 
 The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
@@ -141,19 +142,20 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
 
 
 @cache
-def _lg_slice_data(n: int, m: int) -> tuple[DegreeSlice, ...]:
+def _lg_slice_data(n: int, odd: int) -> tuple[DegreeSlice, ...]:
     columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return generated_slices(columns, lambda d, i: _lg_pieri_map(n, d, i), m)
+    return generated_slices(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
 
 
 def lg_subalgebra_slices(n: int, m: int) -> tuple[DegreeSlice, ...]:
     """Echelon bases of every graded piece of the subalgebra generated by
     e_1, ..., e_m, in the Schubert basis: the columns of degree d are the strict
-    partitions of d with parts at most n (parts decreasing).  Treat the
-    returned slices as immutable."""
+    partitions of d with parts at most n (parts decreasing).  The odd e_i <= m
+    generate it (the `lg-stab` theorem), so an even m shares the build of
+    m - 1.  Treat the returned slices as immutable."""
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _lg_slice_data(n, m)
+    return _lg_slice_data(n, m if m % 2 else m - 1)
 
 
 def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:

@@ -10,6 +10,7 @@ the empty partition.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -282,18 +283,18 @@ def shifted_compose(i: int, j: int, mu: Partition, n: int) -> Partition:
     return Partition(rows, check=False)
 
 
+def _dominance_leq(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """Dominance order on the parts of two partitions of equal size; past the
+    shorter one's length its prefix sum is that size, so none is compared."""
+    return all(a <= b for a, b in zip(accumulate(lam), accumulate(mu)))
+
+
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """Dominance order on partitions of equal size: every prefix sum of lam is
     at most the corresponding prefix sum of mu."""
     if lam.size != mu.size:
         raise ValueError(f"dominance compares partitions of equal size: {lam!r} vs {mu!r}")
-    pa = pb = 0
-    for idx in range(max(len(lam), len(mu))):
-        pa += lam.part(idx)
-        pb += mu.part(idx)
-        if pa > pb:
-            return False
-    return True
+    return _dominance_leq(lam.parts, mu.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,19 @@ def test_usage_errors_exit_2(capsys):
         assert code == 0 and out.strip() == "1,1,2,3,3,3,3,2,1,1"
     code, _, err = run(capsys, "formula", "rt", "--ell", "3", "--k", "3", "--m", "9")
     assert code == 2 and "error:" in err
+    # a size flag of the other space is refused, not ignored
+    for argv, flag in (
+        (("hilb", "lg", "--n", "2", "--ell", "3"), "--ell"),
+        (("hilb", "lg", "--n", "2", "--k", "3"), "--k"),
+        (("hilb", "grass", "--ell", "2", "--k", "2", "--n", "3"), "--n"),
+        (("formula", "rt", "--ell", "2", "--k", "2", "--n", "3"), "--n"),
+        (("formula", "lg", "--n", "3", "--ell", "2"), "--ell"),
+        (("formula", "lg", "--n", "3", "--k", "2"), "--k"),
+    ):
+        code, out, err = run(capsys, *argv)
+        name = f"{argv[0]} {argv[1]}"
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {flag} does not apply to {name!r}") and err.count("\n") == 1, argv
 
 
 def test_data_and_diagnostics_are_separated(capsys):

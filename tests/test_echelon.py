@@ -1,12 +1,14 @@
 import functools
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
 
+from qgrass import echelon
 from qgrass.echelon import DegreeSlice, _monomial_counts, _monomials, apply_map, generated_slices
 from qgrass.grassmann import _box_columns, _pieri_map
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
@@ -283,19 +285,6 @@ def _assert_same_slices(built, ref, point):
         assert got._rows == want._rows, (point, got.degree)
 
 
-def _spanning_sets(slices, m):
-    """The spanning sets `generated_slices` pushes through g_i, i >= 2, in
-    the degrees left unsaturated, where every step runs: "monomials" when
-    C_(d-i) has fewer monomials than A_(d-i) has rows, else "rows"."""
-    top = len(slices) - 1
-    return {
-        "monomials" if _monomial_counts(i, m, top)[sl.degree - i] < slices[sl.degree - i].rank else "rows"
-        for sl in slices
-        if not sl.saturated
-        for i in range(2, min(m, sl.degree) + 1)
-    }
-
-
 def test_generated_slices_match_push_every_row_reference_in_boxes():
     for ell in range(1, 7):
         for k in range(1, 7):
@@ -303,38 +292,58 @@ def test_generated_slices_match_push_every_row_reference_in_boxes():
             pieri = functools.partial(_pieri_map, ell, k)
             # generators past min(ell, k) are redundant but legal
             for m in range(max(ell, k) + 1):
-                built = generated_slices(columns, pieri, m)
+                built = generated_slices(columns, pieri, range(1, m + 1))
                 _assert_same_slices(built, push_every_row_slices(columns, pieri, m), (ell, k, m))
 
 
-def test_generated_slices_match_push_every_row_reference_for_lg():
-    # these points take both spanning sets for the higher generators
+def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
+    # The odd generators alone span what every generator spans (the lg-stab
+    # theorem), so their build has the same reduced rows.  The spanning set
+    # each higher generator takes is recorded as the build runs: a read of
+    # `_monomials`, or a second read of a slice's rows (the smallest
+    # generator reads each slice once, at the degree above it).  Up to n = 9
+    # the rows a higher generator e_i reads are those of the unit, at d = i:
+    # in higher degrees the monomials are fewer, or the piece saturates first.
     seen = set()
+    monomials, row_terms = echelon._monomials, DegreeSlice.row_terms
+
+    def recording_monomials(e, parts):
+        seen.add("monomials")
+        return monomials(e, parts)
+
+    def recording_row_terms(self):
+        # a generator, so only a spanning set that is pushed counts
+        reads[id(self)] += 1
+        yield from row_terms(self)
+
     for n in range(1, 10):
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
         pieri = functools.partial(_lg_pieri_map, n)
         for m in range(1, n + 1):
-            built = generated_slices(columns, pieri, m)
+            reads = Counter()
+            with monkeypatch.context() as mp:
+                mp.setattr(echelon, "_monomials", recording_monomials)
+                mp.setattr(DegreeSlice, "row_terms", recording_row_terms)
+                built = generated_slices(columns, pieri, range(1, m + 1, 2))
+            if any(count > 1 for count in reads.values()):
+                seen.add("rows")
             _assert_same_slices(built, push_every_row_slices(columns, pieri, m), (n, m))
-            seen |= _spanning_sets(built, m)
     assert seen == {"monomials", "rows"}
 
 
 def test_monomial_counts_and_enumeration_match_brute_force():
     top = 14
-    for lo in range(1, 5):
-        for hi in range(lo - 1, 7):
-            counts = _monomial_counts(lo, hi, top)
-            assert len(counts) == top + 1
-            for e in range(top + 1):
-                brute = sorted(
-                    t
-                    for r in range(e // lo + 1)
-                    for t in combinations_with_replacement(range(lo, hi + 1), r)
-                    if sum(t) == e
-                )
-                assert list(_monomials(e, lo, hi)) == brute, (e, lo, hi)
-                assert counts[e] == len(brute), (e, lo, hi)
+    ranges = [tuple(range(lo, hi + 1)) for lo in range(1, 5) for hi in range(lo - 1, 7)]
+    for parts in ranges + [(1, 3, 5), (3, 5), (2,), (1, 3, 5, 7, 9, 11, 13), (2, 3, 7), (4, 9)]:
+        counts = _monomial_counts(parts, top)
+        assert len(counts) == top + 1
+        for e in range(top + 1):
+            brute = sorted(
+                t for r in range(e + 1) for t in combinations_with_replacement(parts, r) if sum(t) == e
+            )
+            assert list(_monomials(e, parts)) == brute, (e, parts)
+            assert counts[e] == len(brute), (e, parts)
     # parts past the top degree never fit, and long monomials do not recurse
-    assert _monomial_counts(2, 5000, 9) == _monomial_counts(2, 9, 9)
-    assert list(_monomials(6000, 2, 2)) == [(2,) * 3000]
+    assert _monomial_counts(range(2, 5001), 9) == _monomial_counts(range(2, 10), 9)
+    assert list(_monomials(6000, (2,))) == [(2,) * 3000]
+    assert list(_monomials(6001, (2,))) == []

@@ -129,10 +129,14 @@ def test_subalgebra_full_generation_matches_closed_form():
 
 
 def test_subalgebra_symmetry_small():
-    for ell in range(1, 5):
-        for k in range(1, 5):
-            for m in range(min(ell, k) + 1):
-                assert subalgebra_hilbert(ell, k, m) == subalgebra_hilbert(k, ell, m)
+    # omega maps H*(Gr(ell, ell + k)) onto H*(Gr(k, ell + k)), sends h_i to
+    # e_i, and Q[h_1..h_m] = Q[e_1..e_m]: the series and the formula are both
+    # symmetric in ell and k
+    for k in range(1, 7):
+        for ell in range(1, k):
+            for m in range(ell + 1):
+                assert subalgebra_hilbert(ell, k, m) == subalgebra_hilbert(k, ell, m), (ell, k, m)
+                assert grass_subalgebra_formula(ell, k, m) == grass_subalgebra_formula(k, ell, m), (ell, k, m)
 
 
 def test_subalgebra_monotone_in_m():

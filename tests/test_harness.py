@@ -1,9 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from qgrass import harness
+from qgrass import harness, lagrangian
+from qgrass.echelon import generated_slices
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
     CONJECTURE,
@@ -25,6 +27,7 @@ from qgrass.harness import (
     sweep,
     validate_config,
 )
+from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 from qgrass.partitions import Partition
 from qgrass.qseries import QPoly
 from qgrass.schur import SymVector, h_to_schur
@@ -62,6 +65,41 @@ def test_lg_cases():
     assert kinds == {1: THEOREM, 2: CONJECTURE, 3: THEOREM}
     top = check_lg_top_power(2)
     assert top.status == "pass" and "2" in top.detail
+
+
+def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
+    # build every Lagrangian subalgebra from e_1 alone: e_2 = e_1^2 / 2 still
+    # lies in it, but e_4 needs e_3, so the membership must reject it
+    def e1_only(n, odd):
+        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        return generated_slices(columns, functools.partial(_lg_pieri_map, n), (1,))
+
+    monkeypatch.setattr(lagrangian, "_lg_slice_data", e1_only)
+    for n in (4, 5):
+        stab = {c.params["m"]: c for c in check_lg(n) if c.name == "lg-stab"}
+        assert stab[2].status == "pass"
+        assert stab[4].status == "fail"
+        assert stab[4].actual == QPoly.zero() and stab[4].expected == lagrangian.lg_subalgebra_hilbert(n, 3)
+        assert stab[4].detail == "e_4 is not in the subalgebra generated by the odd e_i < 4"
+
+
+def test_check_lg_builds_from_odd_generators_only(monkeypatch):
+    pieri_map = lagrangian._lg_pieri_map
+    built = set()
+
+    def recording_pieri_map(n, d, i):
+        built.add(i)
+        return pieri_map(n, d, i)
+
+    monkeypatch.setattr(lagrangian, "_lg_pieri_map", recording_pieri_map)
+    for n in (1, 2, 7, 8):
+        lagrangian._lg_slice_data.cache_clear()
+        pieri_map.cache_clear()
+        built.clear()
+        assert all(c.status == "pass" for c in check_lg(n))
+        # one build per odd bound, and no Pieri map of an even generator
+        assert lagrangian._lg_slice_data.cache_info().currsize == (n + 1) // 2
+        assert built == set(range(1, n + 1, 2))
 
 
 def test_plucker_degree_known_values():

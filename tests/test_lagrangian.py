@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from qgrass.echelon import DegreeSlice
+from qgrass.echelon import DegreeSlice, generated_slices
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
     _lg_pieri_map,
@@ -153,9 +154,14 @@ def test_lg_full_generation_matches_series():
 
 
 def test_lg_even_m_stabilization():
+    # an even m shares the odd build of m - 1, whose series is that of a build
+    # from every generator e_1..e_m
     for n in range(1, 7):
+        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
         for m in range(2, n + 1, 2):
-            assert lg_subalgebra_hilbert(n, m) == lg_subalgebra_hilbert(n, m - 1)
+            assert lg_subalgebra_slices(n, m) is lg_subalgebra_slices(n, m - 1)
+            every = generated_slices(columns, functools.partial(_lg_pieri_map, n), range(1, m + 1))
+            assert lg_subalgebra_hilbert(n, m) == QPoly({sl.degree: sl.rank for sl in every})
 
 
 def test_lg_m1_is_a_run_of_ones():
