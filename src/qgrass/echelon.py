@@ -13,18 +13,16 @@ heuristics.
 `generated_slices` builds the graded pieces of the subalgebra generated by
 one generator in each of a list of degrees (1..m in the Grassmannian, the odd
 degrees up to m in the Lagrangian ring), given a basis of each degree and
-integer Pieri maps for the generators.  A monomial in the generators factors
-out its smallest one, so the degree-d piece is the sum, over the generator
-degrees i, of g_i times the span of the monomials of degree d - i in the
-generators of degree at least i.  Each generator takes the smaller of two
-spanning sets of a space that holds that product: those monomials, counted
-before any is built, or the stored rows of degree d - i.
+integer Pieri maps for the generators.  A monomial either contains the
+smallest generator g_(i_1) or lies in the others alone, so the degree-d
+piece is g_(i_1) times the stored rows of degree d - i_1, plus the span of
+the monomials of degree d in the other generators, each built through the
+Pieri maps.  Only the smallest generator reads the stored rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -194,16 +192,13 @@ def generated_slices(
     the basis of degree d (columns[0] is the unit alone), and pieri_map(d, i)
     multiplies by g_i from degree d - i to d, in the format of `apply_map`.
 
-    A monomial of degree d factors out its smallest generator, so A_d is the
-    sum over the degrees i of g_i C_(d-i), where C_(d-i) is spanned by the
-    monomials in the generators of degree at least i and lies in A_(d-i).
-    Each g_i takes the monomial rows of C_(d-i) when there are fewer of them
-    than A_(d-i) has rows, and those rows otherwise; the smallest generator
-    always takes the rows, since its monomials span A_(d-i).  Monomial rows
-    are built through the Pieri maps and kept for this build only.  Pushing
-    stops once the degree-d piece is saturated."""
-    top = len(columns) - 1
-    counts = cache(lambda j: _monomial_counts(degrees[j:], top))
+    A monomial of degree d either factors out the smallest generator g_(i_1),
+    and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
+    generators alone.  So A_d is spanned by g_(i_1) times the stored rows of
+    A_(d-i_1), then by those monomials in the lexicographic order of
+    `_monomials`, each pushed as g_(b[0]) times the row of the monomial b[1:].
+    Monomial rows are built through the Pieri maps and kept for this build
+    only.  Pushing stops once the degree-d piece is saturated."""
     rows: dict[tuple[int, ...], list[int]] = {(): [1]}
 
     def monomial_row(parts: tuple[int, ...]) -> list[int]:
@@ -222,17 +217,15 @@ def generated_slices(
         sl = DegreeSlice(d, cols)
         if d == 0:
             sl.add_row([1])
-        for j, i in enumerate(degrees):
-            if i > d or sl.saturated:
-                break
-            below = slices[d - i]
-            sources: Iterable[Iterable[tuple[int, int]]] = below.row_terms()
-            if counts(j)[d - i] < below.rank:
-                sources = (enumerate(monomial_row(b)) for b in _monomials(d - i, degrees[j:]))
-            step = pieri_map(d, i)
-            for src in sources:
+        elif degrees and degrees[0] <= d:
+            step = pieri_map(d, degrees[0])
+            for src in slices[d - degrees[0]].row_terms():
                 if sl.saturated:
                     break
-                sl.add_row(apply_map(src, step, len(sl.columns)))
+                sl.add_row(apply_map(src, step, len(cols)))
+        for b in _monomials(d, degrees[1:]):
+            if sl.saturated:
+                break
+            sl.add_row(apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), len(cols)))
         slices.append(sl)
     return tuple(slices)

@@ -10,11 +10,10 @@ order.  Multiplication by h_i from degree d - i to degree d is memoised per
 (ell, k, d, i) as an in-box Pieri map: for each source column, the indices of
 the target columns its horizontal i-strips reach inside the box (strips that
 leave the box are never generated), all with coefficient 1.  The shared
-builder `echelon.generated_slices` pushes integer rows of degree d - i
-through that map into the degree-d echelon: h_1 takes every stored echelon
-row, and each h_i with i >= 2 only the products of h_i..h_m (built through
-the same maps) when they are fewer than the stored rows, since every monomial
-factors out its smallest h.
+builder `echelon.generated_slices` pushes integer rows through those maps
+into the degree-d echelon: h_1 times every stored echelon row of degree
+d - 1, then the monomials of degree d in h_2..h_m (built through the same
+maps), since a monomial either has a factor h_1 or lies in h_2..h_m alone.
 
 The candidate-basis reports work on the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu only

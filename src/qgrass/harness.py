@@ -455,6 +455,10 @@ def validate_config(config: dict) -> dict:
     for name, spec in families.items():
         if not isinstance(spec, dict):
             raise ConfigError(f"family {name!r} spec must be an object, got {spec!r}")
+        grid = FAMILIES[name].grid
+        unknown = sorted(set(spec) - {"max", grid})
+        if unknown:
+            raise ConfigError(f"family {name!r} spec has unknown keys {unknown}; it takes only 'max' and {grid!r}")
         _grid_points(FAMILIES[name], spec)
     return config
 

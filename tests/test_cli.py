@@ -320,6 +320,43 @@ def test_verify_config_rejects_bad_values(tmp_path, capsys, config):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "config must be a JSON object, got list"),
+        ("3", "config must be a JSON object, got int"),
+        ('{"families": [1]}', "'families' must be an object"),
+        ('{"keep_going": "yes", "families": {}}', "'keep_going' must be a boolean, got 'yes'"),
+        ('{"families": {"rt": 3}}', "family 'rt' spec must be an object, got 3"),
+        (
+            '{"families": {"prop51": {"max": 2, "nss": [5]}}}',
+            "family 'prop51' spec has unknown keys ['nss']; it takes only 'max' and 'ns'",
+        ),
+        (
+            '{"families": {"rt": {"ns": [3]}}}',
+            "family 'rt' spec has unknown keys ['ns']; it takes only 'max' and 'pairs'",
+        ),
+        (
+            '{"families": {"lg": {"pairs": [[2, 2]], "ns": [2]}}}',
+            "family 'lg' spec has unknown keys ['pairs']; it takes only 'max' and 'ns'",
+        ),
+    ],
+    ids=["list", "int", "families", "keep-going", "family-spec", "misspelt-ns", "ns-on-box", "pairs-on-lg"],
+)
+def test_verify_config_errors_name_the_fault(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(capsys, "verify", "all", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+
+def test_verify_config_that_is_not_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad")
+    code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_lg_rejects_n_below_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"families": {"lg": {"ns": [0]}}}))
@@ -371,6 +408,18 @@ def test_usage_errors_exit_2(capsys):
         name = f"{argv[0]} {argv[1]}"
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {flag} does not apply to {name!r}") and err.count("\n") == 1, argv
+
+
+def test_verify_ell_without_k_exits_2(capsys):
+    for argv in (["rt", "--ell", "3"], ["summand", "--k", "3"]):
+        assert run(capsys, "verify", *argv) == (2, "", "error: --ell and --k must be given together\n")
+
+
+def test_kconj_and_vacancy_json(capsys):
+    assert run(capsys, "kconj", "--k", "4", "4,3,1,1", "--format", "json") == (0, '"2,1,1,1,1,1,1,1"\n', "")
+    assert run(capsys, "kconj", "--k", "3", "", "--format", "json") == (0, '""\n', "")
+    assert run(capsys, "vacancy", "--ell", "6", "--k", "5", "4,4,3,3,1", "--format", "json") == (0, "3\n", "")
+    assert run(capsys, "vacancy", "--k", "5", "", "--format", "json") == (0, "0\n", "")
 
 
 def test_data_and_diagnostics_are_separated(capsys):

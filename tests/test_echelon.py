@@ -298,12 +298,10 @@ def test_generated_slices_match_push_every_row_reference_in_boxes():
 
 def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
     # The odd generators alone span what every generator spans (the lg-stab
-    # theorem), so their build has the same reduced rows.  The spanning set
-    # each higher generator takes is recorded as the build runs: a read of
-    # `_monomials`, or a second read of a slice's rows (the smallest
-    # generator reads each slice once, at the degree above it).  Up to n = 9
-    # the rows a higher generator e_i reads are those of the unit, at d = i:
-    # in higher degrees the monomials are fewer, or the piece saturates first.
+    # theorem), so their build has the same reduced rows.  The build is
+    # watched as it runs: the higher generators go through `_monomials`, and
+    # only the smallest one reads the stored rows, so no slice's rows are
+    # read twice.
     seen = set()
     monomials, row_terms = echelon._monomials, DegreeSlice.row_terms
 
@@ -312,9 +310,8 @@ def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
         return monomials(e, parts)
 
     def recording_row_terms(self):
-        # a generator, so only a spanning set that is pushed counts
         reads[id(self)] += 1
-        yield from row_terms(self)
+        return row_terms(self)
 
     for n in range(1, 10):
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
@@ -325,10 +322,9 @@ def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
                 mp.setattr(echelon, "_monomials", recording_monomials)
                 mp.setattr(DegreeSlice, "row_terms", recording_row_terms)
                 built = generated_slices(columns, pieri, range(1, m + 1, 2))
-            if any(count > 1 for count in reads.values()):
-                seen.add("rows")
+            assert reads and max(reads.values()) == 1, (n, m)
             _assert_same_slices(built, push_every_row_slices(columns, pieri, m), (n, m))
-    assert seen == {"monomials", "rows"}
+    assert seen == {"monomials"}
 
 
 def test_monomial_counts_and_enumeration_match_brute_force():
@@ -347,3 +343,38 @@ def test_monomial_counts_and_enumeration_match_brute_force():
     assert _monomial_counts(range(2, 5001), 9) == _monomial_counts(range(2, 10), 9)
     assert list(_monomials(6000, (2,))) == [(2,) * 3000]
     assert list(_monomials(6001, (2,))) == []
+
+
+@pytest.mark.parametrize(
+    "space, size, m, inserts, zeros",
+    [
+        ("box", (6, 6), 3, 712, 50),
+        ("box", (7, 7), 2, 507, 16),
+        ("box", (5, 5), 5, 264, 12),
+        ("lg", (9,), 5, 480, 14),
+        ("lg", (10,), 5, 883, 35),
+        ("lg", (11,), 3, 573, 11),
+    ],
+    ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
+)
+def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zeros):
+    # The echelon work of a build, unit included: every `add_row` call, and
+    # how many reduce to zero.  A change of spanning sets or of their order
+    # shows here before it shows in a timing.
+    results = []
+    add_row = DegreeSlice.add_row
+
+    def counting_add_row(self, row):
+        results.append(add_row(self, row))
+        return results[-1]
+
+    if space == "box":
+        columns = [_box_columns(*size, d)[0] for d in range(size[0] * size[1] + 1)]
+        pieri, degrees = functools.partial(_pieri_map, *size), range(1, m + 1)
+    else:
+        (n,) = size
+        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        pieri, degrees = functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
+    monkeypatch.setattr(DegreeSlice, "add_row", counting_add_row)
+    generated_slices(columns, pieri, degrees)
+    assert (len(results), results.count(False)) == (inserts, zeros)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import harness, lagrangian
+from qgrass import harness, lagrangian, partitions
 from qgrass.echelon import generated_slices
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
@@ -138,6 +138,59 @@ def test_roundtrip_and_identity_cases():
     assert check_vacancy_conjugation(4, 4).status == "pass"
 
 
+def test_summand_fails_on_either_broken_side(monkeypatch):
+    formula = QPoly.from_coeffs([0, 0, 1, 1, 2, 2, 2, 1])
+    vacant = partitions.vacant_partitions
+    # an i-vacant enumeration that loses its first partition, (2)
+    monkeypatch.setattr(harness, "vacant_partitions", lambda ell, k, i: list(vacant(ell, k, i))[1:])
+    case = check_summand_identity(3, 3, 2)
+    assert (case.status, case.expected) == ("fail", formula)
+    assert case.actual == formula - QPoly.q_power(2)
+    assert case.detail == "i-vacant generating sum disagrees with the formula"
+    # a k-conjugation that forgets to conjugate
+    monkeypatch.setattr(harness, "vacant_partitions", vacant)
+    monkeypatch.setattr(harness, "k_conjugate", lambda lam, k: lam)
+    case = check_summand_identity(3, 3, 2)
+    assert (case.status, case.expected) == ("fail", formula)
+    assert case.actual == QPoly.from_coeffs([0, 0, 1, 1, 2, 1, 1])
+    assert case.detail == "k-conjugate reformulation disagrees with the formula"
+
+
+def test_vacancy_conjugation_fails_on_a_broken_conjugate(monkeypatch):
+    monkeypatch.setattr(harness, "k_conjugate", lambda lam, k: lam)
+    case = check_vacancy_conjugation(3, 3)
+    assert case.status == "fail"
+    assert (case.expected, case.actual) == (QPoly.from_coeffs([0, 9, 9, 1]), QPoly.from_coeffs([0, 1, 5]))
+    assert case.detail == "vacancy(2) = 1 but k-conjugate is 2"
+
+
+@pytest.mark.parametrize(
+    "check, compose, decompose, size, empty",
+    [
+        (check_vacant_roundtrip, "vacant_compose", "vacant_decompose", (3, 3), (Partition(()),)),
+        (check_shifted_roundtrip, "shifted_compose", "shifted_decompose", (4,), ()),
+    ],
+    ids=["decomp-vacant", "decomp-shifted"],
+)
+def test_roundtrip_fails_in_either_direction(monkeypatch, check, compose, decompose, size, empty):
+    expected = check(*size).expected
+    real_compose, real_decompose = getattr(partitions, compose), getattr(partitions, decompose)
+    # a compose that drops the last piece: decompose then compose misses
+    monkeypatch.setattr(harness, compose, lambda *args: real_compose(*args[:-2], Partition(()), args[-1]))
+    case = check(*size)
+    assert (case.status, case.expected) == ("fail", expected)
+    assert case.actual != expected
+    assert case.detail.startswith("decompose/compose round trip failed at ")
+    # a decompose whose pieces are right but come back as a list, not the
+    # tuple compose took: compose accepts it, so only the other direction sees it
+    monkeypatch.setattr(harness, compose, real_compose)
+    monkeypatch.setattr(harness, decompose, lambda lam, bound: list(real_decompose(lam, bound)))
+    case = check(*size)
+    assert (case.status, case.expected) == ("fail", expected)
+    assert case.actual == expected - QPoly({0: sum(expected.coeffs())})
+    assert case.detail == f"compose/decompose round trip failed at {(1, 0, Partition(()), *empty)}"
+
+
 def test_basis_cases():
     case = check_h_basis(3, 3, 2)
     assert case.status == "pass" and case.kind == CONJECTURE
@@ -223,19 +276,28 @@ def test_readme_findings_kschur_basis():
     }
 
 
-def test_readme_findings_six_boxes():
-    # the failing degrees past ell, k = 5, as (d, candidates, rank, dim)
-    def failing(report):
-        assert all(e.contained for e in report.degrees)
-        return [(e.degree, e.candidates, e.rank, e.dim) for e in report.degrees if not e.ok]
+def _failing_degrees(report):
+    """The failing degrees of a basis report, as (d, candidates, rank, dim);
+    every degree's candidates lie in the subalgebra."""
+    assert all(e.contained for e in report.degrees)
+    return [(e.degree, e.candidates, e.rank, e.dim) for e in report.degrees if not e.ok]
 
-    assert failing(h_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
-    assert failing(kschur_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
-    assert failing(kschur_basis_report(6, 4, 4)) == [(7, 10, 9, 10)]
-    assert failing(kschur_basis_report(6, 6, 4)) == [(24, 39, 38, 39)]
+
+def test_readme_findings_six_boxes():
+    assert _failing_degrees(h_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
+    assert _failing_degrees(kschur_basis_report(4, 6, 4)) == [(7, 10, 9, 10), (8, 13, 12, 13)]
+    assert _failing_degrees(kschur_basis_report(6, 4, 4)) == [(7, 10, 9, 10)]
+    assert _failing_degrees(kschur_basis_report(6, 6, 4)) == [(24, 39, 38, 39)]
     for m in range(1, 4):
         assert h_basis_report(4, 6, m).verdict and kschur_basis_report(6, 4, m).verdict
     assert h_basis_report(6, 4, 4).verdict
+
+
+def test_readme_findings_seven_boxes():
+    assert _failing_degrees(h_basis_report(5, 7, 4)) == [(15, 45, 44, 45)]
+    assert _failing_degrees(kschur_basis_report(5, 7, 4)) == [(15, 45, 44, 45)]
+    assert _failing_degrees(kschur_basis_report(6, 7, 4)) == [(17, 70, 69, 70)]
+    assert _failing_degrees(kschur_basis_report(6, 7, 5)) == [(17, 81, 80, 81)]
 
 
 def test_readme_findings_proportional_pair():
