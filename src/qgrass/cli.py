@@ -124,8 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _verify_config(args) -> dict:
     if args.config:
+        # the file sets the families and their grids, so no flag may narrow them
+        for flag in ("--max", "--ell", "--k", "--n"):
+            if getattr(args, flag[2:]) is not None:
+                raise ConfigError(f"{flag} cannot be combined with --config, whose file sets every grid")
+        if args.family != "all":
+            raise ConfigError(f"--config runs the families its file names; give the target 'all', not {args.family!r}")
         with open(args.config, "r", encoding="utf-8") as fh:
-            return validate_config(json.load(fh))
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--config {args.config} is not valid JSON: {exc}") from None
+        return validate_config(config)
     if (args.ell is None) != (args.k is None):
         raise ConfigError("--ell and --k must be given together")
     for flag, value, low in (("--max", args.max, 1), ("--ell", args.ell, 1), ("--k", args.k, 1), ("--n", args.n, 0)):

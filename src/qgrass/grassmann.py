@@ -8,12 +8,16 @@ Subalgebra graded pieces are built degree by degree on integers alone.  The
 partitions of each degree that fit the box are listed once, in a fixed
 order.  Multiplication by h_i from degree d - i to degree d is memoised per
 (ell, k, d, i) as an in-box Pieri map: for each source column, the indices of
-the target columns its horizontal i-strips reach inside the box (strips that
-leave the box are never generated), all with coefficient 1.  The shared
-builder `echelon.generated_slices` pushes integer rows through those maps
-into the degree-d echelon: h_1 times every stored echelon row of degree
-d - 1, then the monomials of degree d in h_2..h_m (built through the same
-maps), since a monomial either has a factor h_1 or lies in h_2..h_m alone.
+the target columns its horizontal i-strips reach inside the box, all with
+coefficient 1.  The maps are walked inside the box, never filtered: a
+memoised table per degree lists the single boxes each column can take
+without leaving the box (the h_1 map is that table), and an h_i map adds i
+such boxes in strictly increasing columns, so no partition outside the box is
+ever formed.  The shared builder `echelon.generated_slices` pushes integer
+rows through those maps into the degree-d echelon: h_1 times every stored
+echelon row of degree d - 1, then the monomials of degree d in h_2..h_m
+(built through the same maps), since a monomial either has a factor h_1 or
+lies in h_2..h_m alone.
 
 The candidate-basis reports work on the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu only
@@ -36,7 +40,7 @@ from .echelon import DegreeSlice, apply_map, generated_slices
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
-from .schur import SymVector, _horizontal_strips
+from .schur import SymVector
 
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
@@ -52,16 +56,49 @@ def _box_columns(ell: int, k: int, d: int) -> tuple[tuple[Partition, ...], dict[
 
 
 @cache
+def _box_additions(ell: int, k: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Single boxes added inside the box, from degree d - 1 to degree d: for
+    each source column, the target columns, and in parallel the (1-based)
+    column of each added box.  Row r grows when it is shorter than the row
+    above it (row 0 when shorter than k), and a new row starts while there
+    are fewer than ell."""
+    index = _box_columns(ell, k, d)[1]
+    targets, boxes = [], []
+    for lam in _box_columns(ell, k, d - 1)[0]:
+        parts = lam.parts
+        base = parts + (0,)
+        above = k
+        to, at = [], []
+        for r in range(min(len(parts) + 1, ell)):
+            v = base[r]
+            if v < above:
+                to.append(index[parts[:r] + (v + 1,) + parts[r + 1:]])
+                at.append(v + 1)
+            above = v
+        targets.append(tuple(to))
+        boxes.append(tuple(at))
+    return tuple(targets), tuple(boxes)
+
+
+@cache
 def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """In-box h_i Pieri map from degree d - i to degree d: for each source
     column, the indices of the target columns it reaches, all with
-    coefficient 1."""
-    index = _box_columns(ell, k, d)[1]
-    # the map is the memo; the box-bounded strips behind it are not kept
-    return ((1, tuple(
-        tuple(index[mu] for mu in _horizontal_strips.__wrapped__(lam.parts, i, ell, k))
-        for lam in _box_columns(ell, k, d - i)[0]
-    )),)
+    coefficient 1.  h_1 shares the single-box table of degree d; h_i walks
+    the tables of degrees d - i + 1..d."""
+    if i == 1:
+        return ((1, _box_additions(ell, k, d)[0]),)
+    # a horizontal i-strip is i single boxes added in strictly increasing
+    # columns, and every shape on the way is an in-box partition (a strip box
+    # never sits below another); so each in-box strip is reached exactly once
+    tables = [_box_additions(ell, k, e) for e in range(d - i + 1, d + 1)]
+    out = []
+    for j in range(len(_box_columns(ell, k, d - i)[0])):
+        reach = [(j, 0)]
+        for targets, boxes in tables:
+            reach = [(u, c) for t, last in reach for u, c in zip(targets[t], boxes[t]) if c > last]
+        out.append(tuple(u for u, _ in reach))
+    return ((1, tuple(out)),)
 
 
 @cache

@@ -111,34 +111,21 @@ class SymVector:
 
 
 @cache
-def _horizontal_strips(
-    parts: tuple[int, ...], r: int, rows: int | None = None, cols: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def _horizontal_strips(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     """All mu containing parts with mu/parts a horizontal r-strip (the
     interlacing condition mu[i+1] <= parts[i] <= mu[i]), in lexicographically
-    decreasing order.
-
-    With rows and cols given, only the mu that fit the rows x cols box are
-    generated (parts must fit it): the first row is capped at cols and no row
-    past the last one of the box is grown.  The order is that of the unbounded
-    strips with the out-of-box ones left out.
-    """
-    n = len(parts)
-    last = n if rows is None else min(n, rows - 1)
-    if last < 0:
-        return ((),) if r == 0 else ()
+    decreasing order."""
     base = parts + (0,)
-    # the rows that can grow, each by at most its room: row 0 freely (up to
-    # cols), row j up to the part above it; the other rows stay as they are
-    grow = [(0, r if cols is None else min(r, cols - base[0]))]
-    grow += [(j, min(r, base[j - 1] - base[j])) for j in range(1, last + 1)]
+    # the rows that can grow, each by at most its room: row 0 freely, row j
+    # up to the part above it, the new row included
+    grow = [(0, r)] + [(j, min(r, base[j - 1] - base[j])) for j in range(1, len(base))]
     grow = [(j, cap) for j, cap in grow if cap > 0]
     room = [0] * (len(grow) + 1)  # room[t]: cells the rows grow[t:] can take
     for t in range(len(grow) - 1, -1, -1):
         room[t] = room[t + 1] + grow[t][1]
     if r > room[0]:
         return ()
-    mu = list(base[: last + 1])
+    mu = list(base)
     out: list[tuple[int, ...]] = []
 
     def build(t: int, remaining: int):

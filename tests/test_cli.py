@@ -354,7 +354,30 @@ def test_verify_config_that_is_not_json_exits_2(tmp_path, capsys):
     cfg.write_text("{bad")
     code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err == (
+        f"error: --config {cfg} is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["all", "--max", "3"], "--max cannot be combined with --config, whose file sets every grid"),
+        (["all", "--ell", "2", "--k", "2"], "--ell cannot be combined with --config, whose file sets every grid"),
+        (["all", "--k", "2"], "--k cannot be combined with --config, whose file sets every grid"),
+        (["all", "--n", "3"], "--n cannot be combined with --config, whose file sets every grid"),
+        (["prop51"], "--config runs the families its file names; give the target 'all', not 'prop51'"),
+        (["identities"], "--config runs the families its file names; give the target 'all', not 'identities'"),
+    ],
+    ids=["max", "ell", "k", "n", "family", "group"],
+)
+def test_verify_config_refuses_the_grid_flags_and_targets(tmp_path, capsys, argv, message):
+    # the file sets every family and grid, so a flag or target that would
+    # narrow them is refused rather than silently ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": {"prop51": {"ns": [2]}}}))
+    assert run(capsys, "verify", *argv, "--config", str(cfg)) == (2, "", f"error: {message}\n")
 
 
 def test_verify_lg_rejects_n_below_one(tmp_path, capsys):
@@ -462,11 +485,11 @@ def test_keep_going_flag_sets_the_config_key(tmp_path, capsys, monkeypatch):
         "prop51", {"n": n}, harness.THEOREM, harness.QPoly.one(), harness.QPoly.zero()))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"families": {"prop51": {"ns": [1, 2, 3]}}}))
-    for extra in ([], ["--config", str(cfg)]):
-        code, out, _ = run(capsys, "verify", "prop51", "--max", "3", *extra)
+    for argv in (["prop51", "--max", "3"], ["all", "--config", str(cfg)]):
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 1 and out.endswith("summary: pass=0 fail=1 error=0\n")
         assert "sweep aborted on theorem failure" in out
-        code, out, _ = run(capsys, "verify", "prop51", "--max", "3", "--keep-going", *extra)
+        code, out, _ = run(capsys, "verify", *argv, "--keep-going")
         assert code == 1 and out.endswith("summary: pass=0 fail=3 error=0\n")
     cfg.write_text(json.dumps({"keep_going": True, "families": {"prop51": {"ns": [1, 2]}}}))
     code, out, _ = run(capsys, "verify", "all", "--config", str(cfg))

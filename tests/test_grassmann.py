@@ -10,6 +10,7 @@ from qgrass.grassmann import (
     _box_columns,
     _h_row,
     _k_schur_row,
+    _pieri_map,
     _slice_data,
     h_basis_report,
     kschur_basis_report,
@@ -110,7 +111,33 @@ def test_box_bounded_strips_are_the_filtered_strips(parts, r, ell, k):
     ell = max(ell, len(parts))
     k = max(k, parts[0] if parts else 0)
     filtered = tuple(mu for mu in _horizontal_strips(parts, r) if Partition(mu).fits(ell, k))
-    assert _horizontal_strips(parts, r, ell, k) == filtered
+    assert in_box_strips(ell, k, parts, r) == filtered
+
+
+def in_box_strips(ell, k, parts, r):
+    # the in-box h_r Pieri map's targets from parts, as partitions in the
+    # lexicographically decreasing order of `_horizontal_strips`
+    d = sum(parts) + r
+    targets = _pieri_map(ell, k, d, r)[0][1][_box_columns(ell, k, d - r)[1][parts]]
+    cols = _box_columns(ell, k, d)[0]
+    return tuple(sorted((cols[t].parts for t in targets), reverse=True))
+
+
+def test_pieri_maps_reach_each_in_box_strip_once():
+    # the walk through single-box additions against the filtered unbounded
+    # strips: every i <= max(ell, k) at ell, k <= 6, and i <= 3 at 7x7
+    points = [(ell, k, i) for ell in range(1, 7) for k in range(1, 7) for i in range(1, max(ell, k) + 1)]
+    points += [(7, 7, i) for i in range(1, 4)]
+    for ell, k, i in points:
+        for d in range(i, ell * k + 1):
+            ((c, targets),) = _pieri_map(ell, k, d, i)
+            sources = _box_columns(ell, k, d - i)[0]
+            cols = _box_columns(ell, k, d)[0]
+            assert c == 1 and len(targets) == len(sources)
+            for lam, reach in zip(sources, targets):
+                assert len(set(reach)) == len(reach), (ell, k, d, i, lam)
+                want = {mu for mu in _horizontal_strips(lam.parts, i) if len(mu) <= ell and (not mu or mu[0] <= k)}
+                assert {cols[t].parts for t in reach} == want, (ell, k, d, i, lam)
 
 
 def test_stretch_points_match_closed_form():

@@ -266,8 +266,8 @@ def test_strict_strips_are_the_filtered_strips():
             for i in range(n + 2):
                 want = sorted(
                     (mu, pieri_exponent(lam.parts, mu))
-                    for mu in _horizontal_strips(lam.parts, i, None, n)
-                    if all(a > b for a, b in zip(mu, mu[1:]))
+                    for mu in _horizontal_strips(lam.parts, i)
+                    if (not mu or mu[0] <= n) and all(a > b for a, b in zip(mu, mu[1:]))
                 )
                 assert sorted(_strict_strips(lam.parts, i, n)) == want, (n, lam, i)
 
