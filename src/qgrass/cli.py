@@ -12,7 +12,7 @@ import json
 import sys
 
 from .grassmann import subalgebra_hilbert
-from .harness import DEFAULT_CONFIG, FAMILIES, NS, PAIRS, ConfigError, Report, sweep, validate_config
+from .harness import FAMILIES, NS, PAIRS, ConfigError, Report, sweep, validate_config
 from .kschur import k_schur
 from .lagrangian import lg_subalgebra_hilbert
 from .partitions import Partition, bounded_from_core, core_from_bounded, k_conjugate, vacancy
@@ -24,7 +24,7 @@ FORMATS = ("text", "md", "json")
 # `verify` targets that name several families; any other target is one family.
 VERIFY_GROUPS = {
     "identities": ["prop51", "decomp-vacant", "decomp-shifted", "vacancy"],
-    "all": list(DEFAULT_CONFIG["families"]),
+    "all": list(FAMILIES),
 }
 
 
@@ -35,15 +35,10 @@ def _emit_qpoly(p: QPoly, fmt: str) -> str:
     return f"`{body}`" if fmt == "md" else body
 
 
-def _emit_partition(p: Partition, fmt: str) -> str:
+def _emit_scalar(value: Partition | int, fmt: str) -> str:
+    """One partition or integer; JSON gives a partition as its string."""
     if fmt == "json":
-        return json.dumps(str(p))
-    return f"`{p}`" if fmt == "md" else str(p)
-
-
-def _emit_int(value: int, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(value)
+        return json.dumps(value if isinstance(value, int) else str(value))
     return f"`{value}`" if fmt == "md" else str(value)
 
 
@@ -151,15 +146,14 @@ def _verify_config(args) -> dict:
             raise ConfigError(f"{flag} does not apply to {args.family!r}, which runs over {other} only")
     families = {}
     for name in names:
-        spec = dict(DEFAULT_CONFIG["families"][name])
-        if args.max is not None:
-            spec["max"] = min(spec["max"], args.max)
-        grid = FAMILIES[name].grid
-        if args.ell is not None and grid == PAIRS:
-            spec = {PAIRS: [[args.ell, args.k]]}
-        if args.n is not None and grid == NS:
-            spec = {NS: [args.n]}
-        families[name] = spec
+        family = FAMILIES[name]
+        if args.ell is not None and family.grid == PAIRS:
+            families[name] = {PAIRS: [[args.ell, args.k]]}
+        elif args.n is not None and family.grid == NS:
+            families[name] = {NS: [args.n]}
+        else:
+            bound = family.default_max
+            families[name] = {"max": bound if args.max is None else min(bound, args.max)}
     return validate_config({"families": families})
 
 
@@ -199,21 +193,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("hilb", "formula"):
             print(_emit_qpoly(_series(args), fmt))
         elif args.command == "kconj":
-            lam = Partition.parse(args.partition)
-            print(_emit_partition(k_conjugate(lam, args.k), fmt))
+            print(_emit_scalar(k_conjugate(Partition.parse(args.partition), args.k), fmt))
         elif args.command == "core":
-            lam = Partition.parse(args.partition)
-            if args.to_bounded:
-                print(_emit_partition(bounded_from_core(lam, args.k), fmt))
-            else:
-                print(_emit_partition(core_from_bounded(lam, args.k), fmt))
+            to = bounded_from_core if args.to_bounded else core_from_bounded
+            print(_emit_scalar(to(Partition.parse(args.partition), args.k), fmt))
         elif args.command == "vacancy":
             if args.ell is not None and args.ell < 0:
                 raise ValueError(f"--ell must be at least 0, got {args.ell}")
             lam = Partition.parse(args.partition)
             if args.ell is not None and len(lam) > args.ell:
                 raise ValueError(f"{lam} has more than {args.ell} rows")
-            print(_emit_int(vacancy(lam, args.k), fmt))
+            print(_emit_scalar(vacancy(lam, args.k), fmt))
         elif args.command == "kschur":
             lam = Partition.parse(args.partition)
             print(_emit_symvector(k_schur(lam, args.k), fmt))

@@ -194,59 +194,50 @@ def check_prop51(n: int) -> Case:
     return _case("prop51", {"n": n}, THEOREM, expected, actual)
 
 
-def check_vacant_roundtrip(ell: int, k: int) -> Case:
-    """Round-trip bijectivity of the vacant decomposition on the ell x k box."""
-    family = [lam for lam in partitions_in_box(ell, k) if lam]
+def _roundtrip(name, params, family, pieces, decompose, compose, bound) -> Case:
+    """Round-trip bijectivity of a decomposition: each partition of `family`
+    must decompose and compose back to itself, and each piece tuple of
+    `pieces` must compose and decompose back to itself.  A failed partition is
+    left out of the actual series; a failed piece tuple costs one from its
+    constant term."""
     expected = gen_sum(family)
     good = []
     detail = ""
     for lam in family:
-        i, j, dag, ddag = vacant_decompose(lam, k)
-        if vacant_compose(i, j, dag, ddag, k) == lam:
+        if compose(*decompose(lam, bound), bound) == lam:
             good.append(lam)
         elif not detail:
             detail = f"decompose/compose round trip failed at {lam}"
-    actual = gen_sum(good)
     bad_compose = 0
-    for i in range(1, min(ell, k) + 1):
-        for j in range(ell - i + 1):
-            for dag in partitions_in_box(i, k - i):
-                for ddag in partitions_in_box(j, i - 1):
-                    lam = vacant_compose(i, j, dag, ddag, k)
-                    if vacant_decompose(lam, k) != (i, j, dag, ddag):
-                        bad_compose += 1
-                        if not detail:
-                            detail = f"compose/decompose round trip failed at {(i, j, dag, ddag)}"
-    if bad_compose:
-        actual = actual - QPoly({0: bad_compose})
-    return _case("vacant-roundtrip", {"ell": ell, "k": k}, THEOREM, expected, actual, detail)
+    for piece in pieces:
+        if decompose(compose(*piece, bound), bound) != piece:
+            bad_compose += 1
+            if not detail:
+                detail = f"compose/decompose round trip failed at {piece}"
+    return _case(name, params, THEOREM, expected, gen_sum(good) - QPoly({0: bad_compose}), detail)
+
+
+def check_vacant_roundtrip(ell: int, k: int) -> Case:
+    """Round-trip bijectivity of the vacant decomposition on the ell x k box."""
+    pieces = (
+        (i, j, dag, ddag)
+        for i in range(1, min(ell, k) + 1)
+        for j in range(ell - i + 1)
+        for dag in partitions_in_box(i, k - i)
+        for ddag in partitions_in_box(j, i - 1)
+    )
+    family = [lam for lam in partitions_in_box(ell, k) if lam]
+    return _roundtrip("vacant-roundtrip", {"ell": ell, "k": k}, family, pieces,
+                      vacant_decompose, vacant_compose, k)
 
 
 def check_shifted_roundtrip(n: int) -> Case:
-    """Round-trip bijectivity of the shifted decomposition on the order-n staircase."""
+    """Round-trip bijectivity of the shifted decomposition on the order-n
+    staircase.  `shifted_compose` refuses an even i, an i + j past n and a mu
+    outside the j x i box, so a composed partition certifies its pieces."""
+    pieces = ((i, j, mu) for i in range(1, n + 1, 2) for j in range(n - i + 1) for mu in partitions_in_box(j, i))
     family = [lam for lam in strict_partitions_in_triangle(n) if lam]
-    expected = gen_sum(family)
-    good = []
-    detail = ""
-    for lam in family:
-        i, j, mu = shifted_decompose(lam, n)
-        if shifted_compose(i, j, mu, n) == lam and i % 2 == 1 and 1 <= i <= n and mu.fits(j, i):
-            good.append(lam)
-        elif not detail:
-            detail = f"decompose/compose round trip failed at {lam}"
-    actual = gen_sum(good)
-    bad_compose = 0
-    for i in range(1, n + 1, 2):
-        for j in range(n - i + 1):
-            for mu in partitions_in_box(j, i):
-                lam = shifted_compose(i, j, mu, n)
-                if shifted_decompose(lam, n) != (i, j, mu):
-                    bad_compose += 1
-                    if not detail:
-                        detail = f"compose/decompose round trip failed at {(i, j, mu)}"
-    if bad_compose:
-        actual = actual - QPoly({0: bad_compose})
-    return _case("shifted-roundtrip", {"n": n}, THEOREM, expected, actual, detail)
+    return _roundtrip("shifted-roundtrip", {"n": n}, family, pieces, shifted_decompose, shifted_compose, n)
 
 
 def check_vacancy_conjugation(ell: int, k: int) -> Case:
@@ -337,13 +328,15 @@ NS = "ns"  # staircase orders n
 
 class Family(NamedTuple):
     """One check family: its grid kind, how a grid point expands into task
-    parameters, the names of the checks run on each parameter set, and the
-    smallest staircase order n its grid may name."""
+    parameters, the names of the checks run on each parameter set, the grid
+    bound `max` of the default sweep, and the smallest staircase order n its
+    grid may name."""
 
     name: str
     grid: str
     expand: Callable[..., list[dict]]
     checks: tuple[str, ...]
+    default_max: int
     min_n: int = 0
 
 
@@ -365,31 +358,19 @@ def _order(n: int) -> list[dict]:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("summand", PAIRS, _box_up_to_min("i"), ("check_summand_identity",)),
-        Family("rt", PAIRS, _box, ("check_rt",)),
-        Family("h-basis", PAIRS, _box_up_to_min("m"), ("check_h_basis",)),
-        Family("kschur-basis", PAIRS, _box_up_to_min("m"), ("check_kschur_basis",)),
-        Family("lg", NS, _order, ("check_lg", "check_lg_top_power"), min_n=1),
-        Family("prop51", NS, _order, ("check_prop51",)),
-        Family("decomp-vacant", PAIRS, _box, ("check_vacant_roundtrip",)),
-        Family("decomp-shifted", NS, _order, ("check_shifted_roundtrip",)),
-        Family("vacancy", PAIRS, _box, ("check_vacancy_conjugation",)),
+        Family("summand", PAIRS, _box_up_to_min("i"), ("check_summand_identity",), default_max=6),
+        Family("rt", PAIRS, _box, ("check_rt",), default_max=6),
+        Family("h-basis", PAIRS, _box_up_to_min("m"), ("check_h_basis",), default_max=4),
+        Family("kschur-basis", PAIRS, _box_up_to_min("m"), ("check_kschur_basis",), default_max=4),
+        Family("lg", NS, _order, ("check_lg", "check_lg_top_power"), default_max=8, min_n=1),
+        Family("prop51", NS, _order, ("check_prop51",), default_max=30),
+        Family("decomp-vacant", PAIRS, _box, ("check_vacant_roundtrip",), default_max=6),
+        Family("decomp-shifted", NS, _order, ("check_shifted_roundtrip",), default_max=9),
+        Family("vacancy", PAIRS, _box, ("check_vacancy_conjugation",), default_max=6),
     )
 }
 
-DEFAULT_CONFIG: dict = {
-    "families": {
-        "summand": {"max": 6},
-        "rt": {"max": 6},
-        "h-basis": {"max": 4},
-        "kschur-basis": {"max": 4},
-        "lg": {"max": 8},
-        "prop51": {"max": 30},
-        "decomp-vacant": {"max": 6},
-        "decomp-shifted": {"max": 9},
-        "vacancy": {"max": 6},
-    }
-}
+DEFAULT_CONFIG: dict = {"families": {f.name: {"max": f.default_max} for f in FAMILIES.values()}}
 
 
 class ConfigError(ValueError):
@@ -400,40 +381,35 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _family_pairs(spec: dict) -> list[tuple[int, int]]:
-    if PAIRS in spec:
-        pairs = spec[PAIRS]
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) and x >= 1 for x in p)
-            for p in pairs
-        ):
-            raise ConfigError(f"'pairs' must be a list of [ell, k] integer pairs, got {pairs!r}")
-        return [tuple(p) for p in pairs]
-    maximum = spec.get("max")
-    if not _is_int(maximum) or maximum < 1:
-        raise ConfigError(f"family spec needs 'max' >= 1 or explicit 'pairs', got {spec!r}")
-    return [(ell, k) for ell in range(1, maximum + 1) for k in range(1, maximum + 1)]
-
-
-def _family_ns(spec: dict) -> list[tuple[int]]:
-    if NS in spec:
-        ns = spec[NS]
-        if not isinstance(ns, list) or not all(_is_int(x) and x >= 0 for x in ns):
-            raise ConfigError(f"'ns' must be a list of nonnegative integers, got {ns!r}")
-        return [(n,) for n in ns]
-    maximum = spec.get("max")
-    if not _is_int(maximum) or maximum < 1:
-        raise ConfigError(f"family spec needs 'max' >= 1 or explicit 'ns', got {spec!r}")
-    return [(n,) for n in range(1, maximum + 1)]
-
-
 def _grid_points(family: Family, spec: dict) -> list[tuple]:
-    if family.grid == PAIRS:
-        return _family_pairs(spec)
-    points = _family_ns(spec)
-    for (n,) in points:
-        if n < family.min_n:
-            raise ConfigError(f"family {family.name!r} needs n >= {family.min_n}, got n={n}")
+    """The grid points of one family spec: the non-empty list under the
+    family's grid key, or every box or order up to `max`, never both."""
+    grid = family.grid
+    if grid in spec:
+        if "max" in spec:
+            raise ConfigError(f"family {family.name!r} spec gives both 'max' and {grid!r}; give one")
+        points = spec[grid]
+        if grid == PAIRS:
+            if not isinstance(points, list) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) and x >= 1 for x in p)
+                for p in points
+            ):
+                raise ConfigError(f"'pairs' must be a list of [ell, k] integer pairs, got {points!r}")
+        elif not isinstance(points, list) or not all(_is_int(x) and x >= 0 for x in points):
+            raise ConfigError(f"'ns' must be a list of nonnegative integers, got {points!r}")
+        if not points:
+            raise ConfigError(f"family {family.name!r} spec names no grid point: {grid!r} is empty")
+        points = [tuple(p) for p in points] if grid == PAIRS else [(n,) for n in points]
+    else:
+        maximum = spec.get("max")
+        if not _is_int(maximum) or maximum < 1:
+            raise ConfigError(f"family spec needs 'max' >= 1 or explicit {grid!r}, got {spec!r}")
+        sizes = range(1, maximum + 1)
+        points = [(ell, k) for ell in sizes for k in sizes] if grid == PAIRS else [(n,) for n in sizes]
+    if grid == NS:
+        for (n,) in points:
+            if n < family.min_n:
+                raise ConfigError(f"family {family.name!r} needs n >= {family.min_n}, got n={n}")
     return points
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import qgrass
 from qgrass import harness
-from qgrass.cli import main
+from qgrass.cli import entry, main
 from qgrass.kschur import k_schur
 from qgrass.partitions import Partition
 
@@ -207,6 +207,50 @@ def test_kschur_output_bytes(capsys, k, lam, fmt):
     assert out == KSCHUR_PINS[k, lam][fmt]
 
 
+# Output bytes of the series and scalar commands, pinned per format; a
+# partition is a JSON string and a vacancy a JSON number.
+OUTPUT_PINS = {
+    ("hilb", "grass", "--ell", "3", "--k", "3", "--m", "2"): (
+        "1,1,2,2,3,3,3,2,1,1\n", "`1,1,2,2,3,3,3,2,1,1`\n", '["1","1","2","2","3","3","3","2","1","1"]\n'
+    ),
+    ("formula", "rt", "--ell", "3", "--k", "3", "--m", "2"): (
+        "1,1,2,2,3,3,3,2,1,1\n", "`1,1,2,2,3,3,3,2,1,1`\n", '["1","1","2","2","3","3","3","2","1","1"]\n'
+    ),
+    ("formula", "lg", "--n", "3", "--m", "3"): ("1,1,1,2,1,1,1\n", "`1,1,1,2,1,1,1`\n", '["1","1","1","2","1","1","1"]\n'),
+    ("kconj", "--k", "4", "4,3,1,1"): ("2,1,1,1,1,1,1,1\n", "`2,1,1,1,1,1,1,1`\n", '"2,1,1,1,1,1,1,1"\n'),
+    ("kconj", "--k", "3", ""): ("\n", "``\n", '""\n'),
+    ("core", "--k", "4", "4,3,1,1"): ("8,4,1,1\n", "`8,4,1,1`\n", '"8,4,1,1"\n'),
+    ("core", "--k", "4", "--to-bounded", "8,4,1,1"): ("4,3,1,1\n", "`4,3,1,1`\n", '"4,3,1,1"\n'),
+    ("vacancy", "--ell", "6", "--k", "5", "4,4,3,3,1"): ("3\n", "`3`\n", "3\n"),
+    ("vacancy", "--k", "3", ""): ("0\n", "`0`\n", "0\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "md", "json"])
+@pytest.mark.parametrize("argv", list(OUTPUT_PINS), ids=" ".join)
+def test_series_and_scalar_output_bytes(capsys, argv, fmt):
+    expected = OUTPUT_PINS[argv][["text", "md", "json"].index(fmt)]
+    assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hilb", "grass", "--ell", "2", "--k", "2"], 0),
+        (["verify", "h-basis", "--ell", "2", "--k", "5"], 1),
+        (["kconj", "--k", "2", "3"], 2),
+    ],
+    ids=["ok", "failed-case", "bad-input"],
+)
+def test_entry_exits_with_the_main_code(monkeypatch, capsys, argv, code):
+    # `entry` is the `qgrass` console script: it reads sys.argv and exits
+    monkeypatch.setattr(sys, "argv", ["qgrass", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == code
+    assert capsys.readouterr().err == ("error: Partition(3) is not 2-bounded\n" if code == 2 else "")
+
+
 def test_readme_kschur_repr():
     assert repr(k_schur(Partition((2, 1)), 2)) == "SymVector(1*s(3) + 1*s(2,1))"
 
@@ -340,8 +384,17 @@ def test_verify_config_rejects_bad_values(tmp_path, capsys, config):
             '{"families": {"lg": {"pairs": [[2, 2]], "ns": [2]}}}',
             "family 'lg' spec has unknown keys ['pairs']; it takes only 'max' and 'ns'",
         ),
+        (
+            '{"families": {"rt": {"pairs": [[2, 2]], "max": "x"}, "prop51": {"ns": [2], "max": -4}}}',
+            "family 'rt' spec gives both 'max' and 'pairs'; give one",
+        ),
+        ('{"families": {"rt": {"pairs": []}}}', "family 'rt' spec names no grid point: 'pairs' is empty"),
+        ('{"families": {"prop51": {"ns": []}}}', "family 'prop51' spec names no grid point: 'ns' is empty"),
     ],
-    ids=["list", "int", "families", "keep-going", "family-spec", "misspelt-ns", "ns-on-box", "pairs-on-lg"],
+    ids=[
+        "list", "int", "families", "keep-going", "family-spec", "misspelt-ns", "ns-on-box", "pairs-on-lg",
+        "max-and-pairs", "empty-pairs", "empty-ns",
+    ],
 )
 def test_verify_config_errors_name_the_fault(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"

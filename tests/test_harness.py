@@ -191,6 +191,22 @@ def test_roundtrip_fails_in_either_direction(monkeypatch, check, compose, decomp
     assert case.detail == f"compose/decompose round trip failed at {(1, 0, Partition(()), *empty)}"
 
 
+@pytest.mark.parametrize(
+    "family, decompose, bad_pieces",
+    [
+        ("decomp-vacant", "vacant_decompose", lambda lam, k: (0, 0, Partition(()), Partition(()))),
+        ("decomp-shifted", "shifted_decompose", lambda lam, n: (2, 0, Partition(()))),
+    ],
+)
+def test_roundtrip_never_passes_invalid_pieces(monkeypatch, family, decompose, bad_pieces):
+    # pieces outside the decomposition's range (an i of 0, an even i) are
+    # refused by the compose step, so the case is an error, never a pass
+    monkeypatch.setattr(harness, decompose, bad_pieces)
+    report = _run_tasks(harness._tasks_for({"families": {family: {"max": 3}}}), keep_going=True)
+    assert report.cases and all(c.status == "error" for c in report.cases)
+    assert all(c.name == family and c.detail.startswith("ValueError: ") for c in report.cases)
+
+
 def test_basis_cases():
     case = check_h_basis(3, 3, 2)
     assert case.status == "pass" and case.kind == CONJECTURE
@@ -213,6 +229,22 @@ def test_config_validation():
     for families in ({"rt": {"max": True}}, {"rt": {"pairs": [[True, 2]]}}, {"lg": {"ns": [False]}}):
         with pytest.raises(ConfigError):
             validate_config({"families": families})
+
+
+def test_grid_spec_gives_max_or_a_non_empty_list():
+    for spec, message in (
+        ({"pairs": [[2, 2]], "max": "x"}, "family 'rt' spec gives both 'max' and 'pairs'; give one"),
+        ({"pairs": [[2, 2]], "max": 3}, "family 'rt' spec gives both 'max' and 'pairs'; give one"),
+        ({"pairs": []}, "family 'rt' spec names no grid point: 'pairs' is empty"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            validate_config({"families": {"rt": spec}})
+    with pytest.raises(ConfigError, match="family 'lg' spec names no grid point: 'ns' is empty"):
+        validate_config({"families": {"lg": {"ns": []}}})
+    with pytest.raises(ConfigError, match="family 'prop51' spec gives both 'max' and 'ns'; give one"):
+        validate_config({"families": {"prop51": {"ns": [2], "max": -4}}})
+    # no family at all is still a valid, empty sweep
+    assert validate_config({"families": {}}) == {"families": {}}
 
 
 def test_lg_grid_rejects_n_below_one():
