@@ -32,7 +32,7 @@ from .qseries import (
     q_binomial_double_prime,
     q_binomial_prime,
 )
-from .schur import SymVector, h_to_schur, omega, pieri_e, pieri_h
+from .schur import SymVector, h_to_schur, omega, pieri_h
 from .kschur import k_schur, weak_pieri_targets
 from .echelon import DegreeSlice
 from .grassmann import (

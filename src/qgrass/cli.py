@@ -154,6 +154,9 @@ def _verify_config(args) -> dict:
         else:
             bound = family.default_max
             families[name] = {"max": bound if args.max is None else min(bound, args.max)}
+    if args.max is not None and not any("max" in spec for spec in families.values()):
+        fixed = " and ".join(flag for flag, value in (("--ell/--k", args.ell), ("--n", args.n)) if value is not None)
+        raise ConfigError(f"--max clamps no family of {args.family!r}: every grid it runs is set by {fixed}")
     return validate_config({"families": families})
 
 

@@ -155,33 +155,16 @@ def apply_map(
     return image
 
 
-def _monomial_counts(parts: Sequence[int], top: int) -> list[int]:
-    """counts[e], for e <= top: the number of monomials of degree e in
-    generators of the given degrees, that is of partitions of e with every
-    part in parts."""
-    counts = [1] + [0] * top
-    for b in parts:
-        for e in range(b, top + 1):
-            counts[e] += counts[e - b]
-    return counts
-
-
-def _monomials(e: int, parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The monomials of degree e in generators of the given increasing
-    degrees, as nondecreasing tuples of degrees, in lexicographic order.
-    Iterative; a part is placed only when the rest of the degree is a sum of
-    parts at least as large, so no branch dead-ends."""
-    parts = [b for b in parts if b <= e]
-    fits = [_monomial_counts(parts[j:], e) for j in range(len(parts))]
-    stack = [((), e, 0)]
-    while stack:
-        head, rest, low = stack.pop()
-        if not rest:
-            yield head
-        for j in range(len(parts) - 1, low - 1, -1):
-            left = rest - parts[j]
-            if left >= 0 and fits[j][left]:
-                stack.append((head + (parts[j],), left, j))
+def _monomials(top: int, parts: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """table[e], for e <= top: the monomials of degree e in generators of the
+    given increasing degrees, as nondecreasing tuples of degrees, in
+    lexicographic order.  Built degree by degree, without recursion: a
+    monomial is its first part b followed by a monomial of degree e - b that
+    starts at b or later."""
+    table: list[list[tuple[int, ...]]] = [[()]]
+    for e in range(1, top + 1):
+        table.append([(b,) + t for b in parts if b <= e for t in table[e - b] if not t or t[0] >= b])
+    return table
 
 
 def generated_slices(
@@ -212,6 +195,7 @@ def generated_slices(
             rows[key] = apply_map(enumerate(rows[key[1:]]), pieri_map(e, key[0]), len(columns[e]))
         return rows[parts]
 
+    monomials = _monomials(len(columns) - 1, degrees[1:])
     slices: list[DegreeSlice] = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
@@ -223,7 +207,7 @@ def generated_slices(
                 if sl.saturated:
                     break
                 sl.add_row(apply_map(src, step, len(cols)))
-        for b in _monomials(d, degrees[1:]):
+        for b in monomials[d]:
             if sl.saturated:
                 break
             sl.add_row(apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), len(cols)))

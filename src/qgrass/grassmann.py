@@ -150,26 +150,6 @@ class BasisReport(NamedTuple):
     def verdict(self) -> bool:
         return all(e.ok for e in self.degrees)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "ell": self.ell,
-            "k": self.k,
-            "m": self.m,
-            "degrees": [
-                {
-                    "d": e.degree,
-                    "candidates": e.candidates,
-                    "rank": e.rank,
-                    "dim": e.dim,
-                    "independent": e.independent,
-                    "spans": e.spans,
-                    "contained": e.contained,
-                }
-                for e in self.degrees
-            ],
-            "verdict": self.verdict,
-        }
-
 
 @cache
 def _h_row(ell: int, k: int, parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -96,9 +96,6 @@ class Partition:
         """True when the parts are strictly decreasing."""
         return all(a > b for a, b in zip(self._parts, self._parts[1:]))
 
-    def without_first(self) -> "Partition":
-        return Partition(self._parts[1:], check=False)
-
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram (column lengths)."""
         return Partition(_conjugate(self._parts), check=False)

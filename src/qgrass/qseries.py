@@ -66,9 +66,6 @@ class QPoly:
     def json_coeffs(self) -> list[str]:
         return [str(c) for c in self.coeffs()]
 
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**e for e, c in self._c.items())
-
     def __add__(self, other: "QPoly") -> "QPoly":
         data = dict(self._c)
         for e, c in other._c.items():
@@ -80,9 +77,6 @@ class QPoly:
         for e, c in other._c.items():
             data[e] = data.get(e, 0) - c
         return QPoly(data)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self._c.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -97,14 +91,6 @@ class QPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = QPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self._c == other._c

@@ -1,7 +1,7 @@
-"""Symmetric functions in Schur coordinates: Pieri products and the involution omega.
+"""Symmetric functions in Schur coordinates: the h Pieri product and the involution omega.
 
-The Schur basis is the only stored basis; complete homogeneous and elementary
-symmetric functions enter only as multiplication operators and expansions.
+The Schur basis is the only stored basis; complete homogeneous symmetric
+functions enter only as a multiplication operator and expansions.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, Mapping
 
-from .partitions import Partition, _conjugate
+from .partitions import Partition
 
 
 def _order_key(p: Partition):
@@ -143,20 +143,14 @@ def _horizontal_strips(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-@cache
-def _vertical_strips(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    conj = _conjugate(parts)
-    out = sorted((_conjugate(m) for m in _horizontal_strips(conj, r)), reverse=True)
-    return tuple(out)
-
-
-def _pieri(name: str, strips, r: int, v: SymVector) -> SymVector:
-    # grow each Schur term of v by every strip that strips(parts, r) lists
+def pieri_h(r: int, v: SymVector) -> SymVector:
+    """Multiply by the complete homogeneous generator of degree r: each Schur
+    term grows by every horizontal r-strip."""
     if r < 1:
-        raise ValueError(f"{name} needs r >= 1, got {r}")
+        raise ValueError(f"pieri_h needs r >= 1, got {r}")
     data: dict[Partition, int] = {}
     for lam, c in v.items():
-        for mu in strips(lam.parts, r):
+        for mu in _horizontal_strips(lam.parts, r):
             key = Partition(mu, check=False)
             new = data.get(key, 0) + c
             if new:
@@ -164,17 +158,6 @@ def _pieri(name: str, strips, r: int, v: SymVector) -> SymVector:
             else:
                 data.pop(key, None)
     return SymVector._wrap(data)
-
-
-def pieri_h(r: int, v: SymVector) -> SymVector:
-    """Multiply by the complete homogeneous generator of degree r: each Schur
-    term grows by every horizontal r-strip."""
-    return _pieri("pieri_h", _horizontal_strips, r, v)
-
-
-def pieri_e(r: int, v: SymVector) -> SymVector:
-    """Multiply by the elementary generator of degree r: vertical r-strips."""
-    return _pieri("pieri_e", _vertical_strips, r, v)
 
 
 @cache

@@ -233,6 +233,24 @@ def test_series_and_scalar_output_bytes(capsys, argv, fmt):
     assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
 
 
+# A failing candidate-basis case: its expected/actual series and its detail
+# carry the raw per-degree rank numbers.
+H_BASIS_2x5_JSON = (
+    '{"cases":[{"name":"h-basis","params":{"ell":2,"k":5,"m":1},"status":"pass",'
+    '"expected":["1","1","1","1","1","1","1","1","1","1","1"],'
+    '"actual":["1","1","1","1","1","1","1","1","1","1","1"],"detail":""},'
+    '{"name":"h-basis","params":{"ell":2,"k":5,"m":2},"status":"fail",'
+    '"expected":["1","1","2","2","3","3","3","2","2","1","1"],'
+    '"actual":["1","1","2","2","3","3","3","2","-1","1","1"],'
+    '"detail":"degree 8: candidates=2 rank=1 dim=2 independent=False spans=False contained=True"}],'
+    '"summary":{"pass":1,"fail":1,"error":0}}\n'
+)
+
+
+def test_failing_basis_case_json_bytes(capsys):
+    assert run(capsys, "verify", "h-basis", "--ell", "2", "--k", "5", "--format", "json") == (1, H_BASIS_2x5_JSON, "")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -323,6 +341,22 @@ def test_verify_grid_flag_of_the_matching_kind_runs_one_point(capsys):
     names = {"prop51", "vacant-roundtrip", "shifted-roundtrip", "vacancy-conjugation"}
     assert {c["name"] for c in cases} == names
     assert {c["params"]["n"] for c in cases if "n" in c["params"]} == {3}
+
+
+@pytest.mark.parametrize(
+    "argv, fixed",
+    [
+        (["rt", "--ell", "3", "--k", "3"], "--ell/--k"),
+        (["lg", "--n", "5"], "--n"),
+        (["all", "--ell", "3", "--k", "3", "--n", "2"], "--ell/--k and --n"),
+    ],
+    ids=["rt", "lg", "all"],
+)
+def test_verify_max_that_clamps_no_family_exits_2(capsys, argv, fixed):
+    # a point flag fixes the grid, so --max would be silently ignored
+    code, out, err = run(capsys, "verify", *argv, "--max", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: --max clamps no family of {argv[0]!r}: every grid it runs is set by {fixed}\n"
 
 
 def test_verify_config_file(tmp_path, capsys):

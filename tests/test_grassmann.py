@@ -215,28 +215,25 @@ def test_h_basis_report_small_cases_pass():
     for ell, k in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for m in range(1, min(ell, k) + 1):
             report = h_basis_report(ell, k, m)
-            assert report.verdict, report.to_json_obj()
+            assert report.verdict, report
 
 
 def test_kschur_basis_report_small_cases_pass():
     for ell, k in [(2, 2), (3, 3)]:
         for m in range(1, min(ell, k) + 1):
             report = kschur_basis_report(ell, k, m)
-            assert report.verdict, report.to_json_obj()
+            assert report.verdict, report
 
 
 def test_basis_report_shape_and_counts():
     report = h_basis_report(3, 3, 2)
-    obj = report.to_json_obj()
-    assert set(obj) == {"ell", "k", "m", "degrees", "verdict"}
-    assert obj["verdict"] is True
-    assert [e["d"] for e in obj["degrees"]] == list(range(10))
-    assert set(obj["degrees"][0]) == {
-        "d", "candidates", "rank", "dim", "independent", "spans", "contained",
-    }
+    assert (report.ell, report.k, report.m) == (3, 3, 2)
+    assert report.verdict is True
+    assert [e.degree for e in report.degrees] == list(range(10))
+    assert report.degrees[0]._fields == ("degree", "candidates", "rank", "dim", "independent", "spans", "contained")
     # candidate counts per degree trace the closed formula
     formula = grass_subalgebra_formula(3, 3, 2)
-    assert [e["candidates"] for e in obj["degrees"]] == formula.coeffs()
+    assert [e.candidates for e in report.degrees] == formula.coeffs()
 
 
 def test_basis_report_degree0_is_trivial():

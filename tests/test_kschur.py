@@ -56,7 +56,7 @@ def test_targets_contain_the_stacked_partition_and_dominate_it():
             for lam in k_bounded_partitions(k, d):
                 if not lam:
                     continue
-                targets = weak_pieri_targets(lam.without_first(), lam.first, k)
+                targets = weak_pieri_targets(Partition(lam.parts[1:]), lam.first, k)
                 assert lam in targets
                 for mu in targets:
                     if mu != lam:

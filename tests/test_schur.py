@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgrass.partitions import Partition, dominance_leq, k_bounded_partitions
-from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, omega, pieri_e, pieri_h
+from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, omega, pieri_h
 
 
 def P(*parts):
@@ -80,22 +80,9 @@ def test_pieri_h_examples():
         pieri_h(0, S(1))
 
 
-def test_pieri_e_examples():
-    assert pieri_e(2, SymVector.unit()) == S(1, 1)
-    assert pieri_e(1, S(1)) == S(2) + S(1, 1)
-    assert pieri_e(2, S(2)) == S(3, 1) + S(2, 1, 1)
-    with pytest.raises(ValueError):
-        pieri_e(0, S(1))
-
-
 @given(st.integers(1, 4), st.integers(1, 4), small_vectors())
 def test_pieri_h_commutes(a, b, v):
     assert pieri_h(a, pieri_h(b, v)) == pieri_h(b, pieri_h(a, v))
-
-
-@given(st.integers(1, 4), small_vectors())
-def test_omega_swaps_pieri_h_and_e(r, v):
-    assert omega(pieri_h(r, v)) == pieri_e(r, omega(v))
 
 
 # --- h expansions --------------------------------------------------------------
