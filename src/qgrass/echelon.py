@@ -18,6 +18,20 @@ smallest generator g_(i_1) or lies in the others alone, so the degree-d
 piece is g_(i_1) times the stored rows of degree d - i_1, plus the span of
 the monomials of degree d in the other generators, each built through the
 Pieri maps.  Only the smallest generator reads the stored rows.
+
+`generated_ranks` gives the ranks of the same pieces, exactly, with the exact
+echelon run only where a cheaper rank falls short of its bound.  `PackedRank`
+holds an echelon mod the prime P = 2^20 - 3, each row one int with a 64-bit
+slot per column, and reduces a row by one big-int multiply-add per pivot.
+The walk is that of `generated_slices`, over a basis of each degree, and the
+candidates of degree d are integer vectors that span A_d over Q.  So
+rank_p <= rank_Q = dim A_d <= min(dim H_d, number of generator monomials of
+degree d), and a degree whose rank_p reaches that bound has dim A_d equal to
+it.  Rows independent mod p are independent over Q, so the independent
+candidates of such a degree form a Q-basis of A_d, or A_d is all of H_d and
+the unit rows are one.  A degree whose rank_p stays below the bound (a bad
+prime, or a dependency over Q) is settled by a `DegreeSlice` over every
+candidate, and its reduced rows go on.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from math import gcd, lcm
+from struct import Struct
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -167,21 +182,26 @@ def _monomials(top: int, parts: Sequence[int]) -> list[list[tuple[int, ...]]]:
     return table
 
 
-def generated_slices(
-    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
-) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of the graded pieces of the subalgebra A generated by one
-    generator g_i in each degree i of the increasing degrees: columns[d] is
-    the basis of degree d (columns[0] is the unit alone), and pieri_map(d, i)
-    multiplies by g_i from degree d - i to d, in the format of `apply_map`.
+def _monomial_counts(top: int, parts: Sequence[int]) -> list[int]:
+    """counts[e], for e <= top: the number of monomials of degree e in
+    generators of the given degrees (coin-change counting)."""
+    counts = [1] + [0] * top
+    for b in parts:
+        for e in range(b, top + 1):
+            counts[e] += counts[e - b]
+    return counts
 
-    A monomial of degree d either factors out the smallest generator g_(i_1),
-    and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
-    generators alone.  So A_d is spanned by g_(i_1) times the stored rows of
-    A_(d-i_1), then by those monomials in the lexicographic order of
-    `_monomials`, each pushed as g_(b[0]) times the row of the monomial b[1:].
-    Monomial rows are built through the Pieri maps and kept for this build
-    only.  Pushing stops once the degree-d piece is saturated."""
+
+def _spanning_rows(
+    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
+) -> Callable[[int, Callable[[int], Iterable], Callable[[], bool]], Iterator[list[int]]]:
+    """The walk both builders take: rows(d, stored, full) yields the dense
+    spanning rows of degree d, the unit at d = 0, then g_(i_1) times each
+    row of stored(d - i_1) (a basis of that degree, as (column, entry)
+    pairs), then each monomial of `_monomials` in the other generators as
+    g_(b[0]) times the row of b[1:].  It asks full() before each row, and
+    stops once it holds.  Monomial rows are built through the Pieri maps
+    and kept for this walk only."""
     rows: dict[tuple[int, ...], list[int]] = {(): [1]}
 
     def monomial_row(parts: tuple[int, ...]) -> list[int]:
@@ -196,20 +216,121 @@ def generated_slices(
         return rows[parts]
 
     monomials = _monomials(len(columns) - 1, degrees[1:])
+
+    def walk(d: int, stored: Callable[[int], Iterable], full: Callable[[], bool]) -> Iterator[list[int]]:
+        if d == 0:
+            yield [1]
+            return
+        width = len(columns[d])
+        if degrees and degrees[0] <= d:
+            step = pieri_map(d, degrees[0])
+            for src in stored(d - degrees[0]):
+                if full():
+                    return
+                yield apply_map(src, step, width)
+        for b in monomials[d]:
+            if full():
+                return
+            yield apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), width)
+
+    return walk
+
+
+def generated_slices(
+    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
+) -> tuple[DegreeSlice, ...]:
+    """Echelon bases of the graded pieces of the subalgebra A generated by one
+    generator g_i in each degree i of the increasing degrees: columns[d] is
+    the basis of degree d (columns[0] is the unit alone), and pieri_map(d, i)
+    multiplies by g_i from degree d - i to d, in the format of `apply_map`.
+
+    A monomial of degree d either factors out the smallest generator g_(i_1),
+    and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
+    generators alone.  So A_d is spanned by g_(i_1) times the stored rows of
+    A_(d-i_1), then by those monomials (`_spanning_rows`).  Pushing stops
+    once the degree-d piece is saturated."""
+    rows = _spanning_rows(columns, pieri_map, degrees)
     slices: list[DegreeSlice] = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
-        if d == 0:
-            sl.add_row([1])
-        elif degrees and degrees[0] <= d:
-            step = pieri_map(d, degrees[0])
-            for src in slices[d - degrees[0]].row_terms():
-                if sl.saturated:
-                    break
-                sl.add_row(apply_map(src, step, len(cols)))
-        for b in monomials[d]:
-            if sl.saturated:
-                break
-            sl.add_row(apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), len(cols)))
+        for row in rows(d, lambda e: slices[e].row_terms(), lambda: sl.saturated):
+            sl.add_row(row)
         slices.append(sl)
     return tuple(slices)
+
+
+P = (1 << 20) - 3  # a prime: the modulus of `PackedRank`
+_MASK = (1 << 64) - 1
+
+
+class PackedRank:
+    """Row echelon mod P over width columns.  A stored row is one int with a
+    64-bit slot per column, column j at bits 64j..64j+63: entries in [0, P),
+    1 at its pivot and 0 at the pivots stored before it."""
+
+    def __init__(self, width: int):
+        # reducing a row adds at most width multiples (< P) of stored rows
+        # (entries < P) to entries < P, so every slot stays below
+        # width * P^2 + P and no slot carries into the next
+        if width * P * P + P >= 1 << 64:
+            raise OverflowError(f"{width} columns mod {P} can carry out of a 64-bit slot")
+        self.width = width
+        self._slots = Struct(f"<{width}Q")
+        self._pivots: list[int] = []
+        self._rows: list[int] = []
+
+    def _pack(self, entries: Sequence[int]) -> int:
+        return int.from_bytes(self._slots.pack(*entries), "little")
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add_row(self, row: Sequence[int]) -> bool:
+        """Insert a dense integer row; True when it enlarges the span mod P."""
+        x = self._pack([a % P for a in row])
+        for j, stored in zip(self._pivots, self._rows):
+            v = ((x >> 64 * j) & _MASK) % P
+            if v:
+                x += (P - v) * stored
+        entries = [a % P for a in self._slots.unpack(x.to_bytes(8 * self.width, "little"))]
+        lead = next(filter(None, entries), 0)
+        if not lead:
+            return False
+        inverse = pow(lead, -1, P)
+        self._pivots.append(entries.index(lead))
+        self._rows.append(self._pack([a * inverse % P for a in entries]))
+        return True
+
+
+def generated_ranks(
+    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
+) -> tuple[int, ...]:
+    """The ranks of the pieces `generated_slices` builds, in the same
+    arguments: each degree by `PackedRank` up to its bound, by a
+    `DegreeSlice` over every candidate where it falls short (see the module
+    docstring).  Only the basis of degree d - i_1 is kept for degree d."""
+    rows = _spanning_rows(columns, pieri_map, degrees)
+    counts = _monomial_counts(len(columns) - 1, degrees)
+    bases: dict[int, Iterable] = {}
+    ranks = []
+    for d, cols in enumerate(columns):
+        width = len(cols)
+        bound = min(width, counts[d])
+        packed = PackedRank(width)
+        candidates = [(row, packed.add_row(row)) for row in rows(d, bases.pop, lambda: packed.rank == bound)]
+        rank = packed.rank
+        if rank == width:
+            bases[d] = (((j, 1),) for j in range(width))
+        elif rank == bound:
+            bases[d] = (enumerate(row) for row, new in candidates if new)
+        else:
+            sl = DegreeSlice(d, cols)
+            for row, _ in candidates:
+                if sl.saturated:
+                    break
+                sl.add_row(row)
+            bases[d], rank = sl.row_terms(), sl.rank
+        ranks.append(rank)
+        del candidates  # before the next degree's candidates are built
+    return tuple(ranks)

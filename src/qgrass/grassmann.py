@@ -17,7 +17,9 @@ ever formed.  The shared builder `echelon.generated_slices` pushes integer
 rows through those maps into the degree-d echelon: h_1 times every stored
 echelon row of degree d - 1, then the monomials of degree d in h_2..h_m
 (built through the same maps), since a monomial either has a factor h_1 or
-lies in h_2..h_m alone.
+lies in h_2..h_m alone.  `subalgebra_hilbert` reads the ranks alone, through
+`echelon.generated_ranks` over the same walk; the candidate-basis reports
+read the exact pieces.
 
 The candidate-basis reports work on the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu only
@@ -36,7 +38,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .echelon import DegreeSlice, apply_map, generated_slices
+from .echelon import DegreeSlice, apply_map, generated_ranks, generated_slices
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -101,24 +103,34 @@ def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple
     return ((1, tuple(out)),)
 
 
+def _generated(builder, ell: int, k: int, m: int):
+    """The subalgebra generated by h_1..h_m, through `generated_slices` or `generated_ranks`."""
+    if ell < 0 or k < 0 or m < 0:
+        raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
+    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    return builder(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
+
+
 @cache
 def _slice_data(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
-    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return generated_slices(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
+    return _generated(generated_slices, ell, k, m)
+
+
+@cache
+def _rank_data(ell: int, k: int, m: int) -> tuple[int, ...]:
+    return _generated(generated_ranks, ell, k, m)
 
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
     """Echelon bases of every graded piece of the subalgebra generated in
     degrees at most m.  Treat the returned slices as immutable."""
-    if ell < 0 or k < 0 or m < 0:
-        raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
     return _slice_data(ell, k, m)
 
 
 def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:
-    """Hilbert series of the subalgebra generated in degrees at most m."""
-    slices = subalgebra_slices(ell, k, m)
-    return QPoly({sl.degree: sl.rank for sl in slices})
+    """Hilbert series of the subalgebra generated in degrees at most m, from
+    the ranks alone (`echelon.generated_ranks`)."""
+    return QPoly(dict(enumerate(_rank_data(ell, k, m))))
 
 
 class BasisDegree(NamedTuple):

@@ -167,8 +167,9 @@ def check_rt(ell: int, k: int) -> list[Case]:
 def check_lg(n: int) -> list[Case]:
     """Lagrangian subalgebra Hilbert series against the closed formula for each
     m (proven for m in {1, n}), plus the even-m stabilisation theorem: e_m, the
-    Schubert class of (m), lies in the subalgebra of the odd e_i < m, so that
-    subalgebra is the even-m one too; a pass reports the shared series."""
+    Schubert class of (m), lies in the subalgebra of the odd e_i < m (a
+    membership in an exact build of its degrees 0..m), so that subalgebra is
+    the even-m one too; a pass reports the shared series."""
     cases = []
     for m in range(1, n + 1):
         kind = THEOREM if m in (1, n) else CONJECTURE
@@ -177,7 +178,7 @@ def check_lg(n: int) -> list[Case]:
         cases.append(_case("lg", {"n": n, "m": m}, kind, expected, actual))
     for m in range(2, n + 1, 2):
         series = lg_subalgebra_hilbert(n, m - 1)
-        sl = lg_subalgebra_slices(n, m - 1)[m]
+        sl = lg_subalgebra_slices(n, m - 1, top=m)[m]
         inside = sl.contains_row([int(lam.parts == (m,)) for lam in sl.columns])
         cases.append(
             _case("lg-stab", {"n": n, "m": m}, THEOREM, series, series if inside else QPoly.zero(),

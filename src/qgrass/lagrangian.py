@@ -19,8 +19,9 @@ builder `echelon.generated_slices` pushes integer rows through the maps of
 the odd generators alone.  The relation for e_j^2 ends in 2 (-1)^(j+1) e_(2j),
 so e_(2j) lies in the subalgebra of e_1, ..., e_(2j-1): the subalgebra
 generated in degrees at most 2j is that of the odd e_i < 2j, shares its
-build, and no Pieri map of an even sigma_i is built.  The `lg-stab` check
-tests this stabilisation as a membership.
+build, and no Pieri map of an even sigma_i is built.  The Hilbert series
+reads the ranks alone (`echelon.generated_ranks`); the `lg-stab` check tests
+the stabilisation as a membership in an exact build of degrees 0..2j.
 
 The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
@@ -38,7 +39,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .echelon import DegreeSlice, apply_map, generated_slices
+from .echelon import DegreeSlice, apply_map, generated_ranks, generated_slices
 from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
 from .schur import SymVector
@@ -141,27 +142,44 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
     )
 
 
+def _lg_generated(builder, n: int, odd: int, top: int):
+    """The subalgebra generated by the odd e_i <= odd, in degrees 0..top,
+    through `generated_slices` or `generated_ranks`."""
+    columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
+    return builder(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
+
+
 @cache
-def _lg_slice_data(n: int, odd: int) -> tuple[DegreeSlice, ...]:
-    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return generated_slices(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
+def _lg_slice_data(n: int, odd: int, top: int) -> tuple[DegreeSlice, ...]:
+    return _lg_generated(generated_slices, n, odd, top)
 
 
-def lg_subalgebra_slices(n: int, m: int) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of every graded piece of the subalgebra generated by
-    e_1, ..., e_m, in the Schubert basis: the columns of degree d are the strict
-    partitions of d with parts at most n (parts decreasing).  The odd e_i <= m
-    generate it (the `lg-stab` theorem), so an even m shares the build of
-    m - 1.  Treat the returned slices as immutable."""
+@cache
+def _lg_rank_data(n: int, odd: int) -> tuple[int, ...]:
+    return _lg_generated(generated_ranks, n, odd, n * (n + 1) // 2)
+
+
+def _odd_bound(n: int, m: int) -> int:
+    # the odd e_i <= m generate the subalgebra (the `lg-stab` theorem)
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _lg_slice_data(n, m if m % 2 else m - 1)
+    return m if m % 2 else m - 1
+
+
+def lg_subalgebra_slices(n: int, m: int, top: int | None = None) -> tuple[DegreeSlice, ...]:
+    """Echelon bases of the graded pieces of the subalgebra generated by
+    e_1, ..., e_m, in degrees 0..top (default: every degree), in the
+    Schubert basis: the columns of degree d are the strict partitions of d
+    with parts at most n (parts decreasing).  The odd e_i <= m generate it,
+    so an even m shares the build of m - 1.  Treat the returned slices as
+    immutable."""
+    return _lg_slice_data(n, _odd_bound(n, m), n * (n + 1) // 2 if top is None else top)
 
 
 def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:
-    """Hilbert series of the subalgebra generated by e_1, ..., e_m."""
-    slices = lg_subalgebra_slices(n, m)
-    return QPoly({sl.degree: sl.rank for sl in slices})
+    """Hilbert series of the subalgebra generated by e_1, ..., e_m, from the
+    ranks alone (`echelon.generated_ranks`)."""
+    return QPoly(dict(enumerate(_lg_rank_data(n, _odd_bound(n, m)))))
 
 
 def lg_top_power(n: int) -> int:

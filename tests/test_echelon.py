@@ -7,9 +7,10 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qgrass import echelon
-from qgrass.echelon import DegreeSlice, _monomials, apply_map, generated_slices
+from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, generated_ranks, generated_slices
 from qgrass.grassmann import _box_columns, _pieri_map
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
@@ -378,3 +379,130 @@ def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zer
     monkeypatch.setattr(DegreeSlice, "add_row", counting_add_row)
     generated_slices(columns, pieri, degrees)
     assert (len(results), results.count(False)) == (inserts, zeros)
+
+
+# --- the packed mod-p rank path -----------------------------------------------
+
+
+def _point(space, size, m):
+    # generated_slices' arguments at a box (ell, k) or a Lagrangian n, with
+    # the odd generators up to m in the Lagrangian ring
+    if space == "box":
+        columns = [_box_columns(*size, d)[0] for d in range(size[0] * size[1] + 1)]
+        return columns, functools.partial(_pieri_map, *size), range(1, m + 1)
+    (n,) = size
+    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+    return columns, functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
+
+
+def _rank_points():
+    # every box with ell, k <= 6 (0 included) and m <= max(ell, k), and every
+    # Lagrangian n <= 10 with odd m: 252 + 30 points
+    boxes = [("box", (ell, k), m) for ell in range(7) for k in range(7) for m in range(max(ell, k) + 1)]
+    return boxes + [("lg", (n,), m) for n in range(1, 11) for m in range(1, n + 1, 2)]
+
+
+def test_generated_ranks_match_generated_slices():
+    points = _rank_points()
+    assert len(points) == 282
+    for point in points:
+        args = _point(*point)
+        assert generated_ranks(*args) == tuple(sl.rank for sl in generated_slices(*args)), point
+
+
+def _watch_exact_degrees(monkeypatch):
+    # the degrees at which generated_ranks falls back to the exact echelon
+    seen = []
+
+    class Watched(DegreeSlice):
+        def __init__(self, degree, columns):
+            seen.append(degree)
+            super().__init__(degree, columns)
+
+    monkeypatch.setattr(echelon, "DegreeSlice", Watched)
+    return seen
+
+
+def test_generated_ranks_stay_exact_under_a_bad_prime(monkeypatch):
+    # mod 2 every Lagrangian Pieri coefficient 2^e with e >= 1 vanishes, so
+    # ranks fall short of their bound and the exact echelon must settle them
+    points = [("lg", (n,), m) for n in range(2, 9) for m in range(1, n + 1, 2)] + [("box", (4, 4), 2)]
+    want = {point: tuple(sl.rank for sl in generated_slices(*_point(*point))) for point in points}
+    exact = _watch_exact_degrees(monkeypatch)
+    monkeypatch.setattr(echelon, "P", 2)
+    for point in points:
+        assert generated_ranks(*_point(*point)) == want[point], point
+    assert exact
+
+
+def test_packed_rank_asserts_the_slot_bound(monkeypatch):
+    # at most width multiples of P - 1 land on a slot, so width * P^2 + P
+    # must stay below 2^64: about 2^24 columns at P = 2^20 - 3, and the check
+    # reads the modulus in force
+    assert ((1 << 64) - echelon.P - 1) // echelon.P**2 >= 1 << 23
+    for p in (echelon.P, (1 << 31) - 1):
+        monkeypatch.setattr(echelon, "P", p)
+        widest = ((1 << 64) - p - 1) // (p * p)
+        assert PackedRank(widest).rank == 0
+        with pytest.raises(OverflowError):
+            PackedRank(widest + 1)
+
+
+def _rank_mod(rows, p):
+    # plain Gaussian elimination over F_p
+    mat = [[a % p for a in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inverse = pow(mat[rank][c], -1, p)
+        mat[rank] = [a * inverse % p for a in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c]:
+                f = mat[r][c]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.integers(-4, 4) | st.sampled_from([echelon.P, -echelon.P, 2 * echelon.P + 1, 3 << 40])
+
+
+@given(st.integers(1, 7).flatmap(lambda width: st.lists(st.lists(_entries, min_size=width, max_size=width), max_size=9)))
+def test_packed_rank_is_the_rank_mod_p(rows):
+    width = len(rows[0]) if rows else 3
+    packed = PackedRank(width)
+    grew = [packed.add_row(row) for row in rows]
+    assert packed.rank == grew.count(True) == _rank_mod(rows, echelon.P)
+    assert packed.rank <= _rank_oracle(rows)
+
+
+@pytest.mark.parametrize(
+    "space, size, m, exact_degrees, inserts",
+    [
+        ("box", (6, 6), 3, 6, 712),
+        ("box", (7, 7), 2, 6, 507),
+        ("box", (5, 5), 5, 0, 264),
+        ("lg", (9,), 5, 5, 480),
+        ("lg", (10,), 5, 9, 883),
+        ("lg", (11,), 3, 9, 573),
+    ],
+    ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
+)
+def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, inserts):
+    # The work of the rank path at the points of the exact builder's pin:
+    # how many degrees fall back to the exact echelon, and every mod-p insert.
+    calls = []
+    add_row = PackedRank.add_row
+
+    def counting_add_row(self, row):
+        calls.append(row)
+        return add_row(self, row)
+
+    args = _point(space, size, m)
+    exact = _watch_exact_degrees(monkeypatch)
+    monkeypatch.setattr(PackedRank, "add_row", counting_add_row)
+    generated_ranks(*args)
+    assert (len(exact), len(calls)) == (exact_degrees, inserts)

@@ -68,10 +68,10 @@ def test_lg_cases():
 
 
 def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
-    # build every Lagrangian subalgebra from e_1 alone: e_2 = e_1^2 / 2 still
-    # lies in it, but e_4 needs e_3, so the membership must reject it
-    def e1_only(n, odd):
-        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+    # build the exact pieces the membership reads from e_1 alone: e_2 =
+    # e_1^2 / 2 still lies in them, but e_4 needs e_3, so it must be rejected
+    def e1_only(n, odd, top):
+        columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
         return generated_slices(columns, functools.partial(_lg_pieri_map, n), (1,))
 
     monkeypatch.setattr(lagrangian, "_lg_slice_data", e1_only)
@@ -93,12 +93,15 @@ def test_check_lg_builds_from_odd_generators_only(monkeypatch):
 
     monkeypatch.setattr(lagrangian, "_lg_pieri_map", recording_pieri_map)
     for n in (1, 2, 7, 8):
+        lagrangian._lg_rank_data.cache_clear()
         lagrangian._lg_slice_data.cache_clear()
         pieri_map.cache_clear()
         built.clear()
         assert all(c.status == "pass" for c in check_lg(n))
-        # one build per odd bound, and no Pieri map of an even generator
-        assert lagrangian._lg_slice_data.cache_info().currsize == (n + 1) // 2
+        # one rank build per odd bound, one exact build of degrees 0..m per
+        # even m (the lg-stab membership), and no Pieri map of an even generator
+        assert lagrangian._lg_rank_data.cache_info().currsize == (n + 1) // 2
+        assert lagrangian._lg_slice_data.cache_info().currsize == n // 2
         assert built == set(range(1, n + 1, 2))
 
 
