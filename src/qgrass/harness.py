@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from .lagrangian import lg_subalgebra_hilbert, lg_subalgebra_slices, lg_top_power
 from .partitions import (
+    _box_k_conjugates,
     k_conjugate,
     partitions_in_box,
     shifted_compose,
@@ -139,8 +140,7 @@ def check_summand_identity(ell: int, k: int, i: int) -> Case:
         raise ValueError(f"need 1 <= i <= min(ell, k), got ell={ell}, k={k}, i={i}")
     formula = QPoly.q_power(i) * q_binomial(k, i) * q_binomial_prime(ell, i, k)
     vacant_sum = gen_sum(vacant_partitions(ell, k, i))
-    conjugates = (k_conjugate(lam, k) for lam in partitions_in_box(ell, k))
-    conj_sum = gen_sum(mu for mu in conjugates if mu.first == i)
+    conj_sum = gen_sum(mu for images in _box_k_conjugates(ell, k) for mu in images if mu.first == i)
     params = {"ell": ell, "k": k, "i": i}
     if vacant_sum != formula:
         return _case("summand", params, THEOREM, formula, vacant_sum,

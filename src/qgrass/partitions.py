@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Partition:
@@ -129,44 +129,68 @@ def is_core(lam: Partition, c: int) -> bool:
     return all(h != c for row in lam.hook_lengths() for h in row)
 
 
-def _row_hooks_ok(offset: int, length: int, below: list[tuple[int, int]], k: int) -> bool:
-    # Hooks of a left-shifted row, given the (offset, length) spans of the rows
-    # beneath it.  Arm counts boxes to the right in the row, leg counts rows
-    # below covering the same column.
-    for col in range(offset + 1, offset + length + 1):
-        arm = offset + length - col
-        leg = sum(1 for off2, len2 in below if off2 < col <= off2 + len2)
-        if arm + leg + 1 > k:
-            return False
-    return True
+def _lift(parts: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
+    # Row sliding, bottom row first: the rows of the (k+1)-core and its column
+    # heights.  heights[c] counts the rows already placed whose core row
+    # reaches column c + 1.  Offsets weakly decrease down the rows, so that
+    # count is the leg the slide sees under each box of a new row; heights is
+    # non-increasing, so a row's leftmost box has its largest hook,
+    # p + heights[off], and a row of length p goes to the smallest offset with
+    # heights[off] <= k - p.
+    heights: list[int] = []
+    ends: list[int] = []
+    for p in reversed(parts):
+        off = 0
+        while off < len(heights) and heights[off] > k - p:
+            off += 1
+        end = off + p
+        heights[:end] = [h + 1 for h in heights[:end]] + [1] * (end - len(heights))
+        ends.append(end)
+    ends.reverse()
+    return ends, heights
+
+
+def _kept_rows(rows: Sequence[int], cols: Sequence[int], k: int) -> tuple[int, ...] | None:
+    # Per row of the partition `rows` (with conjugate `cols`), its number of
+    # boxes with hook length at most k + 1; None when a hook equals k + 1, that
+    # is, when `rows` is not a (k+1)-core.  Hooks strictly increase leftwards
+    # along a row, so each row is read from its right end until they pass k + 1.
+    kept = []
+    for r, length in enumerate(rows):
+        c = length - 1
+        while c >= 0:
+            h = length - c + cols[c] - r - 1
+            if h > k + 1:
+                break
+            if h == k + 1:
+                return None
+            c -= 1
+        kept.append(length - 1 - c)
+    if any(a < b for a, b in zip(kept, kept[1:])) or (kept and kept[0] > k):
+        raise RuntimeError(f"box removal from {tuple(rows)} produced {tuple(kept)}")
+    return tuple(kept)
+
+
+def _check_bounded(lam: Partition, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if lam.first > k:
+        raise ValueError(f"{lam!r} is not {k}-bounded")
 
 
 def core_from_bounded(lam: Partition, k: int) -> Partition:
     """The unique (k+1)-core obtained by sliding the rows of a k-bounded partition.
 
-    Each row is shifted right until every one of its boxes has hook length at
-    most k.  A row's hooks depend only on the rows below it, so a single
-    bottom-to-top pass lands on the stable configuration; the final left
-    offsets determine the core.
+    Each row, bottom to top, is shifted right until every one of its boxes has
+    hook length at most k.  One pass over the column heights of the rows
+    already placed finds each offset, and one pass over the hooks checks that
+    the result is a (k+1)-core.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if lam.first > k:
-        raise ValueError(f"{lam!r} is not {k}-bounded")
-    parts = lam.parts
-    n = len(parts)
-    offsets = [0] * n
-    for r in range(n - 1, -1, -1):
-        below = [(offsets[s], parts[s]) for s in range(r + 1, n)]
-        off = 0
-        while not _row_hooks_ok(off, parts[r], below, k):
-            off += 1
-        offsets[r] = off
-    rows = tuple(offsets[r] + parts[r] for r in range(n))
-    core = Partition(rows, check=False)
-    if any(a < b for a, b in zip(rows, rows[1:])) or not is_core(core, k + 1):
-        raise RuntimeError(f"row sliding produced {rows}, which is not a {k + 1}-core")
-    return core
+    _check_bounded(lam, k)
+    rows, heights = _lift(lam.parts, k)
+    if _kept_rows(rows, heights, k) is None:
+        raise RuntimeError(f"row sliding produced {tuple(rows)}, which is not a {k + 1}-core")
+    return Partition(rows, check=False)
 
 
 def bounded_from_core(core: Partition, k: int) -> Partition:
@@ -174,41 +198,38 @@ def bounded_from_core(core: Partition, k: int) -> Partition:
 
     A (k+1)-core has no hook equal to k+1, so deleting hooks > k+1 is the same
     as keeping hooks <= k; the surviving boxes per row form a k-bounded
-    partition.
+    partition.  One pass over the hooks both counts them and refuses a
+    partition that is not a (k+1)-core.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not is_core(core, k + 1):
+    rows = _kept_rows(core.parts, _conjugate(core.parts), k)
+    if rows is None:
         raise ValueError(f"{core!r} is not a {k + 1}-core")
-    rows = tuple(sum(1 for h in row if h <= k + 1) for row in core.hook_lengths())
-    out = Partition(rows, check=False)
-    if any(a < b for a, b in zip(rows, rows[1:])) or out.first > k:
-        raise RuntimeError(f"box removal from {core!r} produced {rows}")
-    return out
+    return Partition(rows, check=False)
 
 
 @cache
 def _k_conjugate(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    core = core_from_bounded(Partition(parts, check=False), k)
-    return bounded_from_core(core.conjugate(), k).parts
+    # The core's column heights are the rows of its transpose, so box removal
+    # reads the transposed core straight from the lift.
+    rows, heights = _lift(parts, k)
+    kept = _kept_rows(heights, rows, k)
+    if kept is None:
+        raise RuntimeError(f"row sliding produced {tuple(rows)}, which is not a {k + 1}-core")
+    return kept
 
 
 def k_conjugate(lam: Partition, k: int) -> Partition:
     """k-conjugation: core lift, transpose, box removal."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if lam.first > k:
-        raise ValueError(f"{lam!r} is not {k}-bounded")
+    _check_bounded(lam, k)
     return Partition(_k_conjugate(lam.parts, k), check=False)
 
 
 def vacancy(lam: Partition, k: int) -> int:
     """Largest i such that the complement of lam in (k^len(lam)) contains an
     i x (i-1) rectangle in its southeast corner; 0 for the empty partition."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if lam.first > k:
-        raise ValueError(f"{lam!r} is not {k}-bounded")
+    _check_bounded(lam, k)
     n = len(lam)
     best = 0
     for i in range(1, n + 1):

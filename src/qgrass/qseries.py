@@ -8,13 +8,16 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
 
 
 class QPoly:
-    """Polynomial in q with arbitrary-precision integer coefficients."""
+    """Polynomial in q with arbitrary-precision integer coefficients.
+
+    The constructor takes only int exponents and coefficients, so no value is
+    ever rounded on the way in."""
 
     __slots__ = ("_c",)
 
@@ -22,11 +25,20 @@ class QPoly:
         data = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int or type(c) is not int:
+                    raise TypeError(f"exponents and coefficients must be ints, got {c!r} at {e!r}")
                 if c:
                     if e < 0:
                         raise ValueError(f"exponents must be nonnegative, got {e}")
-                    data[int(e)] = int(c)
+                    data[e] = c
         self._c = data
+
+    @classmethod
+    def _wrap(cls, data: dict[int, int]) -> "QPoly":
+        # a dict built from QPoly data: nonnegative int exponents, int coefficients
+        out = cls.__new__(cls)
+        out._c = {e: c for e, c in data.items() if c}
+        return out
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -70,24 +82,24 @@ class QPoly:
         data = dict(self._c)
         for e, c in other._c.items():
             data[e] = data.get(e, 0) + c
-        return QPoly(data)
+        return QPoly._wrap(data)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         data = dict(self._c)
         for e, c in other._c.items():
             data[e] = data.get(e, 0) - c
-        return QPoly(data)
+        return QPoly._wrap(data)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self._c.items()})
+            return QPoly._wrap({e: c * other for e, c in self._c.items()})
         if isinstance(other, QPoly):
             data: dict[int, int] = {}
             for e1, c1 in self._c.items():
                 for e2, c2 in other._c.items():
                     e = e1 + e2
                     data[e] = data.get(e, 0) + c1 * c2
-            return QPoly(data)
+            return QPoly._wrap(data)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -112,49 +124,67 @@ class QPoly:
         return f"QPoly({self})"
 
 
+def _q_column(b: int, top: int) -> Iterator[list[int]]:
+    """Coefficient lists of the Gaussian binomials [r, b]_q for r = b..top.
+
+    Each comes from the one before by [r+1, b] = [r, b] (1 - q^(r+1)) / (1 - q^(r+1-b)):
+    the product is one shifted subtraction and the exact division one running
+    sum, so the walk holds one entry of the column at a time.
+    """
+    f = [1]
+    yield f
+    for r in range(b, top):
+        n, s = r + 1, r + 1 - b
+        # [r+1, b] has degree b more than [r, b]; the division is exact, so the
+        # running sum stops there and the product's higher terms are never formed
+        g = f + [0] * b
+        for e in range(n, len(g)):
+            g[e] -= f[e - n]
+        for e in range(s, len(g)):
+            g[e] += g[e - s]
+        f = g
+        yield f
+
+
+def _shifted_sum(terms: Iterable[tuple[int, list[int]]]) -> QPoly:
+    """The sum of q^shift times each coefficient list, built as one QPoly."""
+    data: dict[int, int] = {}
+    for shift, coeffs in terms:
+        for e, c in enumerate(coeffs, shift):
+            data[e] = data.get(e, 0) + c
+    return QPoly._wrap(data)
+
+
 @cache
 def q_binomial(a: int, b: int) -> QPoly:
-    """Gaussian binomial coefficient, via the Pascal recurrence
-    [r, j] = [r-1, j-1] + q^j [r-1, j] (division-free), built row by row so
-    that large `a` needs no recursion."""
+    """Gaussian binomial coefficient [a, b]_q, the last entry of the walk down
+    column min(b, a - b) (see _q_column); the walk is a loop, so large `a`
+    needs no recursion, and it holds one column entry at a time."""
     if a < 0:
         raise ValueError(f"q_binomial needs a >= 0, got {a}")
     if b < 0 or b > a:
         return QPoly.zero()
-    b = min(b, a - b)  # [a, b] = [a, a - b]
-    # Row r holds the coefficient lists of [r, j] for j = 0..min(r, b); plain
-    # int lists, because QPoly arithmetic here costs ten times as much.
-    row = [[1]]
-    for r in range(1, a + 1):
-        new = [[1]]
-        for j in range(1, min(r, b) + 1):
-            c = row[j - 1] + [0] * (j * (r - j) + 1 - len(row[j - 1]))
-            if j < len(row):
-                for e, x in enumerate(row[j], j):
-                    c[e] += x
-            new.append(c)
-        row = new
-    return QPoly.from_coeffs(row[b])
+    for coeffs in _q_column(min(b, a - b), a):
+        pass
+    return QPoly._wrap(dict(enumerate(coeffs)))
 
 
 def q_binomial_prime(ell: int, i: int, k: int) -> QPoly:
-    """Width-k q-analogue of binomial(ell, i): sum of q^(j(k-i+1)) [i+j-1, j]_q."""
+    """Width-k q-analogue of binomial(ell, i): sum of q^(j(k-i+1)) [i+j-1, j]_q.
+
+    [i+j-1, j] = [i+j-1, i-1], so the terms are one walk down column i - 1."""
     if not (1 <= i <= ell and i <= k):
         raise ValueError(f"need 1 <= i <= ell and i <= k, got ell={ell}, i={i}, k={k}")
-    out = QPoly.zero()
-    for j in range(ell - i + 1):
-        out = out + QPoly.q_power(j * (k - i + 1)) * q_binomial(i + j - 1, j)
-    return out
+    column = _q_column(i - 1, ell - 1)
+    return _shifted_sum((j * (k - i + 1), coeffs) for j, coeffs in enumerate(column))
 
 
 def q_binomial_double_prime(n: int, i: int) -> QPoly:
-    """Shifted q-analogue of binomial(n+1, i+1): q^i sum of q^C(j+1,2) [i+j, i]_q."""
+    """Shifted q-analogue of binomial(n+1, i+1): q^i sum of q^C(j+1,2) [i+j, i]_q,
+    one walk down column i."""
     if not (1 <= i <= n):
         raise ValueError(f"need 1 <= i <= n, got n={n}, i={i}")
-    out = QPoly.zero()
-    for j in range(n - i + 1):
-        out = out + QPoly.q_power(comb(j + 1, 2)) * q_binomial(i + j, i)
-    return QPoly.q_power(i) * out
+    return _shifted_sum((i + comb(j + 1, 2), coeffs) for j, coeffs in enumerate(_q_column(i, n)))
 
 
 def grass_hilbert_series(ell: int, k: int) -> QPoly:

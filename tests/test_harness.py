@@ -141,7 +141,15 @@ def test_roundtrip_and_identity_cases():
     assert check_vacancy_conjugation(4, 4).status == "pass"
 
 
-def test_summand_fails_on_either_broken_side(monkeypatch):
+@pytest.fixture
+def fresh_box_conjugates():
+    # a patched k_conjugate must not leave its images in the per-box memo
+    partitions._box_k_conjugates.cache_clear()
+    yield
+    partitions._box_k_conjugates.cache_clear()
+
+
+def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_conjugates):
     formula = QPoly.from_coeffs([0, 0, 1, 1, 2, 2, 2, 1])
     vacant = partitions.vacant_partitions
     # an i-vacant enumeration that loses its first partition, (2)
@@ -150,13 +158,30 @@ def test_summand_fails_on_either_broken_side(monkeypatch):
     assert (case.status, case.expected) == ("fail", formula)
     assert case.actual == formula - QPoly.q_power(2)
     assert case.detail == "i-vacant generating sum disagrees with the formula"
-    # a k-conjugation that forgets to conjugate
+    # a k-conjugation that forgets to conjugate, reached through the per-box memo
     monkeypatch.setattr(harness, "vacant_partitions", vacant)
-    monkeypatch.setattr(harness, "k_conjugate", lambda lam, k: lam)
+    monkeypatch.setattr(partitions, "k_conjugate", lambda lam, k: lam)
+    partitions._box_k_conjugates.cache_clear()
     case = check_summand_identity(3, 3, 2)
     assert (case.status, case.expected) == ("fail", formula)
     assert case.actual == QPoly.from_coeffs([0, 0, 1, 1, 2, 1, 1])
     assert case.detail == "k-conjugate reformulation disagrees with the formula"
+
+
+def test_summand_cases_k_conjugate_each_box_partition_once(monkeypatch, fresh_box_conjugates):
+    calls, real = [], partitions.k_conjugate
+
+    def counted(lam, k):
+        calls.append((lam, k))
+        return real(lam, k)
+
+    monkeypatch.setattr(partitions, "k_conjugate", counted)
+    for ell, k in [(3, 3), (2, 4), (4, 3), (5, 5)]:
+        calls.clear()
+        for i in range(1, min(ell, k) + 1):
+            assert check_summand_identity(ell, k, i).status == "pass", (ell, k, i)
+        box = [(lam, k) for lam in partitions.partitions_in_box(ell, k)]
+        assert sorted(calls) == sorted(box), (ell, k)
 
 
 def test_vacancy_conjugation_fails_on_a_broken_conjugate(monkeypatch):

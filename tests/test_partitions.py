@@ -34,9 +34,9 @@ def partitions(draw, max_part=6, max_len=6):
 
 
 @st.composite
-def bounded_partitions(draw, max_k=6, max_len=6):
+def bounded_partitions(draw, max_k=6, max_len=6, min_len=0):
     k = draw(st.integers(1, max_k))
-    parts = draw(st.lists(st.integers(1, k), max_size=max_len))
+    parts = draw(st.lists(st.integers(1, k), min_size=min_len, max_size=max_len))
     return Partition(sorted(parts, reverse=True)), k
 
 
@@ -172,6 +172,52 @@ def test_k_conjugate_reduces_to_conjugate_for_small_hooks():
             for lam in k_bounded_partitions(k, d):
                 if all(h <= k for row in lam.hook_lengths() for h in row):
                     assert k_conjugate(lam, k) == lam.conjugate()
+
+
+def _slide(lam, k):
+    """Reference (k+1)-core: row sliding as first written.  Each row, bottom to
+    top, moves right one column at a time until every box has hook length at
+    most k, with each leg recounted against every lower row."""
+
+    def row_hooks_ok(offset, length, below):
+        for col in range(offset + 1, offset + length + 1):
+            arm = offset + length - col
+            leg = sum(1 for off2, len2 in below if off2 < col <= off2 + len2)
+            if arm + leg + 1 > k:
+                return False
+        return True
+
+    parts = lam.parts
+    offsets = [0] * len(parts)
+    for r in range(len(parts) - 1, -1, -1):
+        below = [(offsets[s], parts[s]) for s in range(r + 1, len(parts))]
+        while not row_hooks_ok(offsets[r], parts[r], below):
+            offsets[r] += 1
+    return Partition([off + p for off, p in zip(offsets, parts)])
+
+
+def _slide_k_conjugate(lam, k):
+    """Reference k-conjugate: slide, transpose, keep the hooks <= k + 1."""
+    core = _slide(lam, k).conjugate()
+    assert is_core(core, k + 1)
+    return Partition([sum(1 for h in row if h <= k + 1) for row in core.hook_lengths()])
+
+
+def _assert_matches_slide(lam, k):
+    assert core_from_bounded(lam, k) == _slide(lam, k), (lam, k)
+    assert k_conjugate(lam, k) == _slide_k_conjugate(lam, k), (lam, k)
+
+
+def test_column_height_scan_matches_row_sliding_in_7_row_boxes():
+    # the 7 x k box holds every k-bounded partition of every box up to 7 x k
+    for k in range(1, 8):
+        for lam in partitions_in_box(7, k):
+            _assert_matches_slide(lam, k)
+
+
+@given(bounded_partitions(max_k=8, min_len=40, max_len=60))
+def test_column_height_scan_matches_row_sliding_on_long_partitions(data):
+    _assert_matches_slide(*data)
 
 
 # --- vacancy ----------------------------------------------------------------

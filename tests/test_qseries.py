@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from qgrass.partitions import (
 )
 from qgrass.qseries import (
     QPoly,
+    _q_column,
     gen_sum,
     grass_hilbert_series,
     grass_subalgebra_formula,
@@ -50,6 +52,17 @@ def test_qpoly_ring_ops():
         QPoly({-1: 1})
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0: Fraction(7, 2)}, {0: Fraction(4, 1)}, {2.7: 3}, {2.0: 3}, {0: 3.0}, {1: 0.0}, {0: True}],
+    ids=["fraction", "whole-fraction", "float-exponent", "whole-float-exponent", "float", "float-zero", "bool"],
+)
+def test_qpoly_refuses_non_int_values(coeffs):
+    # rounding 7/2 to 3 or q^2.7 to q^2 would break exactness silently
+    with pytest.raises(TypeError):
+        QPoly(coeffs)
+
+
 # --- Gaussian binomials ------------------------------------------------------
 
 
@@ -71,6 +84,36 @@ def test_q_binomial_counts_partitions_in_a_box():
             counts[a + b] += 1
     assert q_binomial(4, 2) == QPoly.from_coeffs(counts)
     assert counts == [1, 1, 2, 1, 1]
+
+
+def _pascal(top):
+    """Reference Gaussian binomials: table[a][b] is the coefficient list of
+    [a, b]_q, from the Pascal recurrence [a, b] = [a-1, b-1] + q^b [a-1, b]."""
+    table = [[[1]]]
+    for a in range(1, top + 1):
+        row = [[1]]
+        for b in range(1, a + 1):
+            c = table[a - 1][b - 1] + [0] * (b * (a - b) + 1 - len(table[a - 1][b - 1]))
+            if b < a:
+                for e, x in enumerate(table[a - 1][b], b):
+                    c[e] += x
+            row.append(c)
+        table.append(row)
+    return table
+
+
+PASCAL = _pascal(30)
+
+
+def test_q_binomial_matches_the_pascal_table():
+    for a in range(31):
+        for b in range(a + 1):
+            assert q_binomial(a, b) == QPoly.from_coeffs(PASCAL[a][b]), (a, b)
+
+
+def test_q_column_walks_the_pascal_table():
+    for b in range(31):
+        assert list(_q_column(b, 30)) == [PASCAL[r][b] for r in range(b, 31)], b
 
 
 def test_q_binomial_pascal_recurrence():
@@ -101,6 +144,21 @@ def test_q_binomial_prime_examples():
         q_binomial_prime(3, 4, 5)
     with pytest.raises(ValueError):
         q_binomial_prime(3, 3, 2)
+
+
+def test_primed_q_binomials_match_their_defining_sums():
+    def pascal(a, b):
+        return QPoly.from_coeffs(PASCAL[a][b])
+
+    for ell in range(1, 13):
+        for k in range(1, 13):
+            for i in range(1, min(ell, k) + 1):
+                terms = [Q(j * (k - i + 1)) * pascal(i + j - 1, j) for j in range(ell - i + 1)]
+                assert q_binomial_prime(ell, i, k) == sum(terms, QPoly.zero()), (ell, i, k)
+    for n in range(1, 13):
+        for i in range(1, n + 1):
+            terms = [Q(comb(j + 1, 2)) * pascal(i + j, i) for j in range(n - i + 1)]
+            assert q_binomial_double_prime(n, i) == Q(i) * sum(terms, QPoly.zero()), (n, i)
 
 
 def test_q_binomial_prime_at_one_is_binomial():
