@@ -20,16 +20,15 @@ the monomials of degree d in the other generators, each built through the
 Pieri maps.  Only the smallest generator reads the stored rows.
 
 `generated_ranks` gives the ranks of the same pieces, exactly, with the exact
-echelon run only where a cheaper rank falls short of its bound.  `PackedRank`
+echelon run only where a cheaper rank cannot settle a degree.  `PackedRank`
 holds an echelon mod the prime P = 2^20 - 3, each row one int with a 64-bit
 slot per column, and reduces a row by one big-int multiply-add per pivot.
 The walk is that of `generated_slices`, over a basis of each degree, and the
-candidates of degree d are integer vectors that span A_d over Q.  So
-rank_p <= rank_Q = dim A_d <= min(dim H_d, number of generator monomials of
-degree d), and a degree whose rank_p reaches that bound has dim A_d equal to
-it.  Rows independent mod p are independent over Q, so the independent
-candidates of such a degree form a Q-basis of A_d, or A_d is all of H_d and
-the unit rows are one.  A degree whose rank_p stays below the bound (a bad
+n candidates of degree d are integer vectors that span A_d over Q.  So
+rank_p <= rank_Q = dim A_d <= min(dim H_d, n).  Rows independent mod p are
+independent over Q, so a degree is settled when rank_p = dim H_d (A_d is all
+of H_d, and the unit rows are a basis; the walk stops there) or rank_p = n
+(the candidates themselves are a Q-basis of A_d).  Any other degree (a bad
 prime, or a dependency over Q) is settled by a `DegreeSlice` over every
 candidate, and its reduced rows go on.
 """
@@ -182,16 +181,6 @@ def _monomials(top: int, parts: Sequence[int]) -> list[list[tuple[int, ...]]]:
     return table
 
 
-def _monomial_counts(top: int, parts: Sequence[int]) -> list[int]:
-    """counts[e], for e <= top: the number of monomials of degree e in
-    generators of the given degrees (coin-change counting)."""
-    counts = [1] + [0] * top
-    for b in parts:
-        for e in range(b, top + 1):
-            counts[e] += counts[e - b]
-    return counts
-
-
 def _spanning_rows(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
 ) -> Callable[[int, Callable[[int], Iterable], Callable[[], bool]], Iterator[list[int]]]:
@@ -307,23 +296,21 @@ def generated_ranks(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
 ) -> tuple[int, ...]:
     """The ranks of the pieces `generated_slices` builds, in the same
-    arguments: each degree by `PackedRank` up to its bound, by a
-    `DegreeSlice` over every candidate where it falls short (see the module
+    arguments: each degree by `PackedRank` where its rank settles it, by a
+    `DegreeSlice` over every candidate where it does not (see the module
     docstring).  Only the basis of degree d - i_1 is kept for degree d."""
     rows = _spanning_rows(columns, pieri_map, degrees)
-    counts = _monomial_counts(len(columns) - 1, degrees)
     bases: dict[int, Iterable] = {}
     ranks = []
     for d, cols in enumerate(columns):
         width = len(cols)
-        bound = min(width, counts[d])
         packed = PackedRank(width)
-        candidates = [(row, packed.add_row(row)) for row in rows(d, bases.pop, lambda: packed.rank == bound)]
+        candidates = [(row, packed.add_row(row)) for row in rows(d, bases.pop, lambda: packed.rank == width)]
         rank = packed.rank
         if rank == width:
             bases[d] = (((j, 1),) for j in range(width))
-        elif rank == bound:
-            bases[d] = (enumerate(row) for row, new in candidates if new)
+        elif rank == len(candidates):
+            bases[d] = (enumerate(row) for row, _ in candidates)
         else:
             sl = DegreeSlice(d, cols)
             for row, _ in candidates:

@@ -17,6 +17,7 @@ from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from .lagrangian import lg_subalgebra_hilbert, lg_subalgebra_slices, lg_top_power
 from .partitions import (
     _box_k_conjugates,
+    _box_vacancy_sums,
     k_conjugate,
     partitions_in_box,
     shifted_compose,
@@ -25,7 +26,6 @@ from .partitions import (
     vacancy,
     vacant_compose,
     vacant_decompose,
-    vacant_partitions,
 )
 from .qseries import (
     QPoly,
@@ -135,11 +135,12 @@ def _case(name, params, kind, expected: QPoly, actual: QPoly, detail: str = "") 
 def check_summand_identity(ell: int, k: int, i: int) -> Case:
     """Three-way identity: formula summand, i-vacant generating sum, and the
     generating sum over first-part-i partitions with in-box k-conjugate.
+    Both sums read per-box memos, so every i shares one pass over the box.
     These are theorems, so any failure is a bug."""
     if not (1 <= i <= min(ell, k)):
         raise ValueError(f"need 1 <= i <= min(ell, k), got ell={ell}, k={k}, i={i}")
     formula = QPoly.q_power(i) * q_binomial(k, i) * q_binomial_prime(ell, i, k)
-    vacant_sum = gen_sum(vacant_partitions(ell, k, i))
+    vacant_sum = QPoly.from_coeffs(_box_vacancy_sums(ell, k)[i])
     conj_sum = gen_sum(mu for images in _box_k_conjugates(ell, k) for mu in images if mu.first == i)
     params = {"ell": ell, "k": k, "i": i}
     if vacant_sum != formula:

@@ -45,7 +45,7 @@ def weak_pieri_targets(nu: Partition, r: int, k: int) -> tuple[Partition, ...]:
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     if nu.first > k:
         raise ValueError(f"{nu!r} is not {k}-bounded")
-    return tuple(Partition(t, check=False) for t in _targets(nu.parts, r, k))
+    return tuple(Partition._wrap(t) for t in _targets(nu.parts, r, k))
 
 
 def _weak_pieri_step(

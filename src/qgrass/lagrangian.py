@@ -76,7 +76,7 @@ def normal_form(indices: Iterable[int], n: int) -> SymVector:
     mono = tuple(sorted(indices))
     if any(i < 1 or i > n for i in mono):
         raise ValueError(f"indices must lie in [1, {n}], got {mono}")
-    return SymVector._wrap({Partition(key[::-1], check=False): c for key, c in _reduce_monomial(mono, n)})
+    return SymVector._wrap({Partition._wrap(key[::-1]): c for key, c in _reduce_monomial(mono, n)})
 
 
 def multiply(u: SymVector, v: SymVector, n: int) -> SymVector:

@@ -1,10 +1,12 @@
 """Integer partitions: hooks, cores, k-conjugation, vacancy, and bijective decompositions.
 
 Everything in this module is a pure function on immutable values.
-Partitions are value objects: construction trims trailing zeros and validates
-the weakly decreasing invariant.  The text format used by the CLI and JSON
-reports is a comma-separated list of parts, with the empty string denoting
-the empty partition.
+Partitions are value objects: construction takes int parts only (anything
+else is a TypeError), trims trailing zeros and validates the positive, weakly
+decreasing invariant.  Code here that builds a finished tuple wraps it with
+`Partition._wrap`, which skips the checks.  The text format used by the CLI
+and JSON reports is a comma-separated list of parts, with the empty string
+denoting the empty partition.
 """
 
 from __future__ import annotations
@@ -19,18 +21,28 @@ class Partition:
 
     __slots__ = ("_parts", "_hash")
 
-    def __init__(self, parts: Iterable[int] = (), check: bool = True):
-        data = tuple(int(p) for p in parts)
+    def __init__(self, parts: Iterable[int] = ()):
+        data = tuple(parts)
+        for p in data:
+            if type(p) is not int:
+                raise TypeError(f"partition parts must be ints, got {p!r}")
         while data and data[-1] == 0:
             data = data[:-1]
-        if check and data:
-            if data[-1] <= 0:
-                raise ValueError(f"partition parts must be positive, got {data}")
-            for a, b in zip(data, data[1:]):
-                if a < b:
-                    raise ValueError(f"partition parts must be weakly decreasing, got {data}")
+        if data and data[-1] < 0:
+            raise ValueError(f"partition parts must be positive, got {data}")
+        for a, b in zip(data, data[1:]):
+            if a < b:
+                raise ValueError(f"partition parts must be weakly decreasing, got {data}")
         self._parts = data
         self._hash = hash(data)
+
+    @classmethod
+    def _wrap(cls, parts: tuple[int, ...]) -> "Partition":
+        # a finished tuple: positive, weakly decreasing int parts, no trailing zero
+        out = cls.__new__(cls)
+        out._parts = parts
+        out._hash = hash(parts)
+        return out
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -98,7 +110,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram (column lengths)."""
-        return Partition(_conjugate(self._parts), check=False)
+        return Partition._wrap(_conjugate(self._parts))
 
     def hook_lengths(self) -> list[list[int]]:
         """Hook length of every cell, row by row."""
@@ -190,7 +202,7 @@ def core_from_bounded(lam: Partition, k: int) -> Partition:
     rows, heights = _lift(lam.parts, k)
     if _kept_rows(rows, heights, k) is None:
         raise RuntimeError(f"row sliding produced {tuple(rows)}, which is not a {k + 1}-core")
-    return Partition(rows, check=False)
+    return Partition._wrap(tuple(rows))
 
 
 def bounded_from_core(core: Partition, k: int) -> Partition:
@@ -206,7 +218,7 @@ def bounded_from_core(core: Partition, k: int) -> Partition:
     rows = _kept_rows(core.parts, _conjugate(core.parts), k)
     if rows is None:
         raise ValueError(f"{core!r} is not a {k + 1}-core")
-    return Partition(rows, check=False)
+    return Partition._wrap(rows)
 
 
 @cache
@@ -223,7 +235,7 @@ def _k_conjugate(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
 def k_conjugate(lam: Partition, k: int) -> Partition:
     """k-conjugation: core lift, transpose, box removal."""
     _check_bounded(lam, k)
-    return Partition(_k_conjugate(lam.parts, k), check=False)
+    return Partition._wrap(_k_conjugate(lam.parts, k))
 
 
 def vacancy(lam: Partition, k: int) -> int:
@@ -252,8 +264,9 @@ def vacant_decompose(lam: Partition, k: int) -> tuple[int, int, Partition, Parti
         raise ValueError("the empty partition has no vacant decomposition")
     i = vacancy(lam, k)
     j = len(lam) - i
-    ddagger = Partition((lam[r] - (k - i + 1) for r in range(j)), check=False)
-    dagger = Partition((lam[j + s] - 1 for s in range(i)), check=False)
+    # both pieces can end in zeros, so they go through the validating constructor
+    ddagger = Partition(lam[r] - (k - i + 1) for r in range(j))
+    dagger = Partition(lam[j + s] - 1 for s in range(i))
     return i, j, dagger, ddagger
 
 
@@ -269,7 +282,7 @@ def vacant_compose(i: int, j: int, dagger: Partition, ddagger: Partition, k: int
         raise ValueError(f"ddagger {ddagger!r} does not fit in a {j} x {i - 1} box")
     rows = [(k - i + 1) + ddagger.part(r) for r in range(j)]
     rows += [1 + dagger.part(s) for s in range(i)]
-    return Partition(rows, check=False)
+    return Partition._wrap(tuple(rows))
 
 
 def shifted_decompose(lam: Partition, n: int) -> tuple[int, int, Partition]:
@@ -285,7 +298,7 @@ def shifted_decompose(lam: Partition, n: int) -> tuple[int, int, Partition]:
     ell = len(lam)
     j = ell if (lam.first - ell) % 2 == 1 else ell - 1
     i = lam.first - j
-    mu = Partition((lam.part(r) - (j - r) for r in range(1, j + 1)), check=False)
+    mu = Partition(lam.part(r) - (j - r) for r in range(1, j + 1))
     return i, j, mu
 
 
@@ -297,8 +310,8 @@ def shifted_compose(i: int, j: int, mu: Partition, n: int) -> Partition:
         raise ValueError(f"need 0 <= j and i + j <= n, got i={i}, j={j}, n={n}")
     if not mu.fits(j, i):
         raise ValueError(f"mu {mu!r} does not fit in a {j} x {i} box")
-    rows = [i + j] + [mu.part(r - 1) + (j - r) for r in range(1, j + 1)]
-    return Partition(rows, check=False)
+    # the last row is 0 when mu has fewer than j rows
+    return Partition([i + j] + [mu.part(r - 1) + (j - r) for r in range(1, j + 1)])
 
 
 def _dominance_leq(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
@@ -360,7 +373,7 @@ def _strict_tuples(maxpart: int, total: int) -> Iterator[tuple[int, ...]]:
 def partitions_in_box_of_size(ell: int, k: int, d: int) -> Iterator[Partition]:
     """Partitions of d with at most ell parts, each at most k."""
     for t in _box_tuples(k, ell, d):
-        yield Partition(t, check=False)
+        yield Partition._wrap(t)
 
 
 def partitions_in_box(ell: int, k: int) -> Iterator[Partition]:
@@ -377,7 +390,7 @@ def k_bounded_partitions(k: int, d: int) -> Iterator[Partition]:
 def strict_partitions_of_size(n: int, d: int) -> Iterator[Partition]:
     """Strict partitions of d with parts at most n."""
     for t in _strict_tuples(n, d):
-        yield Partition(t, check=False)
+        yield Partition._wrap(t)
 
 
 def strict_partitions_in_triangle(n: int) -> Iterator[Partition]:
@@ -393,6 +406,16 @@ def vacant_partitions(ell: int, k: int, i: int) -> Iterator[Partition]:
     for lam in partitions_in_box(ell, k):
         if lam and vacancy(lam, k) == i:
             yield lam
+
+
+@cache
+def _box_vacancy_sums(ell: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """sums[i][d]: the number of i-vacant partitions of size d in the ell x k
+    box (i = 0 holds the empty partition), from one pass over the box."""
+    sums = [[0] * (ell * k + 1) for _ in range(min(ell, k) + 1)]
+    for lam in partitions_in_box(ell, k):
+        sums[vacancy(lam, k)][lam.size] += 1
+    return tuple(map(tuple, sums))
 
 
 @cache

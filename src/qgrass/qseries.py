@@ -13,36 +13,88 @@ from typing import Iterable, Iterator, Mapping
 from .partitions import Partition
 
 
-class QPoly:
-    """Polynomial in q with arbitrary-precision integer coefficients.
+class IntCombination:
+    """A finite linear combination of keys with arbitrary-precision integer
+    coefficients, the exact value every identity check compares.
 
-    The constructor takes only int exponents and coefficients, so no value is
-    ever rounded on the way in."""
+    The constructor takes only int coefficients and the keys a subclass
+    accepts (`_check_key`), so no value is ever rounded on the way in.  Zero
+    coefficients are never stored, and two combinations are equal only when
+    they have the same type and the same terms."""
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
+    def __init__(self, terms: Mapping | None = None):
         data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if type(e) is not int or type(c) is not int:
-                    raise TypeError(f"exponents and coefficients must be ints, got {c!r} at {e!r}")
+        if terms:
+            for key, c in terms.items():
+                if type(c) is not int:
+                    raise TypeError(f"{type(self).__name__} coefficients must be ints, got {c!r} at {key!r}")
+                self._check_key(key)
                 if c:
-                    if e < 0:
-                        raise ValueError(f"exponents must be nonnegative, got {e}")
-                    data[e] = c
+                    data[key] = c
         self._c = data
 
+    @staticmethod
+    def _check_key(key) -> None:
+        raise NotImplementedError
+
     @classmethod
-    def _wrap(cls, data: dict[int, int]) -> "QPoly":
-        # a dict built from QPoly data: nonnegative int exponents, int coefficients
+    def _wrap(cls, data: dict):
+        # a dict of valid keys and int coefficients; only the zeros are dropped
         out = cls.__new__(cls)
-        out._c = {e: c for e, c in data.items() if c}
+        out._c = {key: c for key, c in data.items() if c}
         return out
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
+    def zero(cls):
+        return cls._wrap({})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def coeff(self, key) -> int:
+        return self._c.get(key, 0)
+
+    def items(self):
+        return self._c.items()
+
+    def _plus(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        data = dict(self._c)
+        for key, c in other._c.items():
+            data[key] = data.get(key, 0) + sign * c
+        return self._wrap(data)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def scale(self, c: int):
+        if type(c) is not int:
+            raise TypeError(f"{type(self).__name__} coefficients must be ints, got {c!r}")
+        return self._wrap({key: v * c for key, v in self._c.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+
+class QPoly(IntCombination):
+    """Polynomial in q: an integer combination of the powers q^e, keyed by
+    their int exponents e >= 0."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(e) -> None:
+        if type(e) is not int:
+            raise TypeError(f"exponents must be ints, got {e!r}")
+        if e < 0:
+            raise ValueError(f"exponents must be nonnegative, got {e}")
 
     @classmethod
     def one(cls) -> "QPoly":
@@ -57,16 +109,9 @@ class QPoly:
         return cls({e: c for e, c in enumerate(coeffs)})
 
     @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
     def degree(self) -> int:
         """Largest supported exponent; -1 for the zero polynomial."""
         return max(self._c) if self._c else -1
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
 
     def coeffs(self) -> list[int]:
         """Dense coefficient list from exponent 0 to the degree."""
@@ -78,22 +123,10 @@ class QPoly:
     def json_coeffs(self) -> list[str]:
         return [str(c) for c in self.coeffs()]
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        data = dict(self._c)
-        for e, c in other._c.items():
-            data[e] = data.get(e, 0) + c
-        return QPoly._wrap(data)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        data = dict(self._c)
-        for e, c in other._c.items():
-            data[e] = data.get(e, 0) - c
-        return QPoly._wrap(data)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly._wrap({e: c * other for e, c in self._c.items()})
-        if isinstance(other, QPoly):
+        if type(other) is int:
+            return self.scale(other)
+        if type(other) is QPoly:
             data: dict[int, int] = {}
             for e1, c1 in self._c.items():
                 for e2, c2 in other._c.items():
@@ -103,9 +136,6 @@ class QPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self._c == other._c
 
     def __str__(self) -> str:
         if not self._c:

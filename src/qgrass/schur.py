@@ -7,9 +7,10 @@ functions enter only as a multiplication operator and expansions.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .partitions import Partition
+from .qseries import IntCombination
 
 
 def _order_key(p: Partition):
@@ -17,28 +18,16 @@ def _order_key(p: Partition):
     return (p.size, tuple(-v for v in p.parts))
 
 
-class SymVector:
-    """Finite integer linear combination of basis elements indexed by
-    partitions: Schur functions here, square-free e-monomials in `lagrangian`.
-    Every coefficient is an int; any other coefficient raises TypeError."""
+class SymVector(IntCombination):
+    """Integer linear combination of basis elements indexed by partitions:
+    Schur functions here, square-free e-monomials in `lagrangian`."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Partition, int] | None = None):
-        data: dict[Partition, int] = {}
-        if terms:
-            for p, c in terms.items():
-                if type(c) is not int:
-                    raise TypeError(f"SymVector coefficients must be ints, got {c!r}")
-                if c:
-                    if not isinstance(p, Partition):
-                        raise TypeError(f"SymVector keys must be partitions, got {p!r}")
-                    data[p] = c
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "SymVector":
-        return cls()
+    @staticmethod
+    def _check_key(p) -> None:
+        if not isinstance(p, Partition):
+            raise TypeError(f"SymVector keys must be partitions, got {p!r}")
 
     @classmethod
     def unit(cls) -> "SymVector":
@@ -48,66 +37,22 @@ class SymVector:
     def schur(cls, lam: Partition) -> "SymVector":
         return cls._wrap({lam: 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, lam: Partition) -> int:
-        return self._terms.get(lam, 0)
-
-    def items(self):
-        return self._terms.items()
-
     def support(self) -> list[Partition]:
-        return sorted(self._terms, key=_order_key)
+        return sorted(self._c, key=_order_key)
 
     def __iter__(self) -> Iterator[Partition]:
-        return iter(self._terms)
+        return iter(self._c)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    @classmethod
-    def _wrap(cls, terms: dict[Partition, int]) -> "SymVector":
-        # a finished dict: partition keys, nonzero int coefficients
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
-
-    def __add__(self, other: "SymVector") -> "SymVector":
-        data = dict(self._terms)
-        for p, c in other._terms.items():
-            new = data.get(p, 0) + c
-            if new:
-                data[p] = new
-            else:
-                data.pop(p, None)
-        return SymVector._wrap(data)
-
-    def __sub__(self, other: "SymVector") -> "SymVector":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "SymVector":
-        if type(c) is not int:
-            raise TypeError(f"SymVector coefficients must be ints, got {c!r}")
-        if not c:
-            return SymVector.zero()
-        return SymVector._wrap({p: v * c for p, v in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymVector) and self._terms == other._terms
+        return len(self._c)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._c:
             return "SymVector(0)"
-        bits = [f"{c}*s({p})" for p, c in sorted(self._terms.items(), key=lambda t: _order_key(t[0]))]
-        return "SymVector(" + " + ".join(bits) + ")"
+        return "SymVector(" + " + ".join(f"{self._c[p]}*s({p})" for p in self.support()) + ")"
 
     def to_json_obj(self) -> list[dict[str, str]]:
-        return [
-            {"partition": str(p), "coeff": str(c)}
-            for p, c in sorted(self._terms.items(), key=lambda t: _order_key(t[0]))
-        ]
+        return [{"partition": str(p), "coeff": str(self._c[p])} for p in self.support()]
 
 
 @cache
@@ -148,16 +93,11 @@ def pieri_h(r: int, v: SymVector) -> SymVector:
     term grows by every horizontal r-strip."""
     if r < 1:
         raise ValueError(f"pieri_h needs r >= 1, got {r}")
-    data: dict[Partition, int] = {}
+    data: dict[tuple[int, ...], int] = {}
     for lam, c in v.items():
         for mu in _horizontal_strips(lam.parts, r):
-            key = Partition(mu, check=False)
-            new = data.get(key, 0) + c
-            if new:
-                data[key] = new
-            else:
-                data.pop(key, None)
-    return SymVector._wrap(data)
+            data[mu] = data.get(mu, 0) + c
+    return SymVector._wrap({Partition._wrap(mu): c for mu, c in data.items()})
 
 
 @cache

@@ -142,25 +142,29 @@ def test_roundtrip_and_identity_cases():
 
 
 @pytest.fixture
-def fresh_box_conjugates():
-    # a patched k_conjugate must not leave its images in the per-box memo
+def fresh_box_memos():
+    # a patched vacancy or k_conjugate must not leave its values in the per-box memos
+    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
     yield
+    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
 
 
-def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_conjugates):
+def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_memos):
     formula = QPoly.from_coeffs([0, 0, 1, 1, 2, 2, 2, 1])
-    vacant = partitions.vacant_partitions
-    # an i-vacant enumeration that loses its first partition, (2)
-    monkeypatch.setattr(harness, "vacant_partitions", lambda ell, k, i: list(vacant(ell, k, i))[1:])
+    vacancy = partitions.vacancy
+    # a vacancy that misreads the first 2-vacant partition, (1, 1), so the
+    # i-vacant sums of the per-box memo lose it
+    monkeypatch.setattr(partitions, "vacancy", lambda lam, k: 0 if lam.parts == (1, 1) else vacancy(lam, k))
     case = check_summand_identity(3, 3, 2)
     assert (case.status, case.expected) == ("fail", formula)
     assert case.actual == formula - QPoly.q_power(2)
     assert case.detail == "i-vacant generating sum disagrees with the formula"
     # a k-conjugation that forgets to conjugate, reached through the per-box memo
-    monkeypatch.setattr(harness, "vacant_partitions", vacant)
+    monkeypatch.setattr(partitions, "vacancy", vacancy)
     monkeypatch.setattr(partitions, "k_conjugate", lambda lam, k: lam)
+    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
     case = check_summand_identity(3, 3, 2)
     assert (case.status, case.expected) == ("fail", formula)
@@ -168,20 +172,30 @@ def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_conjugates):
     assert case.detail == "k-conjugate reformulation disagrees with the formula"
 
 
-def test_summand_cases_k_conjugate_each_box_partition_once(monkeypatch, fresh_box_conjugates):
-    calls, real = [], partitions.k_conjugate
+def _assert_summand_calls_once_per_box_partition(monkeypatch, name):
+    # every summand case of a box runs, and partitions.<name> sees each
+    # partition of the box exactly once
+    calls, real = [], getattr(partitions, name)
 
     def counted(lam, k):
         calls.append((lam, k))
         return real(lam, k)
 
-    monkeypatch.setattr(partitions, "k_conjugate", counted)
+    monkeypatch.setattr(partitions, name, counted)
     for ell, k in [(3, 3), (2, 4), (4, 3), (5, 5)]:
         calls.clear()
         for i in range(1, min(ell, k) + 1):
             assert check_summand_identity(ell, k, i).status == "pass", (ell, k, i)
         box = [(lam, k) for lam in partitions.partitions_in_box(ell, k)]
         assert sorted(calls) == sorted(box), (ell, k)
+
+
+def test_summand_cases_take_each_box_vacancy_once(monkeypatch, fresh_box_memos):
+    _assert_summand_calls_once_per_box_partition(monkeypatch, "vacancy")
+
+
+def test_summand_cases_k_conjugate_each_box_partition_once(monkeypatch, fresh_box_memos):
+    _assert_summand_calls_once_per_box_partition(monkeypatch, "k_conjugate")
 
 
 def test_vacancy_conjugation_fails_on_a_broken_conjugate(monkeypatch):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +57,42 @@ def test_construction_rejects_bad_input():
         Partition((3, -1))
     with pytest.raises(ValueError):
         Partition((3, 0, 2))
+
+
+@pytest.mark.parametrize("part", [2.7, 2.0, "3", True, Fraction(2)], ids=repr)
+def test_construction_refuses_non_int_parts(part):
+    # truncating 2.7 to 2 or reading "3" as 3 would hide a caller's fault
+    with pytest.raises(TypeError):
+        Partition((part,))
+    with pytest.raises(TypeError):
+        Partition((3, part))
+
+
+def _built_partitions(ell, k):
+    # what the enumerators, conjugations, core maps and decompositions build,
+    # most of it through Partition._wrap
+    for lam in partitions_in_box(ell, k):
+        core = core_from_bounded(lam, k)
+        yield from (lam, lam.conjugate(), k_conjugate(lam, k), core, bounded_from_core(core, k))
+        if lam:
+            i, j, dag, ddag = vacant_decompose(lam, k)
+            yield from (dag, ddag, vacant_compose(i, j, dag, ddag, k))
+    for lam in strict_partitions_in_triangle(ell + k):
+        yield lam
+        if lam:
+            i, j, mu = shifted_decompose(lam, ell + k)
+            yield from (mu, shifted_compose(i, j, mu, ell + k))
+
+
+def test_built_partitions_equal_their_validated_copies():
+    seen = 0
+    for ell in range(5):
+        for k in range(1, 5):
+            for lam in _built_partitions(ell, k):
+                copy = Partition(lam.parts)
+                assert copy == lam and hash(copy) == hash(lam), (ell, k, lam.parts)
+                seen += 1
+    assert seen == 4658
 
 
 def test_parse_and_str_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgrass.partitions import Partition, dominance_leq, k_bounded_partitions
+from qgrass.qseries import QPoly
 from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, omega, pieri_h
 
 
@@ -50,6 +51,14 @@ def test_symvector_basics():
     assert v.support() == [P(2, 1)]
     with pytest.raises(TypeError):
         SymVector({(2, 1): 1})
+
+
+def test_combinations_of_different_types_differ():
+    # both share one integer-combination core, keyed by different things
+    assert QPoly.zero() != SymVector.zero()
+    assert SymVector.zero() == SymVector.zero() and QPoly.zero() == QPoly.zero()
+    with pytest.raises(TypeError):
+        QPoly.one() + SymVector.unit()
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, Fraction(2), 2.0, True], ids=repr)
