@@ -1,36 +1,48 @@
 """The Grassmannian cohomology quotient in Schur coordinates.
 
-The quotient of the symmetric function ring kills exactly the Schur terms
-whose index leaves the ell x k box, so ring elements are SymVectors supported
-in the box and multiplication is a Pieri product followed by projection.
+The quotient of the symmetric function ring kills the Schur terms whose
+index leaves the ell x k box.  So a ring element is a SymVector supported in
+the box, and a product is a Pieri product followed by projection.
 
-Subalgebra graded pieces are built degree by degree on integers alone.  The
+Subalgebra pieces are built degree by degree, on integers alone.  The
 partitions of each degree that fit the box are listed once, in a fixed
-order.  Multiplication by h_i from degree d - i to degree d is memoised per
-(ell, k, d, i) as an in-box Pieri map: for each source column, the indices of
-the target columns its horizontal i-strips reach inside the box, all with
-coefficient 1.  The maps are walked inside the box, never filtered: a
-memoised table per degree lists the single boxes each column can take
-without leaving the box (the h_1 map is that table), and an h_i map adds i
-such boxes in strictly increasing columns, so no partition outside the box is
-ever formed.  The shared builder `echelon.generated_slices` pushes integer
-rows through those maps into the degree-d echelon: h_1 times every stored
-echelon row of degree d - 1, then the monomials of degree d in h_2..h_m
-(built through the same maps), since a monomial either has a factor h_1 or
-lies in h_2..h_m alone.  `subalgebra_hilbert` reads the ranks alone, through
-`echelon.generated_ranks` over the same walk; the candidate-basis reports
-read the exact pieces.
+order; they are the columns.  Multiplication by h_i from degree d - i to d
+is an in-box Pieri map, memoised per (ell, k, d, i).  For each source column
+it lists the target columns its horizontal i-strips reach inside the box,
+all with coefficient 1.  The maps are walked inside the box, never filtered.
+A table per degree lists the single boxes each column can take without
+leaving the box; that table is the h_1 map.  An h_i map adds i such boxes in
+strictly increasing columns, so no partition outside the box is formed.  The
+shared builder `echelon.generated_slices` pushes integer rows through these
+maps: h_1 times every stored row of degree d - 1, then the monomials of
+degree d in h_2..h_m.  `subalgebra_hilbert` reads the ranks alone, from
+`echelon.generated_ranks` over the same walk.
 
-The candidate-basis reports work on the same dense integer rows over the box
-columns.  The Schur terms outside the box span an ideal (h_r times s_mu only
-grows mu), so projecting to the box commutes with multiplication by h_r: the
-in-box row of h_lambda is the row of h_(lambda without its first part)
-pushed through one in-box Pieri map, and the in-box row of a k-Schur function
-follows its weak Pieri recursion (the h_r image of the row of nu minus the
-rows of the other targets).  Both are memoised per box, and no candidate is
-expanded over the Schur terms outside the box.  The reference is `project` over
-`h_to_schur` and `k_schur`: a SymVector expansion cut down to the box, whose
-membership in a graded piece `DegreeSlice.contains_vector` tests.
+The candidate-basis reports use the same dense integer rows over the box
+columns.  The Schur terms outside the box span an ideal (h_r times s_mu
+only grows mu), so projecting to the box commutes with multiplication by
+h_r.  The in-box row of h_lambda is the row of h_(lambda without its first
+part) pushed through one in-box Pieri map.  The in-box row of a k-Schur
+function follows its weak Pieri recursion: the h_r image of the row of nu
+minus the rows of the other targets.  Both are memoised per box, and no
+candidate is expanded over the Schur terms outside the box.
+
+A report settles each degree d as follows.
+- rank: a `PackedRank` (mod P) over the candidate rows.  Rows independent
+  mod P are independent over Q, so when rank_p equals the number of
+  candidates it is the exact rank.  Only where rank_p falls short (a
+  dependency over Q, or a bad prime) does an exact `DegreeSlice` probe run.
+- The probe, once the candidates lie in A_d, runs on their entries at the
+  pivot columns of A_d.  A reduced echelon basis fixes a vector of A_d by
+  those entries, so the rank is unchanged.  Where they do not lie in A_d,
+  the probe keeps every column.
+- contained: True where A_d is all of H_d (the slice is saturated), else
+  the exact `DegreeSlice.contains_row` of every candidate.
+- dim is the rank of the exact piece of `subalgebra_slices`.
+
+The reference is `project` over `h_to_schur` and `k_schur`: a SymVector
+expansion cut down to the box, whose membership in a graded piece
+`DegreeSlice.contains_vector` tests.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .echelon import DegreeSlice, apply_map, generated_ranks, generated_slices
+from .echelon import DegreeSlice, PackedRank, apply_map, generated_ranks, generated_slices
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -192,7 +204,8 @@ def _k_schur_row(ell: int, k: int, parts: tuple[int, ...], level: int) -> tuple[
 
 def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
     """Rank checks of the candidates against the subalgebra pieces; row_of
-    gives a candidate's dense integer row over the box columns of its degree."""
+    gives a candidate's dense integer row over the box columns of its degree.
+    The module docstring says how each degree is settled."""
     if not (1 <= m <= min(ell, k)):
         raise ValueError(f"need 1 <= m <= min(ell, k), got ell={ell}, k={k}, m={m}")
     slices = subalgebra_slices(ell, k, m)
@@ -203,11 +216,17 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
     for d in range(ell * k + 1):
         sl = slices[d]
         rows = [row_of(lam) for lam in by_degree[d]]
-        probe = DegreeSlice(d, sl.columns)
+        packed = PackedRank(len(sl.columns))
         for row in rows:
-            probe.add_row(row)
-        rank = probe.rank
-        contained = all(sl.contains_row(row) for row in rows)
+            packed.add_row(row)
+        rank = packed.rank
+        contained = sl.saturated or all(sl.contains_row(row) for row in rows)
+        if rank < len(rows):
+            cut = sl.pivots if contained else range(len(sl.columns))
+            probe = DegreeSlice(d, [sl.columns[j] for j in cut])
+            for row in rows:
+                probe.add_row([row[j] for j in cut])
+            rank = probe.rank
         entries.append(
             BasisDegree(
                 degree=d,

@@ -3,10 +3,12 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from qgrass import echelon, grassmann
 from qgrass.echelon import DegreeSlice
 from qgrass.grassmann import (
     BasisDegree,
     BasisReport,
+    _basis_report,
     _box_columns,
     _h_row,
     _k_schur_row,
@@ -255,6 +257,46 @@ def test_kschur_basis_m1_matches_h_basis_columns():
     ra = h_basis_report(3, 3, 1)
     rb = kschur_basis_report(3, 3, 1)
     assert [e.rank for e in ra.degrees] == [e.rank for e in rb.degrees]
+
+
+def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
+    # mod 2 the in-box rows lose rank at many degrees where they are
+    # independent over Q, so the exact probe must settle every such degree
+    points = [(ell, k, m) for ell in range(1, 5) for k in range(1, 5) for m in range(1, min(ell, k) + 1)]
+    points += [(2, 5, 2), (5, 2, 2)]
+    want = {point: (h_basis_report(*point), kschur_basis_report(*point)) for point in points}
+    probes = []
+
+    class Watched(DegreeSlice):
+        def __init__(self, degree, columns):
+            probes.append(degree)
+            super().__init__(degree, columns)
+
+    monkeypatch.setattr(grassmann, "DegreeSlice", Watched)
+    monkeypatch.setattr(echelon, "P", 2)
+    probed = set()
+    for point in points:
+        before = len(probes)
+        assert (h_basis_report(*point), kschur_basis_report(*point)) == want[point], point
+        if len(probes) > before:
+            probed.add(point)
+    # at the real prime no report with ell, k <= 4 runs the probe at all
+    assert {(2, 5, 2), (5, 2, 2), (3, 3, 2), (4, 4, 4)} <= probed
+
+
+def test_basis_report_cuts_to_pivots_only_after_containment():
+    # A_3 of (3, 3, 2) has rank 2 in 3 columns: a unit row at its free column
+    # lies outside A_3 and is zero on its pivots, so only the full columns
+    # see its rank
+    sl = subalgebra_slices(3, 3, 2)[3]
+    (free,) = set(range(len(sl.columns))) - set(sl.pivots)
+    outside = tuple(int(j == free) for j in range(len(sl.columns)))
+    report = _basis_report(3, 3, 2, lambda lam: outside if lam.size == 3 else _h_row(3, 3, lam.parts))
+    assert report.degrees[3] == BasisDegree(
+        degree=3, candidates=2, rank=1, dim=2, independent=False, spans=False, contained=False
+    )
+    reference = h_basis_report(3, 3, 2)
+    assert report.degrees[:3] + report.degrees[4:] == reference.degrees[:3] + reference.degrees[4:]
 
 
 def test_candidate_sets_are_sized_by_the_formula():
