@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from .lagrangian import lg_subalgebra_hilbert, lg_subalgebra_slices, lg_top_power
 from .partitions import (
-    _box_first_part_sums,
+    _box_k_conjugates,
     _box_vacancy_sums,
     k_conjugate,
     partitions_in_box,
@@ -141,7 +141,7 @@ def check_summand_identity(ell: int, k: int, i: int) -> Case:
         raise ValueError(f"need 1 <= i <= min(ell, k), got ell={ell}, k={k}, i={i}")
     formula = QPoly.q_power(i) * q_binomial(k, i) * q_binomial_prime(ell, i, k)
     vacant_sum = QPoly.from_coeffs(_box_vacancy_sums(ell, k)[i])
-    conj_sum = QPoly.from_coeffs(_box_first_part_sums(ell, k)[i])
+    conj_sum = gen_sum(mu for images in _box_k_conjugates(ell, k) for mu in images if mu.first == i)
     params = {"ell": ell, "k": k, "i": i}
     if vacant_sum != formula:
         return _case("summand", params, THEOREM, formula, vacant_sum,

@@ -428,18 +428,6 @@ def _box_k_conjugates(ell: int, k: int) -> tuple[tuple[Partition, ...], ...]:
     )
 
 
-@cache
-def _box_first_part_sums(ell: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """sums[i][d]: the number of k-conjugates of size d with first part i,
-    over the partitions of the ell x k box (i = 0 holds the empty partition),
-    from one pass over `_box_k_conjugates`."""
-    sums = [[0] * (ell * k + 1) for _ in range(k + 1)]
-    for d, images in enumerate(_box_k_conjugates(ell, k)):
-        for mu in images:
-            sums[mu.first][d] += 1
-    return tuple(map(tuple, sums))
-
-
 def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:
     """Partitions with first part at most m whose k-conjugate fits the ell x k box.
 

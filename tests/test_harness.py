@@ -143,15 +143,12 @@ def test_roundtrip_and_identity_cases():
 
 @pytest.fixture
 def fresh_box_memos():
-    # a patched vacancy or k_conjugate must not leave its values in the per-box
-    # memos; the fixture clears them around the test and hands the clearing on
-    def clear():
-        for memo in (partitions._box_vacancy_sums, partitions._box_k_conjugates, partitions._box_first_part_sums):
-            memo.cache_clear()
-
-    clear()
-    yield clear
-    clear()
+    # a patched vacancy or k_conjugate must not leave its values in the per-box memos
+    partitions._box_vacancy_sums.cache_clear()
+    partitions._box_k_conjugates.cache_clear()
+    yield
+    partitions._box_vacancy_sums.cache_clear()
+    partitions._box_k_conjugates.cache_clear()
 
 
 def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_memos):
@@ -167,7 +164,8 @@ def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_memos):
     # a k-conjugation that forgets to conjugate, reached through the per-box memo
     monkeypatch.setattr(partitions, "vacancy", vacancy)
     monkeypatch.setattr(partitions, "k_conjugate", lambda lam, k: lam)
-    fresh_box_memos()
+    partitions._box_vacancy_sums.cache_clear()
+    partitions._box_k_conjugates.cache_clear()
     case = check_summand_identity(3, 3, 2)
     assert (case.status, case.expected) == ("fail", formula)
     assert case.actual == QPoly.from_coeffs([0, 0, 1, 1, 2, 1, 1])

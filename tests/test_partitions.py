@@ -442,15 +442,6 @@ def test_candidate_sets_k_conjugate_each_box_once(monkeypatch):
     assert len(calls) == sum(sum(1 for _ in partitions_in_box(ell, k)) for ell, k in boxes)
 
 
-def test_box_first_part_sums_count_the_k_conjugates():
-    # sums[i][d]: box partitions of size d whose k-conjugate has first part i
-    for ell, k in [(3, 3), (2, 4), (4, 3), (5, 5), (1, 6)]:
-        want = [[0] * (ell * k + 1) for _ in range(k + 1)]
-        for lam in partitions_in_box(ell, k):
-            want[k_conjugate(lam, k).first][lam.size] += 1
-        assert partitions_module._box_first_part_sums(ell, k) == tuple(map(tuple, want)), (ell, k)
-
-
 def test_candidate_set_rejects_unbounded_m():
     with pytest.raises(ValueError):
         list(candidate_partitions(3, 3, 4))
