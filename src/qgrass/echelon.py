@@ -19,18 +19,20 @@ piece is g_(i_1) times the stored rows of degree d - i_1, plus the span of
 the monomials of degree d in the other generators, each built through the
 Pieri maps.  Only the smallest generator reads the stored rows.
 
-`generated_ranks` gives the ranks of the same pieces, exactly, with the exact
-echelon run only where a cheaper rank cannot settle a degree.  `PackedRank`
-holds an echelon mod the prime P = 2^20 - 3, each row one int with a 64-bit
-slot per column, and reduces a row by one big-int multiply-add per pivot.
-The walk is that of `generated_slices`, over a basis of each degree, and the
-n candidates of degree d are integer vectors that span A_d over Q.  So
-rank_p <= rank_Q = dim A_d <= min(dim H_d, n).  Rows independent mod p are
-independent over Q, so a degree is settled when rank_p = dim H_d (A_d is all
-of H_d, and the unit rows are a basis; the walk stops there) or rank_p = n
-(the candidates themselves are a Q-basis of A_d).  Any other degree (a bad
-prime, or a dependency over Q) is settled by a `DegreeSlice` over every
-candidate, and its reduced rows go on.
+`exact_rank` holds the one rule for the rank over Q of integer rows; the
+subalgebra ranks and the candidate-basis reports both call it.
+`PackedRank` holds an echelon mod the prime P = 2^20 - 3, each row one int
+with a 64-bit slot per column, and reduces a row by one big-int multiply-add
+per pivot.  Rows independent mod P are independent over Q, so
+rank_p <= rank_Q <= min(width, n) for n rows.  The rows are pulled lazily,
+and pulling stops once rank_p = width: that is the rank, and the unit rows
+are a basis.  If rank_p = n, the rows themselves are a basis over Q.  Any
+other case (a bad prime, or a dependency over Q) is settled by a
+`DegreeSlice` over every row pulled.
+
+`generated_ranks` gives the ranks of the pieces `generated_slices` builds,
+as `exact_rank` of each degree's spanning rows: the same walk, over the
+basis `exact_rank` returned for the degree below.
 """
 
 from __future__ import annotations
@@ -183,14 +185,15 @@ def _monomials(top: int, parts: Sequence[int]) -> list[list[tuple[int, ...]]]:
 
 def _spanning_rows(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
-) -> Callable[[int, Callable[[int], Iterable], Callable[[], bool]], Iterator[list[int]]]:
-    """The walk both builders take: rows(d, stored, full) yields the dense
+) -> Callable[[int, Callable[[int], Iterable]], Iterator[list[int]]]:
+    """The walk both builders take: rows(d, stored) lazily yields the dense
     spanning rows of degree d, the unit at d = 0, then g_(i_1) times each
     row of stored(d - i_1) (a basis of that degree, as (column, entry)
     pairs), then each monomial of `_monomials` in the other generators as
-    g_(b[0]) times the row of b[1:].  It asks full() before each row, and
-    stops once it holds.  Monomial rows are built through the Pieri maps
-    and kept for this walk only."""
+    g_(b[0]) times the row of b[1:].  A row is built only when it is
+    pulled, so a builder that stops pulling builds no row past that point.
+    Monomial rows are built through the Pieri maps and kept for this walk
+    only."""
     rows: dict[tuple[int, ...], list[int]] = {(): [1]}
 
     def monomial_row(parts: tuple[int, ...]) -> list[int]:
@@ -206,7 +209,7 @@ def _spanning_rows(
 
     monomials = _monomials(len(columns) - 1, degrees[1:])
 
-    def walk(d: int, stored: Callable[[int], Iterable], full: Callable[[], bool]) -> Iterator[list[int]]:
+    def walk(d: int, stored: Callable[[int], Iterable]) -> Iterator[list[int]]:
         if d == 0:
             yield [1]
             return
@@ -214,12 +217,8 @@ def _spanning_rows(
         if degrees and degrees[0] <= d:
             step = pieri_map(d, degrees[0])
             for src in stored(d - degrees[0]):
-                if full():
-                    return
                 yield apply_map(src, step, width)
         for b in monomials[d]:
-            if full():
-                return
             yield apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), width)
 
     return walk
@@ -236,14 +235,15 @@ def generated_slices(
     A monomial of degree d either factors out the smallest generator g_(i_1),
     and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
     generators alone.  So A_d is spanned by g_(i_1) times the stored rows of
-    A_(d-i_1), then by those monomials (`_spanning_rows`).  Pushing stops
-    once the degree-d piece is saturated."""
+    A_(d-i_1), then by those monomials (`_spanning_rows`).  Pulling stops
+    at the insert that saturates the degree-d piece."""
     rows = _spanning_rows(columns, pieri_map, degrees)
     slices: list[DegreeSlice] = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
-        for row in rows(d, lambda e: slices[e].row_terms(), lambda: sl.saturated):
-            sl.add_row(row)
+        for row in rows(d, lambda e: slices[e].row_terms()):
+            if sl.add_row(row) and sl.saturated:
+                break
         slices.append(sl)
     return tuple(slices)
 
@@ -292,32 +292,42 @@ class PackedRank:
         return True
 
 
+def exact_rank(
+    d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]
+) -> tuple[int, Iterable[Iterable[tuple[int, int]]]]:
+    """The rank over Q of dense integer rows over the columns, and a basis of
+    their span as (column, entry) pairs, by the rule of the module docstring.
+    Rows are pulled into a `PackedRank` until rank_p reaches the width; the
+    fallback `DegreeSlice` (of degree d) reads every row pulled."""
+    width = len(columns)
+    packed = PackedRank(width)
+    drawn = []
+    if width:
+        for row in rows:
+            drawn.append(row)
+            if packed.add_row(row) and packed.rank == width:
+                break
+    rank = packed.rank
+    if rank == width:
+        return rank, (((j, 1),) for j in range(width))
+    if rank == len(drawn):
+        return rank, (enumerate(row) for row in drawn)
+    sl = DegreeSlice(d, columns)
+    for row in drawn:
+        sl.add_row(row)
+    return sl.rank, sl.row_terms()
+
+
 def generated_ranks(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
 ) -> tuple[int, ...]:
     """The ranks of the pieces `generated_slices` builds, in the same
-    arguments: each degree by `PackedRank` where its rank settles it, by a
-    `DegreeSlice` over every candidate where it does not (see the module
-    docstring).  Only the basis of degree d - i_1 is kept for degree d."""
+    arguments: `exact_rank` of each degree's spanning rows.  Only the basis
+    of degree d - i_1 is kept for degree d."""
     rows = _spanning_rows(columns, pieri_map, degrees)
     bases: dict[int, Iterable] = {}
     ranks = []
     for d, cols in enumerate(columns):
-        width = len(cols)
-        packed = PackedRank(width)
-        candidates = [(row, packed.add_row(row)) for row in rows(d, bases.pop, lambda: packed.rank == width)]
-        rank = packed.rank
-        if rank == width:
-            bases[d] = (((j, 1),) for j in range(width))
-        elif rank == len(candidates):
-            bases[d] = (enumerate(row) for row, _ in candidates)
-        else:
-            sl = DegreeSlice(d, cols)
-            for row, _ in candidates:
-                if sl.saturated:
-                    break
-                sl.add_row(row)
-            bases[d], rank = sl.row_terms(), sl.rank
+        rank, bases[d] = exact_rank(d, cols, rows(d, bases.pop))
         ranks.append(rank)
-        del candidates  # before the next degree's candidates are built
     return tuple(ranks)

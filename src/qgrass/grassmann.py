@@ -28,16 +28,14 @@ minus the rows of the other targets.  Both are memoised per box, and no
 candidate is expanded over the Schur terms outside the box.
 
 A report settles each degree d as follows.
-- rank: a `PackedRank` (mod P) over the candidate rows.  Rows independent
-  mod P are independent over Q, so when rank_p equals the number of
-  candidates it is the exact rank.  Only where rank_p falls short (a
-  dependency over Q, or a bad prime) does an exact `DegreeSlice` probe run.
-- The probe, once the candidates lie in A_d, runs on their entries at the
-  pivot columns of A_d.  A reduced echelon basis fixes a vector of A_d by
-  those entries, so the rank is unchanged.  Where they do not lie in A_d,
-  the probe keeps every column.
 - contained: True where A_d is all of H_d (the slice is saturated), else
   the exact `DegreeSlice.contains_row` of every candidate.
+- rank: `echelon.exact_rank` of the candidate rows, which runs an exact
+  echelon only where the rank mod P cannot settle it.  Once the candidates
+  lie in A_d, their rows are cut to the pivot columns of A_d.  A reduced
+  echelon basis fixes a vector of A_d by those entries, so the rank is
+  unchanged, and where the candidates span A_d the rank mod P reaches the
+  width of the cut.  Where they do not lie in A_d, every column is kept.
 - dim is the rank of the exact piece of `subalgebra_slices`.
 
 The reference is `project` over `h_to_schur` and `k_schur`: a SymVector
@@ -50,7 +48,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .echelon import DegreeSlice, PackedRank, apply_map, generated_ranks, generated_slices
+from .echelon import DegreeSlice, apply_map, exact_rank, generated_ranks, generated_slices
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -216,17 +214,9 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
     for d in range(ell * k + 1):
         sl = slices[d]
         rows = [row_of(lam) for lam in by_degree[d]]
-        packed = PackedRank(len(sl.columns))
-        for row in rows:
-            packed.add_row(row)
-        rank = packed.rank
         contained = sl.saturated or all(sl.contains_row(row) for row in rows)
-        if rank < len(rows):
-            cut = sl.pivots if contained else range(len(sl.columns))
-            probe = DegreeSlice(d, [sl.columns[j] for j in cut])
-            for row in rows:
-                probe.add_row([row[j] for j in cut])
-            rank = probe.rank
+        cut = sl.pivots if contained else range(len(sl.columns))
+        rank = exact_rank(d, [sl.columns[j] for j in cut], ([row[j] for j in cut] for row in rows))[0]
         entries.append(
             BasisDegree(
                 degree=d,

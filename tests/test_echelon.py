@@ -7,10 +7,10 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qgrass import echelon
-from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, generated_ranks, generated_slices
+from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, exact_rank, generated_ranks, generated_slices
 from qgrass.grassmann import _box_columns, _pieri_map
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
@@ -346,22 +346,37 @@ def test_monomial_counts_and_enumeration_match_brute_force():
     assert table[2101] == []
 
 
+def _count_apply_map(monkeypatch):
+    # Every `apply_map` call of a build: the spanning rows pulled and the
+    # monomial rows behind them.  Both builders stop pulling right after the
+    # insert that fills a piece, so they build the same rows; a check of
+    # saturation before each insert would build one row more per full degree.
+    calls = []
+
+    def counting_apply_map(terms, pieri_map, width):
+        calls.append(width)
+        return apply_map(terms, pieri_map, width)
+
+    monkeypatch.setattr(echelon, "apply_map", counting_apply_map)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "space, size, m, inserts, zeros",
+    "space, size, m, inserts, zeros, maps",
     [
-        ("box", (6, 6), 3, 712, 50),
-        ("box", (7, 7), 2, 507, 16),
-        ("box", (5, 5), 5, 264, 12),
-        ("lg", (9,), 5, 480, 14),
-        ("lg", (10,), 5, 883, 35),
-        ("lg", (11,), 3, 573, 11),
+        ("box", (6, 6), 3, 712, 50, 762),
+        ("box", (7, 7), 2, 507, 16, 526),
+        ("box", (5, 5), 5, 264, 12, 279),
+        ("lg", (9,), 5, 480, 14, 500),
+        ("lg", (10,), 5, 883, 35, 923),
+        ("lg", (11,), 3, 573, 11, 589),
     ],
     ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
 )
-def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zeros):
+def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zeros, maps):
     # The echelon work of a build, unit included: every `add_row` call, and
-    # how many reduce to zero.  A change of spanning sets or of their order
-    # shows here before it shows in a timing.
+    # how many reduce to zero, and every row built.  A change of spanning
+    # sets or of their order shows here before it shows in a timing.
     results = []
     add_row = DegreeSlice.add_row
 
@@ -377,8 +392,9 @@ def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zer
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
         pieri, degrees = functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
     monkeypatch.setattr(DegreeSlice, "add_row", counting_add_row)
+    built = _count_apply_map(monkeypatch)
     generated_slices(columns, pieri, degrees)
-    assert (len(results), results.count(False)) == (inserts, zeros)
+    assert (len(results), results.count(False), len(built)) == (inserts, zeros, maps)
 
 
 # --- the packed mod-p rank path -----------------------------------------------
@@ -480,20 +496,21 @@ def test_packed_rank_is_the_rank_mod_p(rows):
 
 
 @pytest.mark.parametrize(
-    "space, size, m, exact_degrees, inserts",
+    "space, size, m, exact_degrees, inserts, maps",
     [
-        ("box", (6, 6), 3, 6, 712),
-        ("box", (7, 7), 2, 6, 507),
-        ("box", (5, 5), 5, 0, 264),
-        ("lg", (9,), 5, 4, 480),
-        ("lg", (10,), 5, 8, 883),
-        ("lg", (11,), 3, 8, 573),
+        ("box", (6, 6), 3, 6, 712, 762),
+        ("box", (7, 7), 2, 6, 507, 526),
+        ("box", (5, 5), 5, 0, 264, 279),
+        ("lg", (9,), 5, 4, 480, 500),
+        ("lg", (10,), 5, 8, 883, 923),
+        ("lg", (11,), 3, 8, 573, 589),
     ],
     ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
 )
-def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, inserts):
+def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, inserts, maps):
     # The work of the rank path at the points of the exact builder's pin:
-    # how many degrees fall back to the exact echelon, and every mod-p insert.
+    # how many degrees fall back to the exact echelon, every mod-p insert,
+    # and every row built, as many as the exact builder builds.
     calls = []
     add_row = PackedRank.add_row
 
@@ -504,5 +521,44 @@ def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, insert
     args = _point(space, size, m)
     exact = _watch_exact_degrees(monkeypatch)
     monkeypatch.setattr(PackedRank, "add_row", counting_add_row)
+    built = _count_apply_map(monkeypatch)
     generated_ranks(*args)
-    assert (len(exact), len(calls)) == (exact_degrees, inserts)
+    assert (len(exact), len(calls), len(built)) == (exact_degrees, inserts, maps)
+
+
+_small_rows = st.integers(0, 5).flatmap(
+    lambda width: st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=8)
+    .map(lambda rows: (width, rows))
+)
+
+
+@pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
+@given(_small_rows)
+@example((2, [[1, 1], [1, -1]]))
+def test_exact_rank_is_the_rank_over_q(p, width_rows):
+    # at p = 2 many rows independent over Q are dependent mod p, so the exact
+    # fallback runs; either way the rank is exact, the basis spans every row,
+    # and no row is drawn once rank_p reaches the width
+    width, rows = width_rows
+    drawn = []
+
+    def draw():
+        for row in rows:
+            drawn.append(row)
+            yield row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(echelon, "P", p)
+        rank, basis = exact_rank(0, tuple(range(width)), draw())
+        stop = next((i for i in range(len(rows) + 1) if _rank_mod(rows[:i], p) == width), len(rows))
+    assert rank == _rank_oracle(rows)
+    assert drawn == rows[:stop]
+    span = DegreeSlice(0, tuple(range(width)))
+    basis = [list(terms) for terms in basis]
+    for terms in basis:
+        row = [0] * width
+        for j, a in terms:
+            row[j] = a
+        span.add_row(row)
+    assert len(basis) == span.rank == rank
+    assert all(span.contains_row(row) for row in rows)

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from qgrass import echelon, grassmann
+from qgrass import echelon
 from qgrass.echelon import DegreeSlice
 from qgrass.grassmann import (
     BasisDegree,
@@ -261,9 +261,13 @@ def test_kschur_basis_m1_matches_h_basis_columns():
 
 def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
     # mod 2 the in-box rows lose rank at many degrees where they are
-    # independent over Q, so the exact probe must settle every such degree
+    # independent over Q, so the exact probe must settle every such degree.
+    # The probe is `exact_rank`'s fallback `DegreeSlice`; the subalgebra
+    # slices are built first, so every slice watched is a probe.
     findings = [(2, 5, 2), (5, 2, 2)]
     points = [(ell, k, m) for ell in range(1, 5) for k in range(1, 5) for m in range(1, min(ell, k) + 1)]
+    for point in points + findings:
+        subalgebra_slices(*point)
     probes = []
 
     class Watched(DegreeSlice):
@@ -275,7 +279,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
         before = len(probes)
         return (h_basis_report(*point), kschur_basis_report(*point)), len(probes) > before
 
-    monkeypatch.setattr(grassmann, "DegreeSlice", Watched)
+    monkeypatch.setattr(echelon, "DegreeSlice", Watched)
     want = {}
     for point in points + findings:
         want[point], probed = reports(point)
