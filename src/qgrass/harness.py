@@ -2,15 +2,21 @@
 
 Each case compares two exactly-computed polynomials.  Theorem cases failing
 indicate an implementation bug and abort the sweep by default; conjecture
-cases failing are findings and never abort.  A sweep runs its tasks one after
-another in the fixed (family, parameter) order of `FAMILIES`, so a report is
-the same bytes on every run.
+cases failing are findings and never abort.  A sweep lists its tasks in the
+fixed (family, parameter) order of `FAMILIES` and groups them into shards by
+the box (ell, k) or staircase order n whose memos they share.  With more than
+one CPU in the affinity mask, the process and its forked workers (one per
+further CPU, while shards last) pull the shards from one queue; otherwise the
+tasks run one after another.  Either way the report lists the cases in task
+order, so it is the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import json
-from math import factorial
+import os
+import threading
+from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
@@ -455,24 +461,70 @@ def _tasks_for(config: dict) -> list[tuple[str, dict, Callable]]:
     ]
 
 
+def _error_case(family: str, params: dict, detail: str) -> Case:
+    return Case(
+        name=family,
+        params=params,
+        status=ERROR,
+        expected=QPoly.zero(),
+        actual=QPoly.zero(),
+        detail=detail,
+        kind=THEOREM,
+    )
+
+
+def _run_task(task) -> list[Case]:
+    """check(**params) as a list of cases; an exception becomes an error case
+    naming the task."""
+    family, params, check = task
+    try:
+        result = check(**params)
+    except Exception as exc:  # surfaced as an error case, never swallowed
+        result = _error_case(family, params, f"{type(exc).__name__}: {exc}")
+    return result if isinstance(result, list) else [result]
+
+
+def _shards(tasks) -> list[list[int]]:
+    """The task indices grouped by the box (ell, k) or staircase order n whose
+    memos they share; a task that names neither is a shard of its own.  Shards
+    come largest first by a size proxy, the dimension of their ring
+    (C(ell + k, k) Schubert classes for a box, 2^n for an order), so that a
+    large shard does not start last."""
+    groups: dict = {}
+    for index, (_, params, _) in enumerate(tasks):
+        if "ell" in params:
+            key, size = (params["ell"], params["k"]), comb(params["ell"] + params["k"], params["k"])
+        elif "n" in params:
+            key, size = params["n"], 2 ** params["n"]
+        else:
+            key, size = ("task", index), 1
+        groups.setdefault(key, (size, []))[1].append(index)
+    return [indices for _, indices in sorted(groups.values(), key=lambda group: -group[0])]
+
+
 def _run_tasks(tasks, keep_going: bool) -> Report:
-    """Run each task as check(**params), in order.  A check returns a Case or
-    a list of them; an exception becomes an error case naming the task."""
+    """Run every task and collect its cases in task order.  With more than one
+    CPU in the affinity mask, os.fork, no second thread and more than one
+    shard, min(CPUs, shards) - 1 forked workers share the shards with this
+    process; otherwise the tasks run here, one after another.  Unless
+    `keep_going`, the report ends at the first task with a failed or errored
+    theorem case, whose detail says the sweep aborted."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shards = _shards(tasks)
+    workers = min(cpus, len(shards)) - 1
+    if workers > 0 and hasattr(os, "fork") and threading.active_count() == 1:
+        from . import forked  # loaded only by a sweep that forks
+
+        results, lost = forked.run_shards(shards, workers, lambda index: _run_task(tasks[index]))
+        reason = "; ".join(lost)
+        per_task = [
+            results[index] if index in results else [_error_case(family, params, reason)]
+            for index, (family, params, _) in enumerate(tasks)
+        ]
+    else:
+        per_task = map(_run_task, tasks)
     report = Report([])
-    for family, params, check in tasks:
-        try:
-            result = check(**params)
-        except Exception as exc:  # surfaced as an error case, never swallowed
-            result = Case(
-                name=family,
-                params=params,
-                status=ERROR,
-                expected=QPoly.zero(),
-                actual=QPoly.zero(),
-                detail=f"{type(exc).__name__}: {exc}",
-                kind=THEOREM,
-            )
-        cases = result if isinstance(result, list) else [result]
+    for cases in per_task:
         report.cases.extend(cases)
         if not keep_going and any(c.kind == THEOREM and c.status in (FAIL, ERROR) for c in cases):
             last = report.cases[-1]

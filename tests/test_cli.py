@@ -583,13 +583,25 @@ def test_keep_going_flag_sets_the_config_key(tmp_path, capsys, monkeypatch):
     assert code == 1 and out.endswith("summary: pass=0 fail=2 error=0\n")
 
 
-def test_cli_import_leaves_out_fractions_and_dataclasses():
+def _loaded_by_cli_import(names):
+    """Which of `names` a fresh interpreter has loaded after importing the CLI
+    and building its parser."""
     src = os.path.dirname(os.path.dirname(qgrass.__file__))
     probe = (
         "import sys, qgrass.cli; qgrass.cli.build_parser(); "
-        "print(sorted(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules))"
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_leaves_out_fractions_and_dataclasses():
+    assert _loaded_by_cli_import(("fractions", "decimal", "dataclasses", "inspect")) == "[]\n"
+
+
+def test_cli_import_leaves_out_pickle_and_process_pools():
+    # only a sweep that forks workers loads qgrass.forked and pickle; none uses a pool
+    names = ("pickle", "multiprocessing", "concurrent.futures", "qgrass.forked")
+    assert _loaded_by_cli_import(names) == "[]\n"

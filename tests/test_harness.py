@@ -1,10 +1,14 @@
+import contextlib
 import functools
 import json
+import os
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from qgrass import harness, lagrangian, partitions
+from qgrass import forked, harness, lagrangian, partitions
 from qgrass.echelon import generated_slices
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
@@ -33,6 +37,42 @@ from qgrass.qseries import QPoly
 from qgrass.schur import SymVector, h_to_schur
 
 SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
+
+# The two ways a sweep runs its tasks: in this process, or sharded over forked
+# workers.  Every test of `_run_tasks` runs on both.
+SWEEP_PATHS = ("forked", "inline")
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@contextlib.contextmanager
+def sweep_path(path):
+    """Put the sweep on one path: "inline" sees a one-CPU affinity mask and
+    os.fork refused, "forked" a two-CPU mask.  Yields the pids forked, and
+    then checks that the forked path forked, that no child is left and, where
+    /proc shows them, that no file descriptor is left open."""
+    forks, real_fork = [], os.fork
+    before = _open_fds()
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def refuse():
+        raise AssertionError("a sweep on one CPU forked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "inline" else {0, 1})
+        mp.setattr(os, "fork", refuse if path == "inline" else fork)
+        yield forks
+    assert bool(forks) == (path == "forked"), path
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
 
 
 def test_summand_identity_golden():
@@ -312,7 +352,10 @@ def test_sweep_empty_and_single_case():
 
 
 def test_sweep_matches_default_golden():
-    assert sweep().to_text() + "\n" == SWEEP_DEFAULT_GOLDEN.read_text(encoding="utf-8")
+    golden = SWEEP_DEFAULT_GOLDEN.read_text(encoding="utf-8")
+    for path in SWEEP_PATHS:
+        with sweep_path(path):
+            assert sweep().to_text() + "\n" == golden, path
 
 
 def test_report_json_schema():
@@ -403,11 +446,13 @@ def test_run_tasks_aborts_on_theorem_failure():
         _fake_task("fail", THEOREM),
         _fake_task("pass", THEOREM),
     ]
-    report = _run_tasks(tasks, keep_going=False)
-    assert len(report.cases) == 2
-    assert "aborted" in report.cases[-1].detail
-    report = _run_tasks(tasks, keep_going=True)
-    assert len(report.cases) == 3
+    for path in SWEEP_PATHS:
+        with sweep_path(path):
+            report = _run_tasks(tasks, keep_going=False)
+            assert len(report.cases) == 2
+            assert "aborted" in report.cases[-1].detail
+            report = _run_tasks(tasks, keep_going=True)
+            assert len(report.cases) == 3
 
 
 def test_run_tasks_never_aborts_on_conjecture_failure():
@@ -415,20 +460,135 @@ def test_run_tasks_never_aborts_on_conjecture_failure():
         _fake_task("fail", CONJECTURE),
         _fake_task("pass", THEOREM),
     ]
-    report = _run_tasks(tasks, keep_going=False)
-    assert len(report.cases) == 2
-    assert not report.ok
+    for path in SWEEP_PATHS:
+        with sweep_path(path):
+            report = _run_tasks(tasks, keep_going=False)
+            assert len(report.cases) == 2
+            assert not report.ok
 
 
 def test_run_tasks_wraps_exceptions_as_error_cases():
     def boom(ell, k, i):
         raise ZeroDivisionError("x")
 
-    report = _run_tasks([("summand", {"ell": 2, "k": 3, "i": 1}, boom)], keep_going=True)
-    assert report.summary["error"] == 1
-    case = report.cases[0]
-    assert case.name == "summand"
-    assert case.params == {"ell": 2, "k": 3, "i": 1}
-    assert report.to_text().splitlines()[0] == (
-        "ERROR summand ell=2 k=3 i=1 | expected=0 actual=0 | ZeroDivisionError: x"
-    )
+    # the passing task on a second box gives the forked path a second shard
+    tasks = [
+        ("summand", {"ell": 2, "k": 3, "i": 1}, boom),
+        ("summand", {"ell": 3, "k": 3, "i": 1}, check_summand_identity),
+    ]
+    for path in SWEEP_PATHS:
+        with sweep_path(path):
+            report = _run_tasks(tasks, keep_going=True)
+            assert report.summary["error"] == 1
+            case = report.cases[0]
+            assert case.name == "summand"
+            assert case.params == {"ell": 2, "k": 3, "i": 1}
+            assert report.to_text().splitlines()[0] == (
+                "ERROR summand ell=2 k=3 i=1 | expected=0 actual=0 | ZeroDivisionError: x"
+            )
+
+
+def test_shards_group_tasks_by_box_or_order_largest_first():
+    tasks = harness._tasks_for(harness.DEFAULT_CONFIG)
+    shards = harness._shards(tasks)
+    assert sorted(i for shard in shards for i in shard) == list(range(len(tasks)))
+    keys = []
+    for shard in shards:
+        key = {(p["ell"], p["k"]) if "ell" in p else p["n"] for _, p, _ in (tasks[i] for i in shard)}
+        assert len(key) == 1, key  # one box or order per shard
+        keys += key
+    assert len(set(keys)) == len(keys) == 66  # each in one shard only
+    # largest ring first: C(ell + k, k) classes for a box, 2^n for an order
+    sizes = [comb(sum(key), key[0]) if isinstance(key, tuple) else 2**key for key in keys]
+    assert sizes == sorted(sizes, reverse=True)
+    assert [key for key in keys if isinstance(key, tuple)][:3] == [(6, 6), (5, 6), (6, 5)]
+    # a task naming neither a box nor an order is a shard of its own
+    assert harness._shards([_fake_task("pass", THEOREM)] * 3) == [[0], [1], [2]]
+
+
+def _exited(pid):
+    """Wait up to 30 s for child `pid` to exit, leaving it for the sweep to reap."""
+    deadline = time.monotonic() + 30
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+        assert time.monotonic() < deadline, f"worker {pid} still running"
+        time.sleep(0.01)
+
+
+def test_a_lost_worker_turns_its_tasks_into_error_cases():
+    parent = os.getpid()
+    with sweep_path("forked") as forks:
+
+        def check(n):
+            if os.getpid() != parent:
+                os._exit(3)
+            _exited(forks[0])  # the worker has pulled the other shard and died
+            return _fake_case("pass", THEOREM)
+
+        report = _run_tasks([("fake", {"n": 1}, check), ("fake", {"n": 2}, check)], keep_going=True)
+    assert len(forks) == 1
+    assert sorted(c.status for c in report.cases) == ["error", "pass"]
+    lost = next(c for c in report.cases if c.status == "error")
+    assert lost.name == "fake" and lost.params in ({"n": 1}, {"n": 2})
+    assert lost.detail == "worker exited with status 3"
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
+def test_an_interrupted_sweep_reaps_its_workers(monkeypatch, interrupt):
+    # the worker's task would run for a minute; the parent's raises at once
+    parent = os.getpid()
+
+    def check(n):
+        if os.getpid() == parent:
+            raise interrupt("stop")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "_run_task", lambda task: check(**task[1]))
+    start = time.monotonic()
+    with pytest.raises(interrupt, match="stop"):
+        with sweep_path("forked"):
+            _run_tasks([("fake", {"n": n}, check) for n in (1, 2)], keep_going=True)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_that_cannot_fork_runs_in_one_process(monkeypatch):
+    config = {"families": {"summand": {"max": 3}, "prop51": {"max": 4}}}
+    with sweep_path("inline"):
+        want = sweep(config).to_text()
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_process)
+    before = _open_fds()
+    assert sweep(config).to_text() == want
+    assert _open_fds() == before
+
+
+def test_the_parent_runs_the_shards_a_full_queue_left_out(monkeypatch):
+    config = {"families": {"summand": {"max": 3}, "lg": {"max": 4}, "prop51": {"max": 6}}}
+    with sweep_path("inline"):
+        want = sweep(config).to_text()
+    fill = forked._fill_queue
+    monkeypatch.setattr(forked, "_fill_queue", lambda queue_w, count: fill(queue_w, min(count, 2)))
+    with sweep_path("forked"):
+        assert sweep(config).to_text() == want
+
+
+def test_fill_queue_stops_at_a_full_pipe():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe whose size can be set")
+    queue_r, queue_w = os.pipe()
+    try:
+        size = fcntl.fcntl(queue_w, fcntl.F_SETPIPE_SZ, 4096)
+        queued = forked._fill_queue(queue_w, 10 * size)
+    finally:
+        os.close(queue_w)
+    try:
+        assert queued == size // forked._INDEX_BYTES
+        assert list(forked._pull(queue_r)) == list(range(queued))
+    finally:
+        os.close(queue_r)
