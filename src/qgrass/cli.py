@@ -3,21 +3,26 @@
 Data goes to stdout exactly as serialized; diagnostics go to stderr.  Exit
 codes: 0 success (and no failed cases), 1 at least one failed case, 2 usage or
 validation error.
+
+Building the parser loads no ring: each command imports the module it runs
+(`hilb grass` grassmann, `hilb lg` lagrangian, `formula` qseries, `kconj`,
+`core` and `vacancy` partitions, `kschur` kschur, `verify` harness), and
+`json` is imported only where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from .grassmann import subalgebra_hilbert
-from .harness import FAMILIES, NS, PAIRS, ConfigError, Report, sweep, validate_config
-from .kschur import k_schur
-from .lagrangian import lg_subalgebra_hilbert
-from .partitions import Partition, bounded_from_core, core_from_bounded, k_conjugate, vacancy
-from .qseries import QPoly, grass_subalgebra_formula, lg_subalgebra_formula
-from .schur import SymVector
+from .config import FAMILIES, NS, PAIRS, ConfigError, validate_config
+
+if TYPE_CHECKING:
+    from .harness import Report
+    from .partitions import Partition
+    from .qseries import QPoly
+    from .schur import SymVector
 
 FORMATS = ("text", "md", "json")
 
@@ -30,6 +35,8 @@ VERIFY_GROUPS = {
 
 def _emit_qpoly(p: QPoly, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(p.json_coeffs(), separators=(",", ":"))
     body = ",".join(str(c) for c in p.coeffs()) if not p.is_zero else "0"
     return f"`{body}`" if fmt == "md" else body
@@ -38,12 +45,16 @@ def _emit_qpoly(p: QPoly, fmt: str) -> str:
 def _emit_scalar(value: Partition | int, fmt: str) -> str:
     """One partition or integer; JSON gives a partition as its string."""
     if fmt == "json":
+        import json
+
         return json.dumps(value if isinstance(value, int) else str(value))
     return f"`{value}`" if fmt == "md" else str(value)
 
 
 def _emit_symvector(v: SymVector, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(v.to_json_obj(), separators=(",", ":"))
     rows = [(str(p) or "-", str(c)) for p, c in ((q, v.coeff(q)) for q in v.support())]
     if fmt == "md":
@@ -125,6 +136,8 @@ def _verify_config(args) -> dict:
                 raise ConfigError(f"{flag} cannot be combined with --config, whose file sets every grid")
         if args.family != "all":
             raise ConfigError(f"--config runs the families its file names; give the target 'all', not {args.family!r}")
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
@@ -178,11 +191,19 @@ def _series(args) -> QPoly:
         if args.n < 1:
             raise ValueError(f"need n >= 1, got n={args.n}")
         m = args.n if args.m is None else args.m
-        return (lg_subalgebra_hilbert if args.command == "hilb" else lg_subalgebra_formula)(args.n, m)
+        if args.command == "hilb":
+            from .lagrangian import lg_subalgebra_hilbert as series
+        else:
+            from .qseries import lg_subalgebra_formula as series
+        return series(args.n, m)
     if args.ell < 0 or args.k < 0:
         raise ValueError(f"need ell, k >= 0, got ell={args.ell}, k={args.k}")
     m = min(args.ell, args.k) if args.m is None else args.m
-    return (subalgebra_hilbert if args.command == "hilb" else grass_subalgebra_formula)(args.ell, args.k, m)
+    if args.command == "hilb":
+        from .grassmann import subalgebra_hilbert as series
+    else:
+        from .qseries import grass_subalgebra_formula as series
+    return series(args.ell, args.k, m)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -196,11 +217,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("hilb", "formula"):
             print(_emit_qpoly(_series(args), fmt))
         elif args.command == "kconj":
+            from .partitions import Partition, k_conjugate
+
             print(_emit_scalar(k_conjugate(Partition.parse(args.partition), args.k), fmt))
         elif args.command == "core":
+            from .partitions import Partition, bounded_from_core, core_from_bounded
+
             to = bounded_from_core if args.to_bounded else core_from_bounded
             print(_emit_scalar(to(Partition.parse(args.partition), args.k), fmt))
         elif args.command == "vacancy":
+            from .partitions import Partition, vacancy
+
             if args.ell is not None and args.ell < 0:
                 raise ValueError(f"--ell must be at least 0, got {args.ell}")
             lam = Partition.parse(args.partition)
@@ -208,12 +235,17 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{lam} has more than {args.ell} rows")
             print(_emit_scalar(vacancy(lam, args.k), fmt))
         elif args.command == "kschur":
+            from .kschur import k_schur
+            from .partitions import Partition
+
             lam = Partition.parse(args.partition)
             print(_emit_symvector(k_schur(lam, args.k), fmt))
         elif args.command == "verify":
             config = _verify_config(args)
             if args.keep_going:
                 config["keep_going"] = True
+            from .harness import sweep
+
             report = sweep(config)
             print(_emit_report(report, fmt))
             return 0 if report.ok else 1

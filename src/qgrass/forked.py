@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 from itertools import chain
 from typing import Callable
 
@@ -37,15 +38,29 @@ def _pull(queue_r: int):
         yield int.from_bytes(item, "little")
 
 
-def _worker(shards, run, queue_r: int, out_w: int, inherited: list[int]):
+def _end_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies (Linux's
+    parent-death signal), then leave at once if the parent died before that
+    took hold."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        pr_set_pdeathsig = 1
+        ctypes.CDLL(None).prctl(pr_set_pdeathsig, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _worker(shards, run, queue_r: int, out_w: int, inherited: list[int], parent: int):
     """Run the shards this worker pulls, pickle {index: result} to `out_w`
-    and leave with os._exit.  Once orphaned (its parent killed), it runs no
+    and leave with os._exit.  It ends with `parent`: on Linux the kernel
+    kills it when the parent dies; elsewhere, once orphaned, it runs no
     further shard."""
     status = 1
     try:
+        _end_with_parent(parent)
         for fd in inherited:
             os.close(fd)
-        parent = os.getppid()
         done = {
             index: run(index)
             for shard in _pull(queue_r)
@@ -72,6 +87,7 @@ def run_shards(shards: list[list[int]], workers: int, run: Callable[[int], objec
     pids: list[int] = []
     readers: list[int] = []  # this process's ends of the workers' result pipes
     reports: list[bytes] = []
+    parent = os.getpid()
     queue_r, queue_w = os.pipe()
     fds = [queue_r, queue_w]  # every descriptor opened here and still open
     finished = False
@@ -87,7 +103,7 @@ def run_shards(shards: list[list[int]], workers: int, run: Callable[[int], objec
             except OSError:  # no process to spare: go on with the workers forked so far
                 break
             if pid == 0:
-                _worker(shards, run, queue_r, out_w, readers + [out_r])
+                _worker(shards, run, queue_r, out_w, readers + [out_r], parent)
             pids.append(pid)
             readers.append(out_r)
             fds.remove(out_w)

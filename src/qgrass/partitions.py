@@ -419,13 +419,18 @@ def _box_vacancy_sums(ell: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _box_k_conjugates(ell: int, k: int) -> tuple[tuple[Partition, ...], ...]:
+def _box_k_conjugates(ell: int, k: int) -> tuple[tuple[tuple[Partition, ...], ...], tuple[tuple[int, ...], ...]]:
     """For each degree, the k-conjugates of the partitions of that size in the
-    ell x k box, sorted decreasing."""
-    return tuple(
-        tuple(sorted((k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)), reverse=True))
-        for d in range(ell * k + 1)
-    )
+    ell x k box, sorted decreasing; and, from the same pass, their counts by
+    first part: sums[i][d] k-conjugates of size d have first part i."""
+    images = []
+    sums = [[0] * (ell * k + 1) for _ in range(k + 1)]
+    for d in range(ell * k + 1):
+        degree = sorted((k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)), reverse=True)
+        for mu in degree:
+            sums[mu.first][mu.size] += 1
+        images.append(tuple(degree))
+    return tuple(images), tuple(map(tuple, sums))
 
 
 def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:
@@ -437,5 +442,5 @@ def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:
     """
     if m > k:
         raise ValueError(f"m={m} exceeds k={k}: k-conjugation is undefined beyond k-bounded parts")
-    for images in _box_k_conjugates(ell, k):
+    for images in _box_k_conjugates(ell, k)[0]:
         yield from (p for p in images if p.first <= m)

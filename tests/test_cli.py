@@ -583,18 +583,20 @@ def test_keep_going_flag_sets_the_config_key(tmp_path, capsys, monkeypatch):
     assert code == 1 and out.endswith("summary: pass=0 fail=2 error=0\n")
 
 
-def _loaded_by_cli_import(names):
+def _loaded_by_cli_import(names, argv=None):
     """Which of `names` a fresh interpreter has loaded after importing the CLI
-    and building its parser."""
+    and building its parser, or, given `argv`, after a successful
+    `main(argv)`.  The answer goes to stderr, past the command's output."""
     src = os.path.dirname(os.path.dirname(qgrass.__file__))
+    run = "qgrass.cli.build_parser()" if argv is None else f"assert qgrass.cli.main({list(argv)!r}) == 0"
     probe = (
-        "import sys, qgrass.cli; qgrass.cli.build_parser(); "
-        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
+        f"import sys, qgrass.cli; {run}; "
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done.stderr
 
 
 def test_cli_import_leaves_out_fractions_and_dataclasses():
@@ -605,3 +607,74 @@ def test_cli_import_leaves_out_pickle_and_process_pools():
     # only a sweep that forks workers loads qgrass.forked and pickle; none uses a pool
     names = ("pickle", "multiprocessing", "concurrent.futures", "qgrass.forked")
     assert _loaded_by_cli_import(names) == "[]\n"
+
+
+ENGINE = tuple(
+    f"qgrass.{name}"
+    for name in ("partitions", "qseries", "schur", "kschur", "echelon", "grassmann", "lagrangian", "harness", "forked")
+)
+
+
+def test_cli_import_loads_no_ring_and_no_json():
+    # the parser and the verify config come from qgrass.config alone
+    assert _loaded_by_cli_import((*ENGINE, "json", "qgrass.config")) == "['qgrass.config']\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["hilb", "grass", "--ell", "3", "--k", "3", "--m", "2"], ["qgrass.grassmann"]),
+        (["hilb", "lg", "--n", "4", "--m", "3"], ["qgrass.lagrangian"]),
+        (["formula", "rt", "--ell", "3", "--k", "3", "--m", "2"], []),
+        (["kconj", "--k", "4", "4,3,1,1", "--format", "json"], ["json"]),
+    ],
+    ids=["hilb-grass", "hilb-lg", "formula", "kconj-json"],
+)
+def test_each_command_loads_only_the_ring_it_runs(argv, loaded):
+    names = ("qgrass.grassmann", "qgrass.lagrangian", "qgrass.harness", "json")
+    assert _loaded_by_cli_import(names, argv) == f"{loaded}\n"
+
+
+# What `from qgrass import *` binds: every export and the engine submodules.
+STAR_NAMES = [
+    "BasisReport", "DegreeSlice", "Partition", "QPoly", "Report", "SymVector", "bounded_from_core",
+    "candidate_partitions", "core_from_bounded", "dominance_leq", "echelon", "gen_sum", "grass_hilbert_series",
+    "grass_subalgebra_formula", "grassmann", "h_basis_report", "h_to_schur", "harness", "is_core",
+    "k_bounded_partitions", "k_conjugate", "k_schur", "kschur", "kschur_basis_report", "lagrangian",
+    "lg_hilbert_series", "lg_subalgebra_formula", "lg_subalgebra_hilbert", "lg_top_power", "multiply",
+    "normal_form", "omega", "partitions", "partitions_in_box", "partitions_in_box_of_size", "pieri_h", "project",
+    "q_binomial", "q_binomial_double_prime", "q_binomial_prime", "qseries", "schur", "shifted_compose",
+    "shifted_decompose", "strict_partitions_in_triangle", "strict_partitions_of_size", "subalgebra_hilbert",
+    "subalgebra_slices", "sweep", "vacancy", "vacant_compose", "vacant_decompose", "vacant_partitions",
+    "weak_pieri_targets",
+]
+
+
+def test_star_import_binds_every_export_and_submodule():
+    namespace = {}
+    exec("from qgrass import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == STAR_NAMES and len(STAR_NAMES) == 54
+    assert namespace["k_schur"] is k_schur and namespace["harness"] is harness
+    assert namespace["Partition"] is Partition
+
+
+def test_package_attributes_resolve_lazily_and_unknown_ones_raise():
+    src = os.path.dirname(os.path.dirname(qgrass.__file__))
+    probe = (
+        "import sys, qgrass\n"
+        "assert not [m for m in sys.modules if m.startswith('qgrass.')]\n"
+        "try:\n"
+        "    qgrass.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'qgrass' has no attribute 'no_such_name'\", exc\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert not hasattr(qgrass, 'forked')\n"
+        "from qgrass import forked, harness\n"
+        "assert forked is sys.modules['qgrass.forked'] and harness is sys.modules['qgrass.harness']\n"
+        "assert qgrass.sweep is harness.sweep\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

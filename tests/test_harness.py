@@ -2,6 +2,9 @@ import contextlib
 import functools
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 from math import comb
 from pathlib import Path
@@ -592,3 +595,60 @@ def test_fill_queue_stops_at_a_full_pipe():
         assert list(forked._pull(queue_r)) == list(range(queued))
     finally:
         os.close(queue_r)
+
+
+def _live_children(pid):
+    """The pids of the processes whose parent is `pid`, zombies left out."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state not in "ZX":
+            kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"), reason="needs os.fork and /proc")
+def test_workers_end_with_a_killed_cli(tmp_path):
+    # both boxes take seconds, so a worker that outlived its CLI would still be
+    # in its shard 2 s after the SIGKILL
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep forks only with two CPUs")
+    config = tmp_path / "slow.json"
+    config.write_text(json.dumps({"families": {"rt": {"pairs": [[7, 7], [8, 6]]}}}))
+    src = Path(harness.__file__).resolve().parent.parent
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "qgrass.cli", "verify", "all", "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers and time.monotonic() < deadline and cli.poll() is None:
+            workers = _live_children(cli.pid)
+            time.sleep(0.01)
+        assert workers, "the sweep forked no worker"
+        time.sleep(0.3)  # the worker is in its shard
+        cli.kill()
+        cli.wait(timeout=30)
+        deadline = time.monotonic() + 2
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        cli.kill()
+        cli.wait(timeout=30)
+        for pid in filter(_alive, workers):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
