@@ -171,16 +171,21 @@ def apply_map(
     return image
 
 
-def _monomials(top: int, parts: Sequence[int]) -> list[list[tuple[int, ...]]]:
-    """table[e], for e <= top: the monomials of degree e in generators of the
-    given increasing degrees, as nondecreasing tuples of degrees, in
-    lexicographic order.  Built degree by degree, without recursion: a
+def _monomials(parts: Sequence[int]) -> Callable[[int], list[tuple[int, ...]]]:
+    """monomials(e): the monomials of degree e in generators of the given
+    increasing degrees, as nondecreasing tuples of degrees, in lexicographic
+    order.  The list of degree e is built on its first read, with every
+    list below it not built yet, lowest first and without recursion: a
     monomial is its first part b followed by a monomial of degree e - b that
     starts at b or later."""
     table: list[list[tuple[int, ...]]] = [[()]]
-    for e in range(1, top + 1):
-        table.append([(b,) + t for b in parts if b <= e for t in table[e - b] if not t or t[0] >= b])
-    return table
+
+    def monomials(e: int) -> list[tuple[int, ...]]:
+        for f in range(len(table), e + 1):
+            table.append([(b,) + t for b in parts if b <= f for t in table[f - b] if not t or t[0] >= b])
+        return table[e]
+
+    return monomials
 
 
 def _spanning_rows(
@@ -207,7 +212,7 @@ def _spanning_rows(
             rows[key] = apply_map(enumerate(rows[key[1:]]), pieri_map(e, key[0]), len(columns[e]))
         return rows[parts]
 
-    monomials = _monomials(len(columns) - 1, degrees[1:])
+    monomials = _monomials(degrees[1:])
 
     def walk(d: int, stored: Callable[[int], Iterable]) -> Iterator[list[int]]:
         if d == 0:
@@ -218,7 +223,7 @@ def _spanning_rows(
             step = pieri_map(d, degrees[0])
             for src in stored(d - degrees[0]):
                 yield apply_map(src, step, width)
-        for b in monomials[d]:
+        for b in monomials(d):
             yield apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), width)
 
     return walk

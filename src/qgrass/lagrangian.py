@@ -14,12 +14,31 @@ memoised per (n, d, i) as an integer Pieri map (Macdonald III (8.15), with
 Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
 2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
 mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
-columns c in which mu/lambda has a box and column c + 1 has none.  The shared
-builder `echelon.generated_slices` pushes integer rows through the maps of
-the odd generators alone.  The relation for e_j^2 ends in 2 (-1)^(j+1) e_(2j),
-so e_(2j) lies in the subalgebra of e_1, ..., e_(2j-1): the subalgebra
-generated in degrees at most 2j is that of the odd e_i < 2j, shares its
-build, and no Pieri map of an even sigma_i is built.  The Hilbert series
+columns c in which mu/lambda has a box and column c + 1 has none.
+
+The maps are walked, never searched.  A table per degree lists the single
+boxes each column can take, as (target column, row, new part): row r takes
+one while its new part stays below the part of the row above (n + 1 above
+row 0), so every target is strict.  sigma_i adds i such boxes to every
+source at once, rows top to bottom and each row left to right, so every
+shape on the way is strict (in increasing columns, (2, 1) would reach
+(3, 2) only through (2, 2)).  A partial strip carries the row of its last
+box, that row's old part and that row's bound.  A box may continue that row
+while its new part is at most the bound, or start a lower row, bound by the
+last row's old part (n + 1 for the first box).  That is the strip's bound
+for the next row down; a row further down sits under an untouched row,
+below which the table already keeps it, and whose part is below that bound,
+so the bound never binds it.  The exponent gains 1 for each row started,
+loses 1 when a box lands on its bound (its run of columns joins the one
+above) and loses 1 when a box starts a row that was empty
+(l(mu) > l(lambda)).  Each strip is reached once, in this order; sigma_1 is
+one table step.
+
+The shared builder `echelon.generated_slices` pushes integer rows through
+the maps of the odd generators alone.  The relation for e_j^2 ends in
+2 (-1)^(j+1) e_(2j), so e_(2j) lies in the subalgebra of e_1, ...,
+e_(2j-1): the subalgebra generated in degrees at most 2j is that of the odd
+e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.  The Hilbert series
 reads the ranks alone (`echelon.generated_ranks`); the `lg-stab` check tests
 the stabilisation as a membership in an exact build of degrees 0..2j.
 
@@ -94,52 +113,62 @@ def _strict_columns(n: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[i
     return cols, {p.parts: j for j, p in enumerate(cols)}
 
 
-def _strict_strips(lam: tuple[int, ...], i: int, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each strict mu with mu_1 <= n and mu/lam a horizontal i-strip, paired
-    with the exponent a(lam, mu) + l(lam) - l(mu) of its Pieri coefficient."""
-    base = lam + (0,)
-    # row r grows to at most n (r = 0) or the old part above it, which it may
-    # reach only when the row above grows too (mu stays strict)
-    caps = [n - base[0]] + [base[r - 1] - base[r] for r in range(1, len(base))]
-    room = [0] * (len(base) + 1)
-    for r in range(len(base) - 1, -1, -1):
-        room[r] = room[r + 1] + caps[r]
-    mu = list(base)
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def build(r: int, remaining: int, exp: int):
-        if remaining == 0:
-            out.append((tuple(mu) if mu[-1] else tuple(mu[:-1]), exp))
-            return
-        if remaining > room[r]:
-            return
-        cap = caps[r]
-        if r and mu[r - 1] == base[r - 1]:
-            cap -= 1
-        for x in range(min(cap, remaining), 0, -1):
-            mu[r] += x
-            # a new run of columns, unless it ends where the row above began
-            # to grow; a new row takes a factor 2 off
-            grown = exp + (r == 0 or mu[r] != base[r - 1]) - (r == len(lam))
-            build(r + 1, remaining - x, grown)
-            mu[r] -= x
-        build(r + 1, remaining, exp)
-
-    build(0, i, 0)
-    return out
+@cache
+def _strict_boxes(n: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Single boxes added to strict partitions with parts at most n, from
+    degree d - 1 to degree d: for each source column, (target column, row,
+    new part) of each box, rows increasing.  Row r grows while its new part
+    stays below the part of the row above (n + 1 above row 0), so every
+    target is strict."""
+    index = _strict_columns(n, d)[1]
+    table = []
+    for lam in _strict_columns(n, d - 1)[0]:
+        parts = lam.parts
+        above = n + 1
+        boxes = []
+        for r, v in enumerate(parts + (0,)):
+            if v + 1 < above:
+                boxes.append((index[parts[:r] + (v + 1,) + parts[r + 1:]], r, v + 1))
+            above = v
+        table.append(tuple(boxes))
+    return tuple(table)
 
 
 @cache
 def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """Multiplication by sigma_i from degree d - i to degree d: for each
-    coefficient, the target column indices of each source column."""
-    index = _strict_columns(n, d)[1]
-    strips = [_strict_strips(lam.parts, i, n) for lam in _strict_columns(n, d - i)[0]]
-    exps = sorted({exp for hits in strips for _, exp in hits})
-    return tuple(
-        (1 << e, tuple(tuple(index[mu] for mu, exp in hits if exp == e) for hits in strips))
-        for e in exps
-    )
+    coefficient, the target column indices of each source column.  Walks i
+    single boxes through the tables of degrees d - i + 1..d, for every source
+    at once (see the module docstring)."""
+    width = len(_strict_columns(n, d - i)[0])
+    # a partial strip: source, current column, row of its last box, that
+    # row's old part, that row's bound, exponent; it starts in a virtual
+    # row -1 of part n + 1
+    strips = [(j, j, -1, n + 1, n + 1, 0) for j in range(width)]
+    for e in range(d - i + 1, d + 1):
+        table = _strict_boxes(n, e)
+        grown = []
+        push = grown.append
+        for src, col, row, old, bound, exp in strips:
+            for t, r, p in table[col]:
+                if r == row:
+                    # the row goes on; landing on its bound joins the run above
+                    if p <= bound:
+                        push((src, t, r, old, bound, exp - (p == bound)))
+                elif r > row and p <= old:
+                    # a lower row starts, bound by the last row's old part (a
+                    # row further down already sits below the untouched row
+                    # above it, so it never reaches that bound): a run of its
+                    # own unless it lands there, and a row that was empty
+                    # takes a factor 2 off
+                    push((src, t, r, p - 1, old, exp + 1 - (p == old) - (p == 1)))
+        strips = grown
+    by_exp: dict[int, list[list[int]]] = {}
+    for src, t, _, _, _, exp in strips:
+        if exp not in by_exp:
+            by_exp[exp] = [[] for _ in range(width)]
+        by_exp[exp][src].append(t)
+    return tuple((1 << e, tuple(map(tuple, by_exp[e]))) for e in sorted(by_exp))
 
 
 def _lg_generated(builder, n: int, odd: int, top: int):

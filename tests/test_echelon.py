@@ -306,9 +306,9 @@ def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
     seen = set()
     monomials, row_terms = echelon._monomials, DegreeSlice.row_terms
 
-    def recording_monomials(e, parts):
+    def recording_monomials(parts):
         seen.add("monomials")
-        return monomials(e, parts)
+        return monomials(parts)
 
     def recording_row_terms(self):
         reads[id(self)] += 1
@@ -332,18 +332,20 @@ def test_monomial_counts_and_enumeration_match_brute_force():
     top = 14
     ranges = [tuple(range(lo, hi + 1)) for lo in range(1, 5) for hi in range(lo - 1, 7)]
     for parts in ranges + [(1, 3, 5), (3, 5), (2,), (1, 3, 5, 7, 9, 11, 13), (2, 3, 7), (4, 9)]:
-        table = _monomials(top, parts)
-        assert len(table) == top + 1
+        monomials = _monomials(parts)
         for e in range(top + 1):
             brute = sorted(
                 t for r in range(e + 1) for t in combinations_with_replacement(parts, r) if sum(t) == e
             )
-            assert table[e] == brute, (e, parts)
-    # parts past the top degree never fit, and long monomials do not recurse
-    assert _monomials(9, range(2, 5001)) == _monomials(9, range(2, 10))
-    table = _monomials(2101, (2,))
-    assert table[2100] == [(2,) * 1050]
-    assert table[2101] == []
+            assert monomials(e) == brute, (e, parts)
+        # read out of order, a degree's list is the same
+        assert _monomials(parts)(top) == monomials(top), parts
+    # parts past the degree never fit, and long monomials do not recurse
+    wide, narrow = _monomials(range(2, 5001)), _monomials(range(2, 10))
+    assert [wide(e) for e in range(10)] == [narrow(e) for e in range(10)]
+    monomials = _monomials((2,))
+    assert monomials(2101) == []
+    assert monomials(2100) == [(2,) * 1050]
 
 
 def _count_apply_map(monkeypatch):

@@ -9,8 +9,8 @@ from qgrass.echelon import DegreeSlice, generated_slices
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
     _lg_pieri_map,
+    _strict_boxes,
     _strict_columns,
-    _strict_strips,
     lg_subalgebra_hilbert,
     lg_subalgebra_slices,
     lg_top_power,
@@ -260,16 +260,97 @@ def pieri_exponent(lam, mu):
     return sum(1 for c in cells if c + 1 not in cells) + len(lam) - len(mu)
 
 
+def strict_strips(lam, i, n):
+    """Each strict mu with mu_1 <= n and mu/lam a horizontal i-strip, paired
+    with the exponent a(lam, mu) + l(lam) - l(mu) of its Pieri coefficient,
+    by a recursive search over the rows: the reference for the table walk."""
+    base = lam + (0,)
+    # row r grows to at most n (r = 0) or the old part above it, which it may
+    # reach only when the row above grows too (mu stays strict)
+    caps = [n - base[0]] + [base[r - 1] - base[r] for r in range(1, len(base))]
+    room = [0] * (len(base) + 1)
+    for r in range(len(base) - 1, -1, -1):
+        room[r] = room[r + 1] + caps[r]
+    mu = list(base)
+    out = []
+
+    def build(r, remaining, exp):
+        if remaining == 0:
+            out.append((tuple(mu) if mu[-1] else tuple(mu[:-1]), exp))
+            return
+        if remaining > room[r]:
+            return
+        cap = caps[r]
+        if r and mu[r - 1] == base[r - 1]:
+            cap -= 1
+        for x in range(min(cap, remaining), 0, -1):
+            mu[r] += x
+            # a new run of columns, unless it ends where the row above began
+            # to grow; a new row takes a factor 2 off
+            grown = exp + (r == 0 or mu[r] != base[r - 1]) - (r == len(lam))
+            build(r + 1, remaining - x, grown)
+            mu[r] -= x
+        build(r + 1, remaining, exp)
+
+    build(0, i, 0)
+    return out
+
+
+def filtered_strips(lam, i, n):
+    """The horizontal i-strips over lam that stay strict with parts <= n, with their exponents."""
+    return [
+        (mu, pieri_exponent(lam, mu))
+        for mu in _horizontal_strips(lam, i)
+        if (not mu or mu[0] <= n) and all(a > b for a, b in zip(mu, mu[1:]))
+    ]
+
+
+def strips_pieri_map(n, d, i, strips):
+    """sigma_i from degree d - i to d assembled from strips(lam, i, n) of each
+    source, as {coefficient: per-source sorted target columns}."""
+    index = _strict_columns(n, d)[1]
+    hits = [strips(lam.parts, i, n) for lam in _strict_columns(n, d - i)[0]]
+    return {
+        1 << e: [sorted(index[mu] for mu, exp in found if exp == e) for found in hits]
+        for e in sorted({exp for found in hits for _, exp in found})
+    }
+
+
 def test_strict_strips_are_the_filtered_strips():
     for n in range(1, 8):
         for lam in strict_partitions_in_triangle(n):
             for i in range(n + 2):
-                want = sorted(
-                    (mu, pieri_exponent(lam.parts, mu))
-                    for mu in _horizontal_strips(lam.parts, i)
-                    if (not mu or mu[0] <= n) and all(a > b for a, b in zip(mu, mu[1:]))
-                )
-                assert sorted(_strict_strips(lam.parts, i, n)) == want, (n, lam, i)
+                want = sorted(filtered_strips(lam.parts, i, n))
+                assert sorted(strict_strips(lam.parts, i, n)) == want, (n, lam, i)
+
+
+def test_walked_pieri_maps_match_the_strip_search():
+    # every i, sigma_i past n included (an empty map), at every degree; the
+    # filtered strips are a second reference where they are cheap
+    for n in range(1, 11):
+        references = (strict_strips, filtered_strips) if n <= 7 else (strict_strips,)
+        for d in range(n * (n + 1) // 2 + 1):
+            for i in range(d + 1):
+                walked = {c: [sorted(t) for t in targets] for c, targets in _lg_pieri_map(n, d, i)}
+                for strips in references:
+                    assert walked == strips_pieri_map(n, d, i, strips), (n, d, i, strips.__name__)
+
+
+def test_single_box_tables_are_the_strict_one_strips():
+    # each source's boxes are its one-box strips, rows increasing, each with
+    # the row it grows and the new part
+    for n in range(1, 9):
+        for d in range(1, n * (n + 1) // 2 + 1):
+            index = _strict_columns(n, d)[1]
+            for lam, boxes in zip(_strict_columns(n, d - 1)[0], _strict_boxes(n, d)):
+                base = lam.parts + (0,)
+                want = [
+                    (index[mu], r, mu[r])
+                    for mu, _ in strict_strips(lam.parts, 1, n)
+                    for r in range(len(mu))
+                    if mu[r] != base[r]
+                ]
+                assert list(boxes) == sorted(want, key=lambda box: box[1]), (n, lam)
 
 
 def reference_slices(n, m):
