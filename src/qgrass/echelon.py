@@ -10,29 +10,35 @@ its column from every tail.  Rows and vectors go in as integers
 built on demand.  Pivots are first nonzero columns, with no numerical
 heuristics.
 
-`generated_slices` builds the graded pieces of the subalgebra generated by
-one generator in each of a list of degrees (1..m in the Grassmannian, the odd
+`generated` builds the graded pieces of the subalgebra generated by one
+generator in each of a list of degrees (1..m in the Grassmannian, the odd
 degrees up to m in the Lagrangian ring), given a basis of each degree and
 integer Pieri maps for the generators.  A monomial either contains the
 smallest generator g_(i_1) or lies in the others alone, so the degree-d
-piece is g_(i_1) times the stored rows of degree d - i_1, plus the span of
-the monomials of degree d in the other generators, each built through the
-Pieri maps.  Only the smallest generator reads the stored rows.
+piece is g_(i_1) times a basis of degree d - i_1, plus the span of the
+monomials of degree d in the other generators, each built through the Pieri
+maps.  Only the smallest generator reads the basis below.
 
-`exact_rank` holds the one rule for the rank over Q of integer rows; the
-subalgebra ranks and the candidate-basis reports both call it.
-`PackedRank` holds an echelon mod the prime P = 2^20 - 3, each row one int
-with a 64-bit slot per column, and reduces a row by one big-int multiply-add
-per pivot.  Rows independent mod P are independent over Q, so
-rank_p <= rank_Q <= min(width, n) for n rows.  The rows are pulled lazily,
-and pulling stops once rank_p = width: that is the rank, and the unit rows
-are a basis.  If rank_p = n, the rows themselves are a basis over Q.  Any
-other case (a bad prime, or a dependency over Q) is settled by a
-`DegreeSlice` over every row pulled.
+Each piece is a `Span`, the result of `exact_rank`: the one rule for the
+rank over Q of integer rows, which the subalgebra builds and the
+candidate-basis reports both call.  `PackedRank` holds an echelon mod the
+prime P = 2^20 - 3, each row one int with a 64-bit slot per column, and
+reduces a row by one big-int multiply-add per pivot.  Rows independent mod P
+are independent over Q, so rank_p <= rank_Q <= min(width, n) for n rows.
+The rows are pulled lazily, and pulling stops once rank_p = width: that is
+the rank, the span is saturated, and the unit rows are a basis.  If
+rank_p = n, the rows themselves are a basis over Q.  Any other case (a bad
+prime, or a dependency over Q) is settled by a `DegreeSlice` over every row
+pulled.
 
-`generated_ranks` gives the ranks of the pieces `generated_slices` builds,
-as `exact_rank` of each degree's spanning rows: the same walk, over the
-basis `exact_rank` returned for the degree below.
+A `Span` also has pivots, columns on which its basis is nonsingular, so a
+vector of the span is fixed by its entries there: every column when it is
+saturated, the mod-P pivots when its rows are independent (cut to them, the
+rows are nonsingular mod P, hence over Q), and the pivots of the fallback
+`DegreeSlice` otherwise.  Its `contains_row` is exact: a saturated span
+holds every row of its width, and any other reduces the row against the
+fallback slice, or against a `DegreeSlice` of its basis rows built on the
+first call, which then replaces those rows.
 """
 
 from __future__ import annotations
@@ -78,15 +84,6 @@ class DegreeSlice:
         """Each stored row, in pivot order, as (column, entry) pairs over its pivot and the free columns."""
         for p, lead, tail in zip(self._pivots, self._leads, self._tails):
             yield chain(((p, lead),), zip(self._free, tail))
-
-    @property
-    def _rows(self) -> list[list[int]]:
-        """The stored rows as dense integer lists over all the columns."""
-        rows = [[0] * len(self.columns) for _ in self._pivots]
-        for row, terms in zip(rows, self.row_terms()):
-            for j, a in terms:
-                row[j] = a
-        return rows
 
     def _to_int_row(self, vec: Mapping[Hashable, int]) -> list[int]:
         index = {c: i for i, c in enumerate(self.columns)}
@@ -158,7 +155,7 @@ def apply_map(
     terms: Iterable[tuple[int, int]], pieri_map: Sequence[tuple[int, Sequence[Sequence[int]]]], width: int
 ) -> list[int]:
     """Dense image over width columns of an integer row, given as (column,
-    entry) pairs (`enumerate` of a dense row, or one of `DegreeSlice.row_terms`),
+    entry) pairs (`enumerate` of a dense row, or one of `Span.row_terms`),
     under a Pieri map: multiplication by a generator of degree i from degree
     d - i to d, as one (coefficient, per-source target columns) pair per coefficient."""
     image = [0] * width
@@ -191,12 +188,12 @@ def _monomials(parts: Sequence[int]) -> Callable[[int], list[tuple[int, ...]]]:
 def _spanning_rows(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
 ) -> Callable[[int, Callable[[int], Iterable]], Iterator[list[int]]]:
-    """The walk both builders take: rows(d, stored) lazily yields the dense
+    """The walk of `generated`: rows(d, stored) lazily yields the dense
     spanning rows of degree d, the unit at d = 0, then g_(i_1) times each
     row of stored(d - i_1) (a basis of that degree, as (column, entry)
     pairs), then each monomial of `_monomials` in the other generators as
     g_(b[0]) times the row of b[1:].  A row is built only when it is
-    pulled, so a builder that stops pulling builds no row past that point.
+    pulled, so once `exact_rank` stops pulling, no row past that point is built.
     Monomial rows are built through the Pieri maps and kept for this walk
     only."""
     rows: dict[tuple[int, ...], list[int]] = {(): [1]}
@@ -227,30 +224,6 @@ def _spanning_rows(
             yield apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), width)
 
     return walk
-
-
-def generated_slices(
-    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
-) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of the graded pieces of the subalgebra A generated by one
-    generator g_i in each degree i of the increasing degrees: columns[d] is
-    the basis of degree d (columns[0] is the unit alone), and pieri_map(d, i)
-    multiplies by g_i from degree d - i to d, in the format of `apply_map`.
-
-    A monomial of degree d either factors out the smallest generator g_(i_1),
-    and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
-    generators alone.  So A_d is spanned by g_(i_1) times the stored rows of
-    A_(d-i_1), then by those monomials (`_spanning_rows`).  Pulling stops
-    at the insert that saturates the degree-d piece."""
-    rows = _spanning_rows(columns, pieri_map, degrees)
-    slices: list[DegreeSlice] = []
-    for d, cols in enumerate(columns):
-        sl = DegreeSlice(d, cols)
-        for row in rows(d, lambda e: slices[e].row_terms()):
-            if sl.add_row(row) and sl.saturated:
-                break
-        slices.append(sl)
-    return tuple(slices)
 
 
 P = (1 << 20) - 3  # a prime: the modulus of `PackedRank`
@@ -297,13 +270,57 @@ class PackedRank:
         return True
 
 
-def exact_rank(
-    d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]
-) -> tuple[int, Iterable[Iterable[tuple[int, int]]]]:
-    """The rank over Q of dense integer rows over the columns, and a basis of
-    their span as (column, entry) pairs, by the rule of the module docstring.
-    Rows are pulled into a `PackedRank` until rank_p reaches the width; the
-    fallback `DegreeSlice` (of degree d) reads every row pulled."""
+class Span:
+    """The span over Q of integer rows over the columns of degree d, as
+    `exact_rank` settles it: its rank, a basis (`row_terms`) and pivots,
+    columns on which that basis is nonsingular.  A saturated span keeps no
+    rows; one of independent rows keeps them until its first `contains_row`;
+    one that fell back keeps the fallback `DegreeSlice`."""
+
+    def __init__(self, degree: int, columns: Sequence[Hashable], rank: int, pivots: Sequence[int],
+                 rows: Sequence[Sequence[int]] = (), exact: DegreeSlice | None = None):
+        self.degree = degree
+        self.columns = tuple(columns)
+        self.rank = rank
+        self.pivots = pivots
+        self.saturated = rank == len(self.columns)
+        self._rows = rows
+        self._exact = exact
+
+    def row_terms(self) -> Iterator[Iterable[tuple[int, int]]]:
+        """Each basis row as (column, entry) pairs."""
+        rows, exact = self._rows, self._exact
+        if exact is not None:
+            return exact.row_terms()
+        if self.saturated:
+            return (((j, 1),) for j in self.pivots)
+        return (enumerate(row) for row in rows)
+
+    def contains_row(self, row: Sequence[int]) -> bool:
+        """True when a dense integer row over the columns lies in the span:
+        at once if the span is saturated, else by an exact reduction against
+        the fallback slice, or against one built from the basis rows on the
+        first call, which then replaces them."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
+        if self.saturated:
+            return True
+        # the rows are read before the slice and dropped only after it is set,
+        # so a call racing the first one sees the rows or the whole slice
+        rows, exact = self._rows, self._exact
+        if exact is None:
+            exact = DegreeSlice(self.degree, self.columns)
+            for basis_row in rows:
+                exact.add_row(basis_row)
+            self._exact, self._rows = exact, ()
+        return exact.contains_row(row)
+
+
+def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]) -> Span:
+    """The `Span` of dense integer rows over the columns of degree d, by the
+    rule of the module docstring.  Rows are pulled into a `PackedRank` until
+    rank_p reaches the width; the fallback `DegreeSlice` reads every row
+    pulled."""
     width = len(columns)
     packed = PackedRank(width)
     drawn = []
@@ -312,27 +329,32 @@ def exact_rank(
             drawn.append(row)
             if packed.add_row(row) and packed.rank == width:
                 break
-    rank = packed.rank
-    if rank == width:
-        return rank, (((j, 1),) for j in range(width))
-    if rank == len(drawn):
-        return rank, (enumerate(row) for row in drawn)
-    sl = DegreeSlice(d, columns)
+    if packed.rank == width:
+        return Span(d, columns, width, range(width))
+    if packed.rank == len(drawn):
+        return Span(d, columns, len(drawn), tuple(sorted(packed._pivots)), rows=drawn)
+    exact = DegreeSlice(d, columns)
     for row in drawn:
-        sl.add_row(row)
-    return sl.rank, sl.row_terms()
+        exact.add_row(row)
+    return Span(d, columns, exact.rank, exact.pivots, exact=exact)
 
 
-def generated_ranks(
+def generated(
     columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
-) -> tuple[int, ...]:
-    """The ranks of the pieces `generated_slices` builds, in the same
-    arguments: `exact_rank` of each degree's spanning rows.  Only the basis
-    of degree d - i_1 is kept for degree d."""
+) -> Iterator[Span]:
+    """The `Span` of each graded piece of the subalgebra A generated by one
+    generator g_i in each degree i of the increasing degrees, degree 0 first:
+    columns[d] is the basis of degree d (columns[0] is the unit alone), and
+    pieri_map(d, i) multiplies by g_i from degree d - i to d, in the format
+    of `apply_map`.
+
+    A monomial of degree d either factors out the smallest generator g_(i_1),
+    and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
+    generators alone.  So A_d is `exact_rank` of g_(i_1) times a basis of
+    A_(d-i_1), then of those monomials (`_spanning_rows`).  Only the span of
+    degree d - i_1 is kept for degree d."""
     rows = _spanning_rows(columns, pieri_map, degrees)
-    bases: dict[int, Iterable] = {}
-    ranks = []
+    spans: dict[int, Span] = {}
     for d, cols in enumerate(columns):
-        rank, bases[d] = exact_rank(d, cols, rows(d, bases.pop))
-        ranks.append(rank)
-    return tuple(ranks)
+        spans[d] = exact_rank(d, cols, rows(d, lambda e: spans.pop(e).row_terms()))
+        yield spans[d]

@@ -13,10 +13,11 @@ all with coefficient 1.  The maps are walked inside the box, never filtered.
 A table per degree lists the single boxes each column can take without
 leaving the box; that table is the h_1 map.  An h_i map adds i such boxes in
 strictly increasing columns, so no partition outside the box is formed.  The
-shared builder `echelon.generated_slices` pushes integer rows through these
-maps: h_1 times every stored row of degree d - 1, then the monomials of
-degree d in h_2..h_m.  `subalgebra_hilbert` reads the ranks alone, from
-`echelon.generated_ranks` over the same walk.
+shared builder `echelon.generated` pushes integer rows through these maps:
+h_1 times a basis of degree d - 1, then the monomials of degree d in
+h_2..h_m, each degree settled by `echelon.exact_rank`.  `subalgebra_hilbert`
+keeps the ranks alone; `subalgebra_slices` keeps the `Span` of every degree
+for the reports.
 
 The candidate-basis reports use the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu
@@ -27,28 +28,30 @@ function follows its weak Pieri recursion: the h_r image of the row of nu
 minus the rows of the other targets.  Both are memoised per box, and no
 candidate is expanded over the Schur terms outside the box.
 
-A report settles each degree d as follows.
-- contained: True where A_d is all of H_d (the slice is saturated), else
-  the exact `DegreeSlice.contains_row` of every candidate.
+A report settles each degree d against the `Span` of A_d.
+- contained: the exact `Span.contains_row` of every candidate, true at once
+  where A_d is all of H_d.
 - rank: `echelon.exact_rank` of the candidate rows, which runs an exact
   echelon only where the rank mod P cannot settle it.  Once the candidates
-  lie in A_d, their rows are cut to the pivot columns of A_d.  A reduced
-  echelon basis fixes a vector of A_d by those entries, so the rank is
-  unchanged, and where the candidates span A_d the rank mod P reaches the
-  width of the cut.  Where they do not lie in A_d, every column is kept.
-- dim is the rank of the exact piece of `subalgebra_slices`.
+  lie in A_d, their rows are cut to the pivots of A_d, columns on which its
+  basis is nonsingular.  A vector of A_d is fixed by those entries, so the
+  rank is unchanged, and where the candidates span A_d the rank mod P
+  reaches the width of the cut.  Where they do not lie in A_d, every column
+  is kept.
+- dim is the rank of A_d.
 
 The reference is `project` over `h_to_schur` and `k_schur`: a SymVector
-expansion cut down to the box, whose membership in a graded piece
-`DegreeSlice.contains_vector` tests.
+expansion cut down to the box, whose membership in an exact `DegreeSlice`
+of a graded piece `contains_vector` tests.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
-from .echelon import DegreeSlice, apply_map, exact_rank, generated_ranks, generated_slices
+from .echelon import Span, apply_map, exact_rank, generated
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -113,33 +116,35 @@ def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple
     return ((1, tuple(out)),)
 
 
-def _generated(builder, ell: int, k: int, m: int):
-    """The subalgebra generated by h_1..h_m, through `generated_slices` or `generated_ranks`."""
+def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
+    """The spans of the subalgebra generated by h_1..h_m, through `echelon.generated`."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
     columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return builder(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
+    return generated(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
 
 
 @cache
-def _slice_data(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
-    return _generated(generated_slices, ell, k, m)
+def _slice_data(ell: int, k: int, m: int) -> tuple[Span, ...]:
+    return tuple(_generated(ell, k, m))
 
 
 @cache
 def _rank_data(ell: int, k: int, m: int) -> tuple[int, ...]:
-    return _generated(generated_ranks, ell, k, m)
+    # `map` keeps no span alive while the next degree is built, so a span's rows
+    # go as soon as the walk has read them
+    return tuple(map(attrgetter("rank"), _generated(ell, k, m)))
 
 
-def subalgebra_slices(ell: int, k: int, m: int) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of every graded piece of the subalgebra generated in
-    degrees at most m.  Treat the returned slices as immutable."""
+def subalgebra_slices(ell: int, k: int, m: int) -> tuple[Span, ...]:
+    """The `Span` of every graded piece of the subalgebra generated in
+    degrees at most m.  Treat the returned spans as immutable."""
     return _slice_data(ell, k, m)
 
 
 def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:
     """Hilbert series of the subalgebra generated in degrees at most m, from
-    the ranks alone (`echelon.generated_ranks`)."""
+    the ranks alone."""
     return QPoly(dict(enumerate(_rank_data(ell, k, m))))
 
 
@@ -206,25 +211,23 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
     The module docstring says how each degree is settled."""
     if not (1 <= m <= min(ell, k)):
         raise ValueError(f"need 1 <= m <= min(ell, k), got ell={ell}, k={k}, m={m}")
-    slices = subalgebra_slices(ell, k, m)
     by_degree: dict[int, list[Partition]] = {d: [] for d in range(ell * k + 1)}
     for lam in candidate_partitions(ell, k, m):
         by_degree[lam.size].append(lam)
     entries = []
-    for d in range(ell * k + 1):
-        sl = slices[d]
+    for d, span in enumerate(subalgebra_slices(ell, k, m)):
         rows = [row_of(lam) for lam in by_degree[d]]
-        contained = sl.saturated or all(sl.contains_row(row) for row in rows)
-        cut = sl.pivots if contained else range(len(sl.columns))
-        rank = exact_rank(d, [sl.columns[j] for j in cut], ([row[j] for j in cut] for row in rows))[0]
+        contained = all(span.contains_row(row) for row in rows)
+        cut = span.pivots if contained else range(len(span.columns))
+        rank = exact_rank(d, [span.columns[j] for j in cut], ([row[j] for j in cut] for row in rows)).rank
         entries.append(
             BasisDegree(
                 degree=d,
                 candidates=len(rows),
                 rank=rank,
-                dim=sl.rank,
+                dim=span.rank,
                 independent=rank == len(rows),
-                spans=rank == sl.rank,
+                spans=rank == span.rank,
                 contained=contained,
             )
         )

@@ -34,13 +34,14 @@ above) and loses 1 when a box starts a row that was empty
 (l(mu) > l(lambda)).  Each strip is reached once, in this order; sigma_1 is
 one table step.
 
-The shared builder `echelon.generated_slices` pushes integer rows through
-the maps of the odd generators alone.  The relation for e_j^2 ends in
+The shared builder `echelon.generated` pushes integer rows through the maps
+of the odd generators alone.  The relation for e_j^2 ends in
 2 (-1)^(j+1) e_(2j), so e_(2j) lies in the subalgebra of e_1, ...,
 e_(2j-1): the subalgebra generated in degrees at most 2j is that of the odd
-e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.  The Hilbert series
-reads the ranks alone (`echelon.generated_ranks`); the `lg-stab` check tests
-the stabilisation as a membership in an exact build of degrees 0..2j.
+e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.
+The Hilbert series keeps the ranks alone; the `lg-stab` check tests the
+stabilisation as the exact `Span.contains_row` of sigma_(2j) in a build of
+degrees 0..2j.
 
 The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
@@ -56,9 +57,10 @@ the ring's Hilbert series, hence form a basis and the normal form is unique.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
-from .echelon import DegreeSlice, apply_map, generated_ranks, generated_slices
+from .echelon import Span, apply_map, generated
 from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
 from .schur import SymVector
@@ -171,21 +173,23 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
     return tuple((1 << e, tuple(map(tuple, by_exp[e]))) for e in sorted(by_exp))
 
 
-def _lg_generated(builder, n: int, odd: int, top: int):
-    """The subalgebra generated by the odd e_i <= odd, in degrees 0..top,
-    through `generated_slices` or `generated_ranks`."""
+def _lg_generated(n: int, odd: int, top: int) -> Iterator[Span]:
+    """The spans of the subalgebra generated by the odd e_i <= odd, in
+    degrees 0..top, through `echelon.generated`."""
     columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
-    return builder(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
+    return generated(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
 
 
 @cache
-def _lg_slice_data(n: int, odd: int, top: int) -> tuple[DegreeSlice, ...]:
-    return _lg_generated(generated_slices, n, odd, top)
+def _lg_slice_data(n: int, odd: int, top: int) -> tuple[Span, ...]:
+    return tuple(_lg_generated(n, odd, top))
 
 
 @cache
 def _lg_rank_data(n: int, odd: int) -> tuple[int, ...]:
-    return _lg_generated(generated_ranks, n, odd, n * (n + 1) // 2)
+    # `map` keeps no span alive while the next degree is built, so a span's rows
+    # go as soon as the walk has read them
+    return tuple(map(attrgetter("rank"), _lg_generated(n, odd, n * (n + 1) // 2)))
 
 
 def _odd_bound(n: int, m: int) -> int:
@@ -195,19 +199,19 @@ def _odd_bound(n: int, m: int) -> int:
     return m if m % 2 else m - 1
 
 
-def lg_subalgebra_slices(n: int, m: int, top: int | None = None) -> tuple[DegreeSlice, ...]:
-    """Echelon bases of the graded pieces of the subalgebra generated by
+def lg_subalgebra_slices(n: int, m: int, top: int | None = None) -> tuple[Span, ...]:
+    """The `Span` of each graded piece of the subalgebra generated by
     e_1, ..., e_m, in degrees 0..top (default: every degree), in the
     Schubert basis: the columns of degree d are the strict partitions of d
     with parts at most n (parts decreasing).  The odd e_i <= m generate it,
-    so an even m shares the build of m - 1.  Treat the returned slices as
+    so an even m shares the build of m - 1.  Treat the returned spans as
     immutable."""
     return _lg_slice_data(n, _odd_bound(n, m), n * (n + 1) // 2 if top is None else top)
 
 
 def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:
     """Hilbert series of the subalgebra generated by e_1, ..., e_m, from the
-    ranks alone (`echelon.generated_ranks`)."""
+    ranks alone."""
     return QPoly(dict(enumerate(_lg_rank_data(n, _odd_bound(n, m)))))
 
 

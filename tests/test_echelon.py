@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qgrass import echelon
-from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, exact_rank, generated_ranks, generated_slices
+from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, exact_rank, generated
 from qgrass.grassmann import _box_columns, _pieri_map
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
+
+from oracles import dense_rows, generated_slices
 
 
 def test_rank_and_redundancy():
@@ -119,7 +121,7 @@ def test_contains_row_agrees_with_contains_vector():
             inside = sl.contains_row(row)
             assert inside == sl.contains_vector({i: v for i, v in enumerate(row) if v})
             seen.add(inside)
-        for row in sl._rows:
+        for row in dense_rows(sl):
             assert sl.contains_row(row)
     assert seen == {True, False}
 
@@ -234,7 +236,7 @@ def test_free_column_echelon_matches_dense_reference():
             seen["redundant"] += not added
         assert sl.rank == len(ref.rows)
         assert sl.pivots == tuple(ref.pivots)
-        assert sl._rows == ref.rows
+        assert dense_rows(sl) == ref.rows
         assert sl.saturated == (sl.rank == ncols)
         seen["saturated" if sl.saturated else "deficient"] += 1
         probes = rows + [_combination(rng, rows, ncols) for _ in range(3)]
@@ -250,7 +252,7 @@ def test_free_column_echelon_matches_dense_reference():
         for row in shuffled:
             again.add_row(row)
         assert again.pivots == sl.pivots
-        assert again._rows == sl._rows
+        assert dense_rows(again) == dense_rows(sl)
     assert all(seen.values()), seen
 
 
@@ -283,7 +285,7 @@ def _assert_same_slices(built, ref, point):
     for got, want in zip(built, ref):
         assert got.columns == want.columns
         assert got._pivots == want._pivots, (point, got.degree)
-        assert got._rows == want._rows, (point, got.degree)
+        assert dense_rows(got) == dense_rows(want), (point, got.degree)
 
 
 def test_generated_slices_match_push_every_row_reference_in_boxes():
@@ -403,7 +405,7 @@ def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zer
 
 
 def _point(space, size, m):
-    # generated_slices' arguments at a box (ell, k) or a Lagrangian n, with
+    # the builders' arguments at a box (ell, k) or a Lagrangian n, with
     # the odd generators up to m in the Lagrangian ring
     if space == "box":
         columns = [_box_columns(*size, d)[0] for d in range(size[0] * size[1] + 1)]
@@ -425,11 +427,12 @@ def test_generated_ranks_match_generated_slices():
     assert len(points) == 282
     for point in points:
         args = _point(*point)
-        assert generated_ranks(*args) == tuple(sl.rank for sl in generated_slices(*args)), point
+        want = tuple(sl.rank for sl in generated_slices(*args))
+        assert tuple(span.rank for span in generated(*args)) == want, point
 
 
 def _watch_exact_degrees(monkeypatch):
-    # the degrees at which generated_ranks falls back to the exact echelon
+    # the degrees at which `generated` falls back to the exact echelon
     seen = []
 
     class Watched(DegreeSlice):
@@ -449,7 +452,7 @@ def test_generated_ranks_stay_exact_under_a_bad_prime(monkeypatch):
     exact = _watch_exact_degrees(monkeypatch)
     monkeypatch.setattr(echelon, "P", 2)
     for point in points:
-        assert generated_ranks(*_point(*point)) == want[point], point
+        assert tuple(span.rank for span in generated(*_point(*point))) == want[point], point
     assert exact
 
 
@@ -524,24 +527,36 @@ def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, insert
     exact = _watch_exact_degrees(monkeypatch)
     monkeypatch.setattr(PackedRank, "add_row", counting_add_row)
     built = _count_apply_map(monkeypatch)
-    generated_ranks(*args)
+    tuple(generated(*args))
     assert (len(exact), len(calls), len(built)) == (exact_degrees, inserts, maps)
 
 
-_small_rows = st.integers(0, 5).flatmap(
-    lambda width: st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=8)
-    .map(lambda rows: (width, rows))
+_small_rows_and_probes = st.integers(0, 5).flatmap(
+    lambda width: st.tuples(*[st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=8)] * 2)
+    .map(lambda rows_probes: (width, *rows_probes))
 )
 
 
+def _dense(terms, width):
+    row = [0] * width
+    for j, a in terms:
+        row[j] = a
+    return row
+
+
 @pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
-@given(_small_rows)
-@example((2, [[1, 1], [1, -1]]))
-def test_exact_rank_is_the_rank_over_q(p, width_rows):
+@given(_small_rows_and_probes)
+# saturated at P and a fallback at 2; independent rows short of the width at
+# P, a fallback short of it at 2; a dependency over Q, a fallback at both
+@example((2, [[1, 1], [1, -1]], [[0, 1]]))
+@example((3, [[1, 1, 0], [1, -1, 0]], [[1, 0, 0], [0, 0, 1]]))
+@example((2, [[1, 2], [2, 4]], [[3, 6], [0, 1]]))
+def test_exact_rank_is_the_rank_over_q(p, width_rows_probes):
     # at p = 2 many rows independent over Q are dependent mod p, so the exact
     # fallback runs; either way the rank is exact, the basis spans every row,
-    # and no row is drawn once rank_p reaches the width
-    width, rows = width_rows
+    # the basis cut to the pivots keeps the rank, membership is exact, and no
+    # row is drawn once rank_p reaches the width
+    width, rows, probes = width_rows_probes
     drawn = []
 
     def draw():
@@ -551,16 +566,50 @@ def test_exact_rank_is_the_rank_over_q(p, width_rows):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(echelon, "P", p)
-        rank, basis = exact_rank(0, tuple(range(width)), draw())
+        span = exact_rank(0, tuple(range(width)), draw())
         stop = next((i for i in range(len(rows) + 1) if _rank_mod(rows[:i], p) == width), len(rows))
-    assert rank == _rank_oracle(rows)
-    assert drawn == rows[:stop]
-    span = DegreeSlice(0, tuple(range(width)))
-    basis = [list(terms) for terms in basis]
-    for terms in basis:
-        row = [0] * width
-        for j, a in terms:
-            row[j] = a
-        span.add_row(row)
-    assert len(basis) == span.rank == rank
-    assert all(span.contains_row(row) for row in rows)
+        assert span.rank == _rank_oracle(rows)
+        assert drawn == rows[:stop]
+        assert span.saturated == (span.rank == width)
+        basis = [_dense(terms, width) for terms in span.row_terms()]
+        oracle = DegreeSlice(0, tuple(range(width)))
+        for row in basis:
+            oracle.add_row(row)
+        assert len(basis) == oracle.rank == span.rank
+        assert all(oracle.contains_row(row) for row in rows)
+        assert len(span.pivots) == span.rank == _rank_oracle([[row[j] for j in span.pivots] for row in basis])
+        sums = [[a + b for a, b in zip(r, s)] for r, s in zip(rows, rows[1:])]
+        for probe in rows + sums + probes:
+            assert span.contains_row(probe) == oracle.contains_row(probe), probe
+        # a first membership test may swap the basis rows for an exact slice
+        after = DegreeSlice(0, tuple(range(width)))
+        for terms in span.row_terms():
+            after.add_row(_dense(terms, width))
+        assert after.rank == span.rank and all(after.contains_row(row) for row in basis)
+        for bad in ([0] * (width + 1), [0] * width + [1], [0] * (width - 1)):
+            if len(bad) != width:
+                with pytest.raises(ValueError):
+                    span.contains_row(bad)
+
+
+def test_span_rejects_a_row_of_the_wrong_length_in_every_state():
+    # saturated, independent rows (before and after their first membership
+    # test) and a fallback slice; the saturated span holds every row of its
+    # width but no other
+    states = {
+        "saturated": exact_rank(0, (0, 1), [[1, 1], [1, -1]]),
+        "independent": exact_rank(0, (0, 1, 2), [[1, 1, 0]]),
+        "fallback": exact_rank(0, (0, 1, 2), [[1, 2, 0], [2, 4, 0]]),
+    }
+    assert states["saturated"].saturated and states["saturated"]._exact is None
+    assert states["independent"]._rows and states["independent"]._exact is None
+    assert states["fallback"]._exact is not None
+    for name, span in states.items():
+        width = len(span.columns)
+        for _ in range(2):
+            for bad in ([1] * (width - 1), [1] * (width + 1), []):
+                with pytest.raises(ValueError):
+                    span.contains_row(bad)
+            assert span.contains_row([0] * width), name
+            assert span.contains_row([1] * width) == (name == "saturated"), name
+    assert not states["independent"]._rows and states["independent"]._exact is not None

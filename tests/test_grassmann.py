@@ -1,10 +1,11 @@
+from functools import cache, partial
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qgrass import echelon
-from qgrass.echelon import DegreeSlice
+from qgrass import echelon, grassmann
+from qgrass.echelon import DegreeSlice, exact_rank
 from qgrass.grassmann import (
     BasisDegree,
     BasisReport,
@@ -24,6 +25,8 @@ from qgrass.kschur import k_schur
 from qgrass.partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from qgrass.qseries import QPoly, grass_hilbert_series, grass_subalgebra_formula
 from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, pieri_h
+
+from oracles import dense_rows, generated_slices
 
 
 def P(*parts):
@@ -91,6 +94,7 @@ def reference_slices(ell, k, m):
 
 
 def test_integer_builder_matches_symvector_reference():
+    # equal ranks, and every reference basis row in the built span: equal spans
     for ell in range(1, 6):
         for k in range(1, 6):
             for m in range(min(ell, k) + 1):
@@ -99,8 +103,8 @@ def test_integer_builder_matches_symvector_reference():
                 assert len(built) == len(ref) == ell * k + 1
                 for got, want in zip(built, ref):
                     assert got.columns == want.columns
-                    assert got._rows == want._rows, (ell, k, m, got.degree)
-                    assert got._pivots == want._pivots, (ell, k, m, got.degree)
+                    assert got.rank == want.rank, (ell, k, m, got.degree)
+                    assert all(got.contains_row(row) for row in dense_rows(want)), (ell, k, m, got.degree)
 
 
 @given(
@@ -199,15 +203,19 @@ def test_top_power_of_h1_is_rectangle_tableaux_count():
 
 
 def test_contains_examples():
-    slices = subalgebra_slices(3, 3, 1)
-    assert slices[1].contains_vector({})
-    assert slices[1].contains_vector(dict(project(S(1), 3, 3).items()))
+    spans = subalgebra_slices(3, 3, 1)
+    assert spans[1].contains_row([0])
+    assert spans[1].contains_row(dense(project(S(1), 3, 3), 3, 3, 1))
     # h_2's image is independent of the h_1-generated line in degree 2
-    assert not slices[2].contains_vector(dict(project(h_to_schur(P(2)), 3, 3).items()))
-    for row in slices[3].basis_rows():
-        assert slices[3].contains_vector(row)
+    assert not spans[2].contains_row(dense(project(h_to_schur(P(2)), 3, 3), 3, 3, 2))
+    for terms in spans[3].row_terms():
+        row = [0] * len(spans[3].columns)
+        for j, a in terms:
+            row[j] = a
+        assert spans[3].contains_row(row)
+    # a row over degree 1's columns
     with pytest.raises(ValueError):
-        slices[2].contains_vector(dict(S(1).items()))
+        spans[2].contains_row(dense(project(S(1), 3, 3), 3, 3, 1))
 
 
 # --- candidate basis reports --------------------------------------------------------
@@ -262,36 +270,50 @@ def test_kschur_basis_m1_matches_h_basis_columns():
 def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
     # mod 2 the in-box rows lose rank at many degrees where they are
     # independent over Q, so the exact probe must settle every such degree.
-    # The probe is `exact_rank`'s fallback `DegreeSlice`; the subalgebra
-    # slices are built first, so every slice watched is a probe.
+    # The probe is the fallback `DegreeSlice` of a report's own `exact_rank`
+    # call; the spans of the subalgebra may build slices too (their builds'
+    # fallbacks, and the exact slices of their first membership tests), so a
+    # probe is a slice built while that call runs.  Under the bad prime the
+    # spans are built again, so their mod-2 pivots cut the candidates.
     findings = [(2, 5, 2), (5, 2, 2)]
     points = [(ell, k, m) for ell in range(1, 5) for k in range(1, 5) for m in range(1, min(ell, k) + 1)]
-    for point in points + findings:
-        subalgebra_slices(*point)
+    built = []
     probes = []
 
     class Watched(DegreeSlice):
         def __init__(self, degree, columns):
-            probes.append(degree)
+            built.append(degree)
             super().__init__(degree, columns)
+
+    def watched_exact_rank(d, columns, rows):
+        before = len(built)
+        span = exact_rank(d, columns, rows)
+        if len(built) > before:
+            probes.append(d)
+        return span
 
     def reports(point):
         before = len(probes)
         return (h_basis_report(*point), kschur_basis_report(*point)), len(probes) > before
 
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
+    monkeypatch.setattr(grassmann, "exact_rank", watched_exact_rank)
     want = {}
     for point in points + findings:
         want[point], probed = reports(point)
         # at the real prime only the Findings fall short of their candidates
         assert probed == (point in findings), point
+    _slice_data.cache_clear()
     monkeypatch.setattr(echelon, "P", 2)
     probed = set()
-    for point in points + findings:
-        got, ran = reports(point)
-        assert got == want[point], point
-        if ran:
-            probed.add(point)
+    try:
+        for point in points + findings:
+            got, ran = reports(point)
+            assert got == want[point], point
+            if ran:
+                probed.add(point)
+    finally:
+        _slice_data.cache_clear()
     assert {(2, 5, 2), (5, 2, 2), (3, 3, 2), (4, 4, 4)} <= probed
 
 
@@ -340,10 +362,18 @@ def reference_kschur(ell, k):
     return lambda lam: project(k_schur(lam, lam.first), ell, k)
 
 
+@cache
+def reference_pieces(ell, k, m):
+    # the exact pieces of the second algorithm, not the engine's spans
+    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    return generated_slices(columns, partial(_pieri_map, ell, k), range(1, m + 1))
+
+
 def reference_basis_report(ell, k, m, vector_of):
     """The basis report over SymVectors: expand each candidate over all Schur
-    terms, project it to the box, and test it with add_vector and contains_vector."""
-    slices = subalgebra_slices(ell, k, m)
+    terms, project it to the box, and test it with add_vector and
+    contains_vector against the exact pieces of `generated_slices`."""
+    slices = reference_pieces(ell, k, m)
     by_degree = {d: [] for d in range(ell * k + 1)}
     for lam in candidate_partitions(ell, k, m):
         by_degree[lam.size].append(lam)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import forked, harness, lagrangian, partitions
-from qgrass.echelon import generated_slices
+from qgrass import echelon, forked, harness, lagrangian, partitions
+from qgrass.echelon import DegreeSlice, generated
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
     CONJECTURE,
@@ -111,19 +111,48 @@ def test_lg_cases():
 
 
 def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
-    # build the exact pieces the membership reads from e_1 alone: e_2 =
-    # e_1^2 / 2 still lies in them, but e_4 needs e_3, so it must be rejected
+    # build the pieces the membership reads from e_1 alone: e_2 = e_1^2 / 2
+    # still lies in them, but e_4 needs e_3, so it must be rejected; degree 4
+    # is then short of its width, and its span reduces e_4 against a slice of
+    # its independent rows, or under the bad prime 2 against the fallback
     def e1_only(n, odd, top):
         columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
-        return generated_slices(columns, functools.partial(_lg_pieri_map, n), (1,))
+        return tuple(generated(columns, functools.partial(_lg_pieri_map, n), (1,)))
 
     monkeypatch.setattr(lagrangian, "_lg_slice_data", e1_only)
-    for n in (4, 5):
-        stab = {c.params["m"]: c for c in check_lg(n) if c.name == "lg-stab"}
-        assert stab[2].status == "pass"
-        assert stab[4].status == "fail"
-        assert stab[4].actual == QPoly.zero() and stab[4].expected == lagrangian.lg_subalgebra_hilbert(n, 3)
-        assert stab[4].detail == "e_4 is not in the subalgebra generated by the odd e_i < 4"
+    for p in (echelon.P, 2):
+        monkeypatch.setattr(echelon, "P", p)
+        for n in (4, 5):
+            stab = {c.params["m"]: c for c in check_lg(n) if c.name == "lg-stab"}
+            assert stab[2].status == "pass"
+            assert stab[4].status == "fail"
+            assert stab[4].actual == QPoly.zero() and stab[4].expected == lagrangian.lg_subalgebra_hilbert(n, 3)
+            assert stab[4].detail == "e_4 is not in the subalgebra generated by the odd e_i < 4"
+
+
+def test_check_lg_passes_under_a_bad_prime(monkeypatch):
+    # mod 2 every Pieri coefficient 2^e with e >= 1 vanishes, so the builds
+    # fall back to exact slices at many degrees; the series and the lg-stab
+    # memberships of spans built mod 2 must not change
+    builds = (lagrangian._lg_rank_data, lagrangian._lg_slice_data)
+    exact = []
+
+    class Watched(DegreeSlice):
+        def __init__(self, degree, columns):
+            exact.append(degree)
+            super().__init__(degree, columns)
+
+    monkeypatch.setattr(echelon, "DegreeSlice", Watched)
+    monkeypatch.setattr(echelon, "P", 2)
+    for build in builds:
+        build.cache_clear()
+    try:
+        for n in range(2, 9):
+            assert all(c.status == "pass" for c in check_lg(n)), n
+    finally:
+        for build in builds:
+            build.cache_clear()
+    assert exact
 
 
 def test_check_lg_builds_from_odd_generators_only(monkeypatch):

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qgrass.echelon import DegreeSlice, generated_slices
+from qgrass.echelon import DegreeSlice
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
     _lg_pieri_map,
@@ -20,6 +20,8 @@ from qgrass.lagrangian import (
 from qgrass.partitions import Partition, strict_partitions_in_triangle, strict_partitions_of_size
 from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
 from qgrass.schur import SymVector, _horizontal_strips
+
+from oracles import generated_slices
 
 
 def E(*parts):
@@ -154,8 +156,8 @@ def test_lg_full_generation_matches_series():
 
 
 def test_lg_even_m_stabilization():
-    # an even m shares the odd build of m - 1, whose series is that of a build
-    # from every generator e_1..e_m
+    # an even m shares the odd build of m - 1, whose series is that of the
+    # second algorithm's build from every generator e_1..e_m
     for n in range(1, 7):
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
         for m in range(2, n + 1, 2):
