@@ -39,9 +39,12 @@ of the odd generators alone.  The relation for e_j^2 ends in
 2 (-1)^(j+1) e_(2j), so e_(2j) lies in the subalgebra of e_1, ...,
 e_(2j-1): the subalgebra generated in degrees at most 2j is that of the odd
 e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.
-The Hilbert series keeps the ranks alone; the `lg-stab` check tests the
-stabilisation as the exact `Span.contains_row` of sigma_(2j) in a build of
-degrees 0..2j.
+The Hilbert series keeps the ranks alone, and the `lg-stab` check reads the
+stabilisation off them too.  Write A for the subalgebra of the odd e_i < 2j
+and H for the ring.  Every degree-2j monomial but e_(2j) is a product of
+e_i < 2j, which lie in A given the lower stabilisations, so
+A_(2j) + Q e_(2j) = H_(2j), and e_(2j) lies in A_(2j) exactly when
+dim A_(2j) = dim H_(2j).
 
 The e-monomial presentation is the reference.  Its square-free monomials
 e_(lambda_1) ... e_(lambda_r) are indexed by the same strict partitions lambda
@@ -173,23 +176,23 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
     return tuple((1 << e, tuple(map(tuple, by_exp[e]))) for e in sorted(by_exp))
 
 
-def _lg_generated(n: int, odd: int, top: int) -> Iterator[Span]:
-    """The spans of the subalgebra generated by the odd e_i <= odd, in
-    degrees 0..top, through `echelon.generated`."""
-    columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
+def _lg_generated(n: int, odd: int) -> Iterator[Span]:
+    """The spans of the subalgebra generated by the odd e_i <= odd, in every
+    degree, through `echelon.generated`."""
+    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
     return generated(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
 
 
 @cache
-def _lg_slice_data(n: int, odd: int, top: int) -> tuple[Span, ...]:
-    return tuple(_lg_generated(n, odd, top))
+def _lg_slice_data(n: int, odd: int) -> tuple[Span, ...]:
+    return tuple(_lg_generated(n, odd))
 
 
 @cache
 def _lg_rank_data(n: int, odd: int) -> tuple[int, ...]:
     # `map` keeps no span alive while the next degree is built, so a span's rows
     # go as soon as the walk has read them
-    return tuple(map(attrgetter("rank"), _lg_generated(n, odd, n * (n + 1) // 2)))
+    return tuple(map(attrgetter("rank"), _lg_generated(n, odd)))
 
 
 def _odd_bound(n: int, m: int) -> int:
@@ -199,14 +202,14 @@ def _odd_bound(n: int, m: int) -> int:
     return m if m % 2 else m - 1
 
 
-def lg_subalgebra_slices(n: int, m: int, top: int | None = None) -> tuple[Span, ...]:
+def lg_subalgebra_slices(n: int, m: int) -> tuple[Span, ...]:
     """The `Span` of each graded piece of the subalgebra generated by
-    e_1, ..., e_m, in degrees 0..top (default: every degree), in the
-    Schubert basis: the columns of degree d are the strict partitions of d
-    with parts at most n (parts decreasing).  The odd e_i <= m generate it,
-    so an even m shares the build of m - 1.  Treat the returned spans as
+    e_1, ..., e_m, in the Schubert basis: the columns of degree d are the
+    strict partitions of d with parts at most n (parts decreasing).  The odd
+    e_i <= m generate it, so an even m shares the build of m - 1.  No check
+    reads these spans; they serve tests and tracing.  Treat them as
     immutable."""
-    return _lg_slice_data(n, _odd_bound(n, m), n * (n + 1) // 2 if top is None else top)
+    return _lg_slice_data(n, _odd_bound(n, m))
 
 
 def lg_subalgebra_hilbert(n: int, m: int) -> QPoly:

@@ -1,6 +1,9 @@
 """Second algorithms that the tests check the engine against."""
 
-from qgrass.echelon import DegreeSlice, _spanning_rows
+import functools
+
+from qgrass.echelon import DegreeSlice, _spanning_rows, generated
+from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
 
 def generated_slices(columns, pieri_map, degrees):
@@ -27,3 +30,14 @@ def dense_rows(sl):
         for j, a in terms:
             row[j] = a
     return rows
+
+
+def lg_stab_membership(n, m, degrees=None):
+    """The `lg-stab` case of an even m as the membership it states, with no
+    rank argument: build degrees 0..m of the subalgebra generated by the e_i
+    with i in `degrees` (default: the odd i < m) through `echelon.generated`,
+    and test sigma_m, the Schubert class of (m), with the exact
+    `Span.contains_row`."""
+    columns = [_strict_columns(n, d)[0] for d in range(m + 1)]
+    span = tuple(generated(columns, functools.partial(_lg_pieri_map, n), degrees or range(1, m, 2)))[m]
+    return span.contains_row([int(lam.parts == (m,)) for lam in span.columns])

@@ -39,6 +39,8 @@ from qgrass.partitions import Partition
 from qgrass.qseries import QPoly
 from qgrass.schur import SymVector, h_to_schur
 
+from oracles import lg_stab_membership
+
 SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
 
 # The two ways a sweep runs its tasks: in this process, or sharded over forked
@@ -111,30 +113,56 @@ def test_lg_cases():
 
 
 def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
-    # build the pieces the membership reads from e_1 alone: e_2 = e_1^2 / 2
-    # still lies in them, but e_4 needs e_3, so it must be rejected; degree 4
-    # is then short of its width, and its span reduces e_4 against a slice of
-    # its independent rows, or under the bad prime 2 against the fallback
-    def e1_only(n, odd, top):
-        columns = [_strict_columns(n, d)[0] for d in range(top + 1)]
-        return tuple(generated(columns, functools.partial(_lg_pieri_map, n), (1,)))
+    # take the ranks the stabilisation reads from e_1 alone: e_2 = e_1^2 / 2
+    # still lies in them, but e_4 needs e_3, so it must be rejected, as the
+    # membership oracle on the same generator rejects it; under the bad
+    # prime 2 the ranks come from the exact fallback
+    def e1_only(n, odd):
+        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        return tuple(span.rank for span in generated(columns, functools.partial(_lg_pieri_map, n), (1,)))
 
-    monkeypatch.setattr(lagrangian, "_lg_slice_data", e1_only)
+    monkeypatch.setattr(lagrangian, "_lg_rank_data", e1_only)
     for p in (echelon.P, 2):
         monkeypatch.setattr(echelon, "P", p)
         for n in (4, 5):
             stab = {c.params["m"]: c for c in check_lg(n) if c.name == "lg-stab"}
-            assert stab[2].status == "pass"
-            assert stab[4].status == "fail"
+            assert stab[2].status == "pass" and lg_stab_membership(n, 2, (1,))
+            assert stab[4].status == "fail" and not lg_stab_membership(n, 4, (1,))
             assert stab[4].actual == QPoly.zero() and stab[4].expected == lagrangian.lg_subalgebra_hilbert(n, 3)
             assert stab[4].detail == "e_4 is not in the subalgebra generated by the odd e_i < 4"
 
 
+def test_lg_stab_reads_the_rank_of_degree_m(monkeypatch):
+    # ranks one short at degree 4 alone fail m = 4 and nothing else
+    ranks = lagrangian._lg_rank_data
+
+    def short_at_4(n, odd):
+        return tuple(r - (d == 4) for d, r in enumerate(ranks(n, odd)))
+
+    monkeypatch.setattr(lagrangian, "_lg_rank_data", short_at_4)
+    stab = {c.params["m"]: c.status for c in check_lg(6) if c.name == "lg-stab"}
+    assert stab == {2: "pass", 4: "fail", 6: "pass"}
+
+
+@pytest.mark.parametrize("p", [echelon.P, 2])
+def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
+    # the rank criterion of `check_lg` and the exact membership of sigma_m in
+    # a build of degrees 0..m both hold at every even m
+    monkeypatch.setattr(echelon, "P", p)
+    lagrangian._lg_rank_data.cache_clear()
+    try:
+        for n in range(2, 10):
+            stab = {c.params["m"]: c.status for c in check_lg(n) if c.name == "lg-stab"}
+            assert stab == {m: "pass" for m in range(2, n + 1, 2)}, n
+            assert all(lg_stab_membership(n, m) for m in stab), n
+    finally:
+        lagrangian._lg_rank_data.cache_clear()
+
+
 def test_check_lg_passes_under_a_bad_prime(monkeypatch):
-    # mod 2 every Pieri coefficient 2^e with e >= 1 vanishes, so the builds
-    # fall back to exact slices at many degrees; the series and the lg-stab
-    # memberships of spans built mod 2 must not change
-    builds = (lagrangian._lg_rank_data, lagrangian._lg_slice_data)
+    # mod 2 every Pieri coefficient 2^e with e >= 1 vanishes, so the rank
+    # builds fall back to exact slices at many degrees; the series and the
+    # lg-stab verdicts read from them must not change
     exact = []
 
     class Watched(DegreeSlice):
@@ -144,14 +172,12 @@ def test_check_lg_passes_under_a_bad_prime(monkeypatch):
 
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
     monkeypatch.setattr(echelon, "P", 2)
-    for build in builds:
-        build.cache_clear()
+    lagrangian._lg_rank_data.cache_clear()
     try:
         for n in range(2, 9):
             assert all(c.status == "pass" for c in check_lg(n)), n
     finally:
-        for build in builds:
-            build.cache_clear()
+        lagrangian._lg_rank_data.cache_clear()
     assert exact
 
 
@@ -170,10 +196,10 @@ def test_check_lg_builds_from_odd_generators_only(monkeypatch):
         pieri_map.cache_clear()
         built.clear()
         assert all(c.status == "pass" for c in check_lg(n))
-        # one rank build per odd bound, one exact build of degrees 0..m per
-        # even m (the lg-stab membership), and no Pieri map of an even generator
+        # one rank build per odd bound, no span kept (lg-stab reads the
+        # ranks), and no Pieri map of an even generator
         assert lagrangian._lg_rank_data.cache_info().currsize == (n + 1) // 2
-        assert lagrangian._lg_slice_data.cache_info().currsize == n // 2
+        assert lagrangian._lg_slice_data.cache_info().currsize == 0
         assert built == set(range(1, n + 1, 2))
 
 
