@@ -19,6 +19,17 @@ piece is g_(i_1) times a basis of degree d - i_1, plus the span of the
 monomials of degree d in the other generators, each built through the Pieri
 maps.  Only the smallest generator reads the basis below.
 
+A ring settles each degree once across its builds.  Its generator sets are
+prefixes of one increasing sequence (h_1, h_2, ... or e_1, e_3, ...), so for
+bounds m <= m', A^(m)_d lies in A^(m')_d, which lies in H_d: a degree
+proved saturated at bound m is saturated at every larger bound.  The ring
+keeps one record per box or order, each degree to the smallest bound whose
+build proved it saturated (rank = width, by either rule below), and
+`generated` yields a recorded degree's saturated span without pulling a
+row.  The checks build the bounds in ascending order, so the record serves
+every bound after the first; built in any other order, the spans are the
+same and the record serves less.
+
 Each piece is a `Span`, the result of `exact_rank`: the one rule for the
 rank over Q of integer rows, which the subalgebra builds and the
 candidate-basis reports both call.  `PackedRank` holds an echelon mod the
@@ -30,6 +41,13 @@ the rank, the span is saturated, and the unit rows are a basis.  If
 rank_p = n, the rows themselves are a basis over Q.  Any other case (a bad
 prime, or a dependency over Q) is settled by a `DegreeSlice` over every row
 pulled.
+
+Every `DegreeSlice` built from a batch of rows inserts them right to left:
+by first nonzero column, latest first, ties to fewer nonzeros first, the
+sort stable.  A stored row is zero left of its pivot, so a new pivot left of
+every stored one back-substitutes into none of them.  The reduced echelon of
+a span is unique, so the pivots, leads and tails, and everything read from
+them, are those of any other order.
 
 A `Span` also has pivots, columns on which its basis is nonsingular, so a
 vector of the span is fixed by its entries there: every column when it is
@@ -309,18 +327,33 @@ class Span:
         # so a call racing the first one sees the rows or the whole slice
         rows, exact = self._rows, self._exact
         if exact is None:
-            exact = DegreeSlice(self.degree, self.columns)
-            for basis_row in rows:
-                exact.add_row(basis_row)
+            exact = _slice_of(self.degree, self.columns, rows)
             self._exact, self._rows = exact, ()
         return exact.contains_row(row)
+
+
+def _right_to_left(row: Sequence[int]) -> tuple[int, int]:
+    # latest first nonzero column first, then fewer nonzeros; a zero row first
+    nonzero = [j for j, a in enumerate(row) if a]
+    return -(nonzero[0] if nonzero else len(row)), len(nonzero)
+
+
+def _slice_of(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]) -> DegreeSlice:
+    """A `DegreeSlice` of a batch of dense integer rows, inserted right to
+    left (see the module docstring): a stored row is zero left of its pivot,
+    so a new pivot left of every stored one back-substitutes into none."""
+    exact = DegreeSlice(d, columns)
+    for row in sorted(rows, key=_right_to_left):
+        exact.add_row(row)
+    return exact
 
 
 def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]) -> Span:
     """The `Span` of dense integer rows over the columns of degree d, by the
     rule of the module docstring.  Rows are pulled into a `PackedRank` until
     rank_p reaches the width; the fallback `DegreeSlice` reads every row
-    pulled."""
+    pulled, right to left (`_slice_of`), so that few of its inserts
+    back-substitute."""
     width = len(columns)
     packed = PackedRank(width)
     drawn = []
@@ -333,14 +366,15 @@ def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]
         return Span(d, columns, width, range(width))
     if packed.rank == len(drawn):
         return Span(d, columns, len(drawn), tuple(sorted(packed._pivots)), rows=drawn)
-    exact = DegreeSlice(d, columns)
-    for row in drawn:
-        exact.add_row(row)
+    exact = _slice_of(d, columns, drawn)
     return Span(d, columns, exact.rank, exact.pivots, exact=exact)
 
 
 def generated(
-    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
+    columns: Sequence[Sequence[Hashable]],
+    pieri_map: Callable[[int, int], Sequence],
+    degrees: Sequence[int],
+    saturated: dict[int, int],
 ) -> Iterator[Span]:
     """The `Span` of each graded piece of the subalgebra A generated by one
     generator g_i in each degree i of the increasing degrees, degree 0 first:
@@ -352,9 +386,26 @@ def generated(
     and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
     generators alone.  So A_d is `exact_rank` of g_(i_1) times a basis of
     A_(d-i_1), then of those monomials (`_spanning_rows`).  Only the span of
-    degree d - i_1 is kept for degree d."""
+    degree d - i_1 is kept for degree d.
+
+    `saturated` is the record of the ring (module docstring), shared by
+    every build whose degrees are a prefix of the same increasing sequence:
+    it maps a degree to the smallest bound, degrees[-1] (0 for no degree), of
+    a build that proved it saturated.  Such a degree is saturated at every
+    larger bound (the pieces grow with the prefix and stop at the ring), so
+    it is yielded as the saturated `Span` without pulling a row, and the
+    span of d - i_1 it would have read is dropped.  A degree this build
+    proves saturated is recorded at its bound."""
+    bound = degrees[-1] if degrees else 0
     rows = _spanning_rows(columns, pieri_map, degrees)
     spans: dict[int, Span] = {}
     for d, cols in enumerate(columns):
-        spans[d] = exact_rank(d, cols, rows(d, lambda e: spans.pop(e).row_terms()))
+        if saturated.get(d, bound + 1) <= bound:
+            if degrees:
+                spans.pop(d - degrees[0], None)
+            spans[d] = Span(d, cols, len(cols), range(len(cols)))
+        else:
+            spans[d] = exact_rank(d, cols, rows(d, lambda e: spans.pop(e).row_terms()))
+            if spans[d].saturated:
+                saturated[d] = bound
         yield spans[d]

@@ -116,12 +116,19 @@ def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple
     return ((1, tuple(out)),)
 
 
+@cache
+def _saturated(ell: int, k: int) -> dict[int, int]:
+    """The record of the box for `echelon.generated`: each degree, to the
+    smallest m whose build proved it saturated."""
+    return {}
+
+
 def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
     """The spans of the subalgebra generated by h_1..h_m, through `echelon.generated`."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
     columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return generated(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1))
+    return generated(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1), _saturated(ell, k))
 
 
 @cache

@@ -176,11 +176,18 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
     return tuple((1 << e, tuple(map(tuple, by_exp[e]))) for e in sorted(by_exp))
 
 
+@cache
+def _saturated(n: int) -> dict[int, int]:
+    """The record of the order n for `echelon.generated`: each degree, to the
+    smallest odd bound whose build proved it saturated."""
+    return {}
+
+
 def _lg_generated(n: int, odd: int) -> Iterator[Span]:
     """The spans of the subalgebra generated by the odd e_i <= odd, in every
     degree, through `echelon.generated`."""
     columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return generated(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2))
+    return generated(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2), _saturated(n))
 
 
 @cache

@@ -39,5 +39,5 @@ def lg_stab_membership(n, m, degrees=None):
     and test sigma_m, the Schubert class of (m), with the exact
     `Span.contains_row`."""
     columns = [_strict_columns(n, d)[0] for d in range(m + 1)]
-    span = tuple(generated(columns, functools.partial(_lg_pieri_map, n), degrees or range(1, m, 2)))[m]
+    span = tuple(generated(columns, functools.partial(_lg_pieri_map, n), degrees or range(1, m, 2), {}))[m]
     return span.contains_row([int(lam.parts == (m,)) for lam in span.columns])

@@ -161,6 +161,54 @@ def test_subalgebra_full_generation_matches_closed_form():
             assert subalgebra_hilbert(ell, k, min(ell, k) + 1) == full
 
 
+def _fresh_box_builds():
+    grassmann._rank_data.cache_clear()
+    grassmann._saturated.cache_clear()
+
+
+@pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
+def test_saturation_record_matches_cold_builds(monkeypatch, p):
+    # Every m of a box, built through a warm record in ascending and in
+    # descending order of m, has the series of a cold build and of the closed
+    # form; past min(ell, k) the subalgebra is the ring.  At p = 2 the
+    # saturated degrees are often proved by the exact fallback.
+    monkeypatch.setattr(echelon, "P", p)
+    try:
+        for ell in range(6):
+            for k in range(6):
+                bounds = range(max(ell, k) + 1)
+                cold = {}
+                for m in bounds:
+                    _fresh_box_builds()
+                    cold[m] = subalgebra_hilbert(ell, k, m)
+                    assert cold[m] == grass_subalgebra_formula(ell, k, min(ell, k, m)), (ell, k, m)
+                for order in (bounds, bounds[::-1]):
+                    _fresh_box_builds()
+                    assert {m: subalgebra_hilbert(ell, k, m) for m in order} == cold, (ell, k, order)
+    finally:
+        _fresh_box_builds()
+
+
+def test_saturation_record_skips_recorded_degrees(monkeypatch):
+    # after the build of (6, 6, 5), the build of m = 6 runs `exact_rank`
+    # only at the degrees that build did not prove saturated
+    _fresh_box_builds()
+    try:
+        subalgebra_hilbert(6, 6, 5)
+        recorded = {d for d, m in grassmann._saturated(6, 6).items() if m <= 5}
+        ranked = []
+
+        def watched_exact_rank(d, columns, rows):
+            ranked.append(d)
+            return exact_rank(d, columns, rows)
+
+        monkeypatch.setattr(echelon, "exact_rank", watched_exact_rank)
+        assert subalgebra_hilbert(6, 6, 6) == grass_hilbert_series(6, 6)
+        assert recorded and sorted(ranked) == sorted(set(range(37)) - recorded)
+    finally:
+        _fresh_box_builds()
+
+
 def test_subalgebra_symmetry_small():
     # omega maps H*(Gr(ell, ell + k)) onto H*(Gr(k, ell + k)), sends h_i to
     # e_i, and Q[h_1..h_m] = Q[e_1..e_m]: the series and the formula are both
@@ -304,6 +352,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
         # at the real prime only the Findings fall short of their candidates
         assert probed == (point in findings), point
     _slice_data.cache_clear()
+    grassmann._saturated.cache_clear()
     monkeypatch.setattr(echelon, "P", 2)
     probed = set()
     try:
@@ -314,6 +363,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
                 probed.add(point)
     finally:
         _slice_data.cache_clear()
+        grassmann._saturated.cache_clear()
     assert {(2, 5, 2), (5, 2, 2), (3, 3, 2), (4, 4, 4)} <= probed
 
 

@@ -119,7 +119,7 @@ def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
     # prime 2 the ranks come from the exact fallback
     def e1_only(n, odd):
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-        return tuple(span.rank for span in generated(columns, functools.partial(_lg_pieri_map, n), (1,)))
+        return tuple(span.rank for span in generated(columns, functools.partial(_lg_pieri_map, n), (1,), {}))
 
     monkeypatch.setattr(lagrangian, "_lg_rank_data", e1_only)
     for p in (echelon.P, 2):
@@ -150,6 +150,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
     # a build of degrees 0..m both hold at every even m
     monkeypatch.setattr(echelon, "P", p)
     lagrangian._lg_rank_data.cache_clear()
+    lagrangian._saturated.cache_clear()
     try:
         for n in range(2, 10):
             stab = {c.params["m"]: c.status for c in check_lg(n) if c.name == "lg-stab"}
@@ -157,6 +158,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
             assert all(lg_stab_membership(n, m) for m in stab), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
+        lagrangian._saturated.cache_clear()
 
 
 def test_check_lg_passes_under_a_bad_prime(monkeypatch):
@@ -173,11 +175,13 @@ def test_check_lg_passes_under_a_bad_prime(monkeypatch):
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
     monkeypatch.setattr(echelon, "P", 2)
     lagrangian._lg_rank_data.cache_clear()
+    lagrangian._saturated.cache_clear()
     try:
         for n in range(2, 9):
             assert all(c.status == "pass" for c in check_lg(n)), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
+        lagrangian._saturated.cache_clear()
     assert exact
 
 
@@ -192,6 +196,7 @@ def test_check_lg_builds_from_odd_generators_only(monkeypatch):
     monkeypatch.setattr(lagrangian, "_lg_pieri_map", recording_pieri_map)
     for n in (1, 2, 7, 8):
         lagrangian._lg_rank_data.cache_clear()
+        lagrangian._saturated.cache_clear()
         lagrangian._lg_slice_data.cache_clear()
         pieri_map.cache_clear()
         built.clear()

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from qgrass import echelon, lagrangian
 from qgrass.echelon import DegreeSlice
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
@@ -153,6 +154,33 @@ def test_lg_subalgebra_hilbert_examples():
 def test_lg_full_generation_matches_series():
     for n in range(1, 7):
         assert lg_subalgebra_hilbert(n, n) == lg_hilbert_series(n)
+
+
+@pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
+def test_saturation_record_matches_cold_builds(monkeypatch, p):
+    # Every odd bound of an order, built through a warm record in ascending
+    # and in descending order, has the series of a cold build and of the
+    # closed form; at p = 2 every coefficient 2^e with e >= 1 vanishes, so
+    # the exact fallback proves many saturated degrees
+
+    def fresh_builds():
+        lagrangian._lg_rank_data.cache_clear()
+        lagrangian._saturated.cache_clear()
+
+    monkeypatch.setattr(echelon, "P", p)
+    try:
+        for n in range(1, 10):
+            bounds = range(1, n + 1, 2)
+            cold = {}
+            for odd in bounds:
+                fresh_builds()
+                cold[odd] = lg_subalgebra_hilbert(n, odd)
+                assert cold[odd] == lg_subalgebra_formula(n, odd), (n, odd)
+            for order in (bounds, bounds[::-1]):
+                fresh_builds()
+                assert {odd: lg_subalgebra_hilbert(n, odd) for odd in order} == cold, (n, order)
+    finally:
+        fresh_builds()
 
 
 def test_lg_even_m_stabilization():
