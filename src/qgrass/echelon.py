@@ -10,25 +10,30 @@ its column from every tail.  Rows and vectors go in as integers
 built on demand.  Pivots are first nonzero columns, with no numerical
 heuristics.
 
-`generated` builds the graded pieces of the subalgebra generated by one
-generator in each of a list of degrees (1..m in the Grassmannian, the odd
-degrees up to m in the Lagrangian ring), given a basis of each degree and
-integer Pieri maps for the generators.  A monomial either contains the
-smallest generator g_(i_1) or lies in the others alone, so the degree-d
-piece is g_(i_1) times a basis of degree d - i_1, plus the span of the
-monomials of degree d in the other generators, each built through the Pieri
-maps.  Only the smallest generator reads the basis below.
+`generated` builds the graded pieces of the subalgebra of a `Ring`
+generated by one generator in each of a list of degrees (1..m in the
+Grassmannian, the odd degrees up to m in the Lagrangian ring).  A `Ring` is
+one box or order: a basis of each degree and integer Pieri maps for the
+generators.  A monomial either contains the smallest generator g_(i_1) or
+lies in the others alone, so the degree-d piece is g_(i_1) times a basis of
+degree d - i_1, plus the span of the monomials of degree d in the other
+generators.  Only the smallest generator reads the basis below.
 
-A ring settles each degree once across its builds.  Its generator sets are
-prefixes of one increasing sequence (h_1, h_2, ... or e_1, e_3, ...), so for
-bounds m <= m', A^(m)_d lies in A^(m')_d, which lies in H_d: a degree
-proved saturated at bound m is saturated at every larger bound.  The ring
-keeps one record per box or order, each degree to the smallest bound whose
-build proved it saturated (rank = width, by either rule below), and
-`generated` yields a recorded degree's saturated span without pulling a
-row.  The checks build the bounds in ascending order, so the record serves
-every bound after the first; built in any other order, the spans are the
-same and the record serves less.
+A `Ring` holds what every build of it shares, so that each is done once.
+- Its monomial rows: `monomial_row` builds the row of a monomial through
+  the Pieri maps, from the row of its longest suffix already kept, and
+  keeps it, for the builds and for the reports that read the same rows.
+- Its saturation record.  The generator sets of a ring's builds are
+  prefixes of one increasing sequence (h_1, h_2, ... or e_1, e_3, ...), so
+  for bounds m <= m', A^(m)_d lies in A^(m')_d, which lies in H_d: a degree
+  proved saturated at bound m is saturated at every larger bound.  The
+  record maps each degree to the smallest bound whose build proved it
+  saturated (rank = width, by either rule below), and `generated` yields a
+  recorded degree's saturated span without pulling a row.  The checks build
+  the bounds in ascending order, so the record serves every bound after the
+  first; built in any other order, the spans are the same and the record
+  serves less.  The record is the ring's own, so no build reads a record
+  written over other columns or maps.
 
 Each piece is a `Span`, the result of `exact_rank`: the one rule for the
 rank over Q of integer rows, which the subalgebra builds and the
@@ -203,43 +208,55 @@ def _monomials(parts: Sequence[int]) -> Callable[[int], list[tuple[int, ...]]]:
     return monomials
 
 
-def _spanning_rows(
-    columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence], degrees: Sequence[int]
-) -> Callable[[int, Callable[[int], Iterable]], Iterator[list[int]]]:
-    """The walk of `generated`: rows(d, stored) lazily yields the dense
-    spanning rows of degree d, the unit at d = 0, then g_(i_1) times each
-    row of stored(d - i_1) (a basis of that degree, as (column, entry)
-    pairs), then each monomial of `_monomials` in the other generators as
-    g_(b[0]) times the row of b[1:].  A row is built only when it is
-    pulled, so once `exact_rank` stops pulling, no row past that point is built.
-    Monomial rows are built through the Pieri maps and kept for this walk
-    only."""
-    rows: dict[tuple[int, ...], list[int]] = {(): [1]}
+class Ring:
+    """What every build of one ring shares: columns[d], the basis of degree
+    d (columns[0] is the unit alone); pieri_map(d, i), multiplication by the
+    generator g_i from degree d - i to d in the format of `apply_map`; the
+    saturation record `saturated`; and the rows of its monomials.  Every
+    `generated` of one ring must take a prefix of one increasing sequence of
+    generator degrees, so that its pieces only grow with the bound."""
 
-    def monomial_row(parts: tuple[int, ...]) -> list[int]:
-        # every suffix is a monomial too: build up from the longest one kept
+    def __init__(self, columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence]):
+        self.columns = columns
+        self.pieri_map = pieri_map
+        # each degree, to the smallest bound of a build that proved it saturated
+        self.saturated: dict[int, int] = {}
+        self._rows: dict[tuple[int, ...], list[int]] = {(): [1]}
+
+    def monomial_row(self, parts: tuple[int, ...]) -> list[int]:
+        """The dense row of the product of g_i over the nondecreasing parts:
+        g_(parts[0]) times the row of parts[1:].  Every suffix is a monomial
+        too, so the rows are built up from the longest suffix kept, and each
+        is kept for the life of the ring.  The row returned is the kept one:
+        treat it as immutable."""
+        rows = self._rows
         j = 0
         while parts[j:] not in rows:
             j += 1
         for j in range(j - 1, -1, -1):
             key = parts[j:]
             e = sum(key)
-            rows[key] = apply_map(enumerate(rows[key[1:]]), pieri_map(e, key[0]), len(columns[e]))
+            rows[key] = apply_map(enumerate(rows[key[1:]]), self.pieri_map(e, key[0]), len(self.columns[e]))
         return rows[parts]
 
+
+def _spanning_rows(
+    ring: Ring, degrees: Sequence[int]
+) -> Callable[[int, Callable[[int], Iterable]], Iterator[list[int]]]:
+    """The walk of `generated`: rows(d, stored) lazily yields the dense
+    spanning rows of degree d: g_(i_1) times each row of stored(d - i_1) (a
+    basis of that degree, as (column, entry) pairs), then the ring's row of
+    each monomial of `_monomials` in the other generators (the unit alone
+    at d = 0).  A row is built only when it is pulled, so once `exact_rank`
+    stops pulling, no row past that point is built."""
     monomials = _monomials(degrees[1:])
 
     def walk(d: int, stored: Callable[[int], Iterable]) -> Iterator[list[int]]:
-        if d == 0:
-            yield [1]
-            return
-        width = len(columns[d])
         if degrees and degrees[0] <= d:
-            step = pieri_map(d, degrees[0])
+            step, width = ring.pieri_map(d, degrees[0]), len(ring.columns[d])
             for src in stored(d - degrees[0]):
                 yield apply_map(src, step, width)
-        for b in monomials(d):
-            yield apply_map(enumerate(monomial_row(b[1:])), pieri_map(d, b[0]), width)
+        yield from map(ring.monomial_row, monomials(d))
 
     return walk
 
@@ -370,17 +387,10 @@ def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]
     return Span(d, columns, exact.rank, exact.pivots, exact=exact)
 
 
-def generated(
-    columns: Sequence[Sequence[Hashable]],
-    pieri_map: Callable[[int, int], Sequence],
-    degrees: Sequence[int],
-    saturated: dict[int, int],
-) -> Iterator[Span]:
-    """The `Span` of each graded piece of the subalgebra A generated by one
-    generator g_i in each degree i of the increasing degrees, degree 0 first:
-    columns[d] is the basis of degree d (columns[0] is the unit alone), and
-    pieri_map(d, i) multiplies by g_i from degree d - i to d, in the format
-    of `apply_map`.
+def generated(ring: Ring, degrees: Sequence[int]) -> Iterator[Span]:
+    """The `Span` of each graded piece of the subalgebra A of the ring
+    generated by one generator g_i in each degree i of the increasing
+    degrees, degree 0 first.
 
     A monomial of degree d either factors out the smallest generator g_(i_1),
     and so lies in g_(i_1) A_(d-i_1), or is a monomial in the other
@@ -388,24 +398,21 @@ def generated(
     A_(d-i_1), then of those monomials (`_spanning_rows`).  Only the span of
     degree d - i_1 is kept for degree d.
 
-    `saturated` is the record of the ring (module docstring), shared by
-    every build whose degrees are a prefix of the same increasing sequence:
-    it maps a degree to the smallest bound, degrees[-1] (0 for no degree), of
-    a build that proved it saturated.  Such a degree is saturated at every
-    larger bound (the pieces grow with the prefix and stop at the ring), so
-    it is yielded as the saturated `Span` without pulling a row, and the
-    span of d - i_1 it would have read is dropped.  A degree this build
-    proves saturated is recorded at its bound."""
+    The bound of the build is degrees[-1] (0 for no degree).  A degree the
+    ring's record holds at a bound no larger is saturated here too (module
+    docstring), so it is yielded as the saturated `Span` without pulling a
+    row, and the span of d - i_1 it would have read is dropped.  A degree
+    this build proves saturated is recorded at its bound."""
     bound = degrees[-1] if degrees else 0
-    rows = _spanning_rows(columns, pieri_map, degrees)
+    rows = _spanning_rows(ring, degrees)
     spans: dict[int, Span] = {}
-    for d, cols in enumerate(columns):
-        if saturated.get(d, bound + 1) <= bound:
+    for d, cols in enumerate(ring.columns):
+        if ring.saturated.get(d, bound + 1) <= bound:
             if degrees:
                 spans.pop(d - degrees[0], None)
             spans[d] = Span(d, cols, len(cols), range(len(cols)))
         else:
             spans[d] = exact_rank(d, cols, rows(d, lambda e: spans.pop(e).row_terms()))
             if spans[d].saturated:
-                saturated[d] = bound
+                ring.saturated[d] = bound
         yield spans[d]

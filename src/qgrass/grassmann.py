@@ -13,19 +13,21 @@ all with coefficient 1.  The maps are walked inside the box, never filtered.
 A table per degree lists the single boxes each column can take without
 leaving the box; that table is the h_1 map.  An h_i map adds i such boxes in
 strictly increasing columns, so no partition outside the box is formed.  The
-shared builder `echelon.generated` pushes integer rows through these maps:
-h_1 times a basis of degree d - 1, then the monomials of degree d in
-h_2..h_m, each degree settled by `echelon.exact_rank`.  `subalgebra_hilbert`
-keeps the ranks alone; `subalgebra_slices` keeps the `Span` of every degree
-for the reports.
+columns and maps of a box are one `echelon.Ring`, `_ring(ell, k)`, which
+every build and report of the box shares.  The shared builder
+`echelon.generated` pushes integer rows through these maps: h_1 times a
+basis of degree d - 1, then the monomials of degree d in h_2..h_m, each
+degree settled by `echelon.exact_rank`.  `subalgebra_hilbert` keeps the
+ranks alone; `subalgebra_slices` keeps the `Span` of every degree for the
+reports.
 
 The candidate-basis reports use the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu
 only grows mu), so projecting to the box commutes with multiplication by
-h_r.  The in-box row of h_lambda is the row of h_(lambda without its first
-part) pushed through one in-box Pieri map.  The in-box row of a k-Schur
-function follows its weak Pieri recursion: the h_r image of the row of nu
-minus the rows of the other targets.  Both are memoised per box, and no
+h_r.  The in-box row of h_lambda is the ring's row of the monomial of the
+parts of lambda (`Ring.monomial_row`), the one the builds read.  The in-box
+row of a k-Schur function follows its weak Pieri recursion: the h_r image
+of the row of nu minus the rows of the other targets, memoised per box.  No
 candidate is expanded over the Schur terms outside the box.
 
 A report settles each degree d against the `Span` of A_d.
@@ -51,7 +53,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .echelon import Span, apply_map, exact_rank, generated
+from .echelon import Ring, Span, apply_map, exact_rank, generated
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from .qseries import QPoly
@@ -117,18 +119,19 @@ def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple
 
 
 @cache
-def _saturated(ell: int, k: int) -> dict[int, int]:
-    """The record of the box for `echelon.generated`: each degree, to the
-    smallest m whose build proved it saturated."""
-    return {}
+def _ring(ell: int, k: int) -> Ring:
+    """The box as an `echelon.Ring`: its columns and in-box Pieri maps, and
+    the saturation record and monomial rows that every build and report of
+    the box shares."""
+    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    return Ring(columns, lambda d, i: _pieri_map(ell, k, d, i))
 
 
 def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
     """The spans of the subalgebra generated by h_1..h_m, through `echelon.generated`."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
-    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return generated(columns, lambda d, i: _pieri_map(ell, k, d, i), range(1, m + 1), _saturated(ell, k))
+    return generated(_ring(ell, k), range(1, m + 1))
 
 
 @cache
@@ -186,17 +189,6 @@ class BasisReport(NamedTuple):
 
 
 @cache
-def _h_row(ell: int, k: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """In-box row of the product of h_i over parts: h_(parts[0]) times the
-    row of parts[1:], through the in-box Pieri map."""
-    if not parts:
-        return (1,)
-    d = sum(parts)
-    width = len(_box_columns(ell, k, d)[0])
-    return tuple(apply_map(enumerate(_h_row(ell, k, parts[1:])), _pieri_map(ell, k, d, parts[0]), width))
-
-
-@cache
 def _k_schur_row(ell: int, k: int, parts: tuple[int, ...], level: int) -> tuple[int, ...]:
     """In-box row of the k-Schur function of parts at the given level: the
     h_r image of the row of nu minus the rows of the other weak Pieri targets
@@ -244,7 +236,7 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
 def h_basis_report(ell: int, k: int, m: int) -> BasisReport:
     """Rank checks for the candidate basis of complete homogeneous products
     indexed by partitions with first part at most m and in-box k-conjugate."""
-    return _basis_report(ell, k, m, lambda lam: _h_row(ell, k, lam.parts))
+    return _basis_report(ell, k, m, lambda lam: _ring(ell, k).monomial_row(lam.parts[::-1]))
 
 
 def kschur_basis_report(ell: int, k: int, m: int) -> BasisReport:

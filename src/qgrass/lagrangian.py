@@ -34,8 +34,10 @@ above) and loses 1 when a box starts a row that was empty
 (l(mu) > l(lambda)).  Each strip is reached once, in this order; sigma_1 is
 one table step.
 
-The shared builder `echelon.generated` pushes integer rows through the maps
-of the odd generators alone.  The relation for e_j^2 ends in
+The columns and maps of an order are one `echelon.Ring`, `_ring(n)`, whose
+saturation record and monomial rows its builds share.  The shared builder
+`echelon.generated` pushes integer rows through the maps of the odd
+generators alone.  The relation for e_j^2 ends in
 2 (-1)^(j+1) e_(2j), so e_(2j) lies in the subalgebra of e_1, ...,
 e_(2j-1): the subalgebra generated in degrees at most 2j is that of the odd
 e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.
@@ -63,7 +65,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .echelon import Span, apply_map, generated
+from .echelon import Ring, Span, apply_map, generated
 from .partitions import Partition, strict_partitions_of_size
 from .qseries import QPoly
 from .schur import SymVector
@@ -177,17 +179,17 @@ def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, .
 
 
 @cache
-def _saturated(n: int) -> dict[int, int]:
-    """The record of the order n for `echelon.generated`: each degree, to the
-    smallest odd bound whose build proved it saturated."""
-    return {}
+def _ring(n: int) -> Ring:
+    """The order n as an `echelon.Ring`: its columns and Pieri maps, and
+    the saturation record and monomial rows that its builds share."""
+    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+    return Ring(columns, lambda d, i: _lg_pieri_map(n, d, i))
 
 
 def _lg_generated(n: int, odd: int) -> Iterator[Span]:
     """The spans of the subalgebra generated by the odd e_i <= odd, in every
     degree, through `echelon.generated`."""
-    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return generated(columns, lambda d, i: _lg_pieri_map(n, d, i), range(1, odd + 1, 2), _saturated(n))
+    return generated(_ring(n), range(1, odd + 1, 2))
 
 
 @cache
@@ -232,6 +234,8 @@ def lg_top_power(n: int) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     top = n * (n + 1) // 2
+    # one row walked up, not `Ring.monomial_row`, which would keep the row of
+    # every power of e_1 for the life of the ring
     row = [1]
     for d in range(1, top + 1):
         row = apply_map(enumerate(row), _lg_pieri_map(n, d, 1), len(_strict_columns(n, d)[0]))

@@ -2,17 +2,17 @@
 
 import functools
 
-from qgrass.echelon import DegreeSlice, _spanning_rows, generated
+from qgrass.echelon import DegreeSlice, Ring, _spanning_rows, generated
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
 
 def generated_slices(columns, pieri_map, degrees):
     """Exact echelon bases of the graded pieces that `echelon.generated`
-    builds, in the same arguments and over the same walk (`_spanning_rows`),
-    with no rank mod p: each piece is a `DegreeSlice` fed the spanning rows
-    until it saturates, and degree d reads the reduced rows of degree
-    d - i_1."""
-    rows = _spanning_rows(columns, pieri_map, degrees)
+    builds, over the same walk (`_spanning_rows`) of a fresh `Ring`, with no
+    rank mod p and no saturation record: each piece is a `DegreeSlice` fed
+    the spanning rows until it saturates, and degree d reads the reduced
+    rows of degree d - i_1."""
+    rows = _spanning_rows(Ring(columns, pieri_map), degrees)
     slices = []
     for d, cols in enumerate(columns):
         sl = DegreeSlice(d, cols)
@@ -39,5 +39,5 @@ def lg_stab_membership(n, m, degrees=None):
     and test sigma_m, the Schubert class of (m), with the exact
     `Span.contains_row`."""
     columns = [_strict_columns(n, d)[0] for d in range(m + 1)]
-    span = tuple(generated(columns, functools.partial(_lg_pieri_map, n), degrees or range(1, m, 2), {}))[m]
+    span = tuple(generated(Ring(columns, functools.partial(_lg_pieri_map, n)), degrees or range(1, m, 2)))[m]
     return span.contains_row([int(lam.parts == (m,)) for lam in span.columns])

@@ -9,8 +9,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qgrass import echelon
-from qgrass.echelon import DegreeSlice, PackedRank, _monomials, apply_map, exact_rank, generated
+from qgrass import echelon, grassmann, lagrangian
+from qgrass.echelon import DegreeSlice, PackedRank, Ring, _monomials, apply_map, exact_rank, generated
 from qgrass.grassmann import _box_columns, _pieri_map
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 
@@ -352,9 +352,10 @@ def test_monomial_counts_and_enumeration_match_brute_force():
 
 def _count_apply_map(monkeypatch):
     # Every `apply_map` call of a build: the spanning rows pulled and the
-    # monomial rows behind them.  Both builders stop pulling right after the
-    # insert that fills a piece, so they build the same rows; a check of
-    # saturation before each insert would build one row more per full degree.
+    # monomial rows behind them, each monomial row once per ring.  Both
+    # builders stop pulling right after the insert that fills a piece, so
+    # they build the same rows; a check of saturation before each insert
+    # would build one row more per full degree.
     calls = []
 
     def counting_apply_map(terms, pieri_map, width):
@@ -368,12 +369,12 @@ def _count_apply_map(monkeypatch):
 @pytest.mark.parametrize(
     "space, size, m, inserts, zeros, maps",
     [
-        ("box", (6, 6), 3, 712, 50, 762),
-        ("box", (7, 7), 2, 507, 16, 526),
-        ("box", (5, 5), 5, 264, 12, 279),
-        ("lg", (9,), 5, 480, 14, 500),
-        ("lg", (10,), 5, 883, 35, 923),
-        ("lg", (11,), 3, 573, 11, 589),
+        ("box", (6, 6), 3, 712, 50, 711),
+        ("box", (7, 7), 2, 507, 16, 506),
+        ("box", (5, 5), 5, 264, 12, 264),
+        ("lg", (9,), 5, 480, 14, 479),
+        ("lg", (10,), 5, 883, 35, 882),
+        ("lg", (11,), 3, 573, 11, 572),
     ],
     ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
 )
@@ -415,6 +416,11 @@ def _point(space, size, m):
     return columns, functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
 
 
+def _cold_build(columns, pieri_map, degrees):
+    # every span of a build on a fresh ring: no row kept, nothing recorded
+    return tuple(generated(Ring(columns, pieri_map), degrees))
+
+
 def _rank_points():
     # every box with ell, k <= 6 (0 included) and m <= max(ell, k), and every
     # Lagrangian n <= 10 with odd m: 252 + 30 points
@@ -428,7 +434,7 @@ def test_generated_ranks_match_generated_slices():
     for point in points:
         args = _point(*point)
         want = tuple(sl.rank for sl in generated_slices(*args))
-        assert tuple(span.rank for span in generated(*args, {})) == want, point
+        assert tuple(span.rank for span in _cold_build(*args)) == want, point
 
 
 def _watch_exact_degrees(monkeypatch):
@@ -452,7 +458,7 @@ def test_generated_ranks_stay_exact_under_a_bad_prime(monkeypatch):
     exact = _watch_exact_degrees(monkeypatch)
     monkeypatch.setattr(echelon, "P", 2)
     for point in points:
-        assert tuple(span.rank for span in generated(*_point(*point), {})) == want[point], point
+        assert tuple(span.rank for span in _cold_build(*_point(*point))) == want[point], point
     assert exact
 
 
@@ -503,12 +509,12 @@ def test_packed_rank_is_the_rank_mod_p(rows):
 @pytest.mark.parametrize(
     "space, size, m, exact_degrees, inserts, maps",
     [
-        ("box", (6, 6), 3, 6, 712, 762),
-        ("box", (7, 7), 2, 6, 507, 526),
-        ("box", (5, 5), 5, 0, 264, 279),
-        ("lg", (9,), 5, 4, 480, 500),
-        ("lg", (10,), 5, 8, 883, 923),
-        ("lg", (11,), 3, 8, 573, 589),
+        ("box", (6, 6), 3, 6, 712, 711),
+        ("box", (7, 7), 2, 6, 507, 506),
+        ("box", (5, 5), 5, 0, 264, 264),
+        ("lg", (9,), 5, 4, 480, 479),
+        ("lg", (10,), 5, 8, 883, 882),
+        ("lg", (11,), 3, 8, 573, 572),
     ],
     ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
 )
@@ -527,7 +533,7 @@ def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, insert
     exact = _watch_exact_degrees(monkeypatch)
     monkeypatch.setattr(PackedRank, "add_row", counting_add_row)
     built = _count_apply_map(monkeypatch)
-    tuple(generated(*args, {}))
+    _cold_build(*args)
     assert (len(exact), len(calls), len(built)) == (exact_degrees, inserts, maps)
 
 
@@ -549,8 +555,38 @@ def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, n
         return primitive(lead, tail)
 
     monkeypatch.setattr(echelon, "_primitive", counting_primitive)
-    tuple(generated(*_point(space, size, m), {}))
+    _cold_build(*_point(space, size, m))
     assert len(calls) == normalised
+
+
+def _fresh_rings():
+    for memo in (grassmann._rank_data, grassmann._ring, lagrangian._lg_rank_data, lagrangian._ring):
+        memo.cache_clear()
+
+
+def test_each_ring_keeps_its_own_saturation_record(monkeypatch):
+    # boxes built first leave their records in their own rings, so the
+    # order's build after them is a cold one: the 1,799 row normalisations
+    # of lg-10-m5 above (one record shared by the three builds gave 0)
+    calls = []
+    primitive = echelon._primitive
+
+    def counting_primitive(lead, tail):
+        calls.append(lead)
+        return primitive(lead, tail)
+
+    _fresh_rings()
+    try:
+        grassmann.subalgebra_hilbert(6, 6, 3)
+        grassmann.subalgebra_hilbert(7, 7, 2)
+        monkeypatch.setattr(echelon, "_primitive", counting_primitive)
+        lagrangian.lg_subalgebra_hilbert(10, 5)
+        rings = [grassmann._ring(6, 6), grassmann._ring(7, 7), lagrangian._ring(10)]
+        records = [ring.saturated for ring in rings]
+        assert all(records) and len(set(map(id, records))) == 3
+        assert len(calls) == 1799
+    finally:
+        _fresh_rings()
 
 
 # a batch of rows, and planted combinations a * rows[i] + b * rows[j] (zero

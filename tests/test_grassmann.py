@@ -11,9 +11,9 @@ from qgrass.grassmann import (
     BasisReport,
     _basis_report,
     _box_columns,
-    _h_row,
     _k_schur_row,
     _pieri_map,
+    _ring,
     _slice_data,
     h_basis_report,
     kschur_basis_report,
@@ -68,8 +68,13 @@ def test_subalgebra_hilbert_examples():
     for k in range(1, 6):
         assert subalgebra_hilbert(1, k, 1) == QPoly.from_coeffs([1] * (k + 1))
     assert subalgebra_hilbert(2, 2, 0) == QPoly.one()
-    with pytest.raises(ValueError):
-        subalgebra_hilbert(2, 2, -1)
+    # a negative size or bound is rejected before the box's ring is built:
+    # with both sizes negative, ell * k is positive
+    rings = _ring.cache_info().currsize
+    for point in [(2, 2, -1), (-2, -3, 1), (-1, 2, 1)]:
+        with pytest.raises(ValueError):
+            subalgebra_hilbert(*point)
+        assert _ring.cache_info().currsize == rings, point
 
 
 def reference_slices(ell, k, m):
@@ -163,7 +168,7 @@ def test_subalgebra_full_generation_matches_closed_form():
 
 def _fresh_box_builds():
     grassmann._rank_data.cache_clear()
-    grassmann._saturated.cache_clear()
+    _ring.cache_clear()
 
 
 @pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
@@ -189,13 +194,37 @@ def test_saturation_record_matches_cold_builds(monkeypatch, p):
         _fresh_box_builds()
 
 
+def test_bounds_of_a_box_share_its_monomial_rows(monkeypatch):
+    # after the build of (6, 6, 3), the build of m = 4 reads monomial rows
+    # that m = 3 built and pushes only rows the box's ring does not hold yet
+    _fresh_box_builds()
+    try:
+        subalgebra_hilbert(6, 6, 3)
+        ring = _ring(6, 6)
+        held, read, written = set(ring._rows), [], []
+
+        class Recording(dict):
+            def __setitem__(self, parts, row):
+                written.append(parts)
+                super().__setitem__(parts, row)
+
+        monkeypatch.setattr(ring, "_rows", Recording(ring._rows))
+        monomial_row = ring.monomial_row
+        monkeypatch.setattr(ring, "monomial_row", lambda parts: read.append(parts) or monomial_row(parts))
+        assert subalgebra_hilbert(6, 6, 4) == grass_subalgebra_formula(6, 6, 4)
+        assert written and len(set(written)) == len(written) and not held & set(written)
+        assert held & set(read)
+    finally:
+        _fresh_box_builds()
+
+
 def test_saturation_record_skips_recorded_degrees(monkeypatch):
     # after the build of (6, 6, 5), the build of m = 6 runs `exact_rank`
     # only at the degrees that build did not prove saturated
     _fresh_box_builds()
     try:
         subalgebra_hilbert(6, 6, 5)
-        recorded = {d for d, m in grassmann._saturated(6, 6).items() if m <= 5}
+        recorded = {d for d, m in _ring(6, 6).saturated.items() if m <= 5}
         ranked = []
 
         def watched_exact_rank(d, columns, rows):
@@ -352,7 +381,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
         # at the real prime only the Findings fall short of their candidates
         assert probed == (point in findings), point
     _slice_data.cache_clear()
-    grassmann._saturated.cache_clear()
+    _ring.cache_clear()
     monkeypatch.setattr(echelon, "P", 2)
     probed = set()
     try:
@@ -363,7 +392,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
                 probed.add(point)
     finally:
         _slice_data.cache_clear()
-        grassmann._saturated.cache_clear()
+        _ring.cache_clear()
     assert {(2, 5, 2), (5, 2, 2), (3, 3, 2), (4, 4, 4)} <= probed
 
 
@@ -374,7 +403,8 @@ def test_basis_report_cuts_to_pivots_only_after_containment():
     sl = subalgebra_slices(3, 3, 2)[3]
     (free,) = set(range(len(sl.columns))) - set(sl.pivots)
     outside = tuple(int(j == free) for j in range(len(sl.columns)))
-    report = _basis_report(3, 3, 2, lambda lam: outside if lam.size == 3 else _h_row(3, 3, lam.parts))
+    h_row = _ring(3, 3).monomial_row
+    report = _basis_report(3, 3, 2, lambda lam: outside if lam.size == 3 else h_row(lam.parts[::-1]))
     assert report.degrees[3] == BasisDegree(
         degree=3, candidates=2, rank=1, dim=2, independent=False, spans=False, contained=False
     )
@@ -455,7 +485,8 @@ def test_in_box_candidate_rows_match_projected_expansions():
         lams = {lam for m in range(1, min(ell, k) + 1) for lam in candidate_partitions(ell, k, m)}
         for lam in lams:
             d = lam.size
-            assert _h_row(ell, k, lam.parts) == dense(reference_h(ell, k)(lam), ell, k, d), (ell, k, lam)
+            h_row = _ring(ell, k).monomial_row(lam.parts[::-1])
+            assert tuple(h_row) == dense(reference_h(ell, k)(lam), ell, k, d), (ell, k, lam)
             assert _k_schur_row(ell, k, lam.parts, lam.first) == dense(
                 reference_kschur(ell, k)(lam), ell, k, d
             ), (ell, k, lam)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import echelon, forked, harness, lagrangian, partitions
-from qgrass.echelon import DegreeSlice, generated
+from qgrass import echelon, forked, grassmann, harness, lagrangian, partitions
+from qgrass.echelon import DegreeSlice, Ring, generated
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
     CONJECTURE,
@@ -101,6 +101,28 @@ def test_rt_cases_and_kinds():
     assert all(c.status == "pass" for c in check_rt(2, 2))
 
 
+def test_check_rt_builds_each_monomial_row_once(monkeypatch):
+    # every `apply_map` call of check_rt(6, 6) on cold memos: its seven
+    # builds share the box's ring, so each monomial row is built once for
+    # all of them (2,308 calls when each build built its own)
+    built = []
+    apply_map = echelon.apply_map
+
+    def counting_apply_map(terms, pieri_map, width):
+        built.append(width)
+        return apply_map(terms, pieri_map, width)
+
+    monkeypatch.setattr(echelon, "apply_map", counting_apply_map)
+    grassmann._rank_data.cache_clear()
+    grassmann._ring.cache_clear()
+    try:
+        assert all(c.status == "pass" for c in check_rt(6, 6))
+    finally:
+        grassmann._rank_data.cache_clear()
+        grassmann._ring.cache_clear()
+    assert len(built) == 2052
+
+
 def test_lg_cases():
     cases = check_lg(3)
     assert all(c.status == "pass" for c in cases)
@@ -119,7 +141,7 @@ def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
     # prime 2 the ranks come from the exact fallback
     def e1_only(n, odd):
         columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-        return tuple(span.rank for span in generated(columns, functools.partial(_lg_pieri_map, n), (1,), {}))
+        return tuple(span.rank for span in generated(Ring(columns, functools.partial(_lg_pieri_map, n)), (1,)))
 
     monkeypatch.setattr(lagrangian, "_lg_rank_data", e1_only)
     for p in (echelon.P, 2):
@@ -150,7 +172,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
     # a build of degrees 0..m both hold at every even m
     monkeypatch.setattr(echelon, "P", p)
     lagrangian._lg_rank_data.cache_clear()
-    lagrangian._saturated.cache_clear()
+    lagrangian._ring.cache_clear()
     try:
         for n in range(2, 10):
             stab = {c.params["m"]: c.status for c in check_lg(n) if c.name == "lg-stab"}
@@ -158,7 +180,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
             assert all(lg_stab_membership(n, m) for m in stab), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._saturated.cache_clear()
+        lagrangian._ring.cache_clear()
 
 
 def test_check_lg_passes_under_a_bad_prime(monkeypatch):
@@ -175,13 +197,13 @@ def test_check_lg_passes_under_a_bad_prime(monkeypatch):
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
     monkeypatch.setattr(echelon, "P", 2)
     lagrangian._lg_rank_data.cache_clear()
-    lagrangian._saturated.cache_clear()
+    lagrangian._ring.cache_clear()
     try:
         for n in range(2, 9):
             assert all(c.status == "pass" for c in check_lg(n)), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._saturated.cache_clear()
+        lagrangian._ring.cache_clear()
     assert exact
 
 
@@ -196,7 +218,7 @@ def test_check_lg_builds_from_odd_generators_only(monkeypatch):
     monkeypatch.setattr(lagrangian, "_lg_pieri_map", recording_pieri_map)
     for n in (1, 2, 7, 8):
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._saturated.cache_clear()
+        lagrangian._ring.cache_clear()
         lagrangian._lg_slice_data.cache_clear()
         pieri_map.cache_clear()
         built.clear()

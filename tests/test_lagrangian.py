@@ -165,7 +165,7 @@ def test_saturation_record_matches_cold_builds(monkeypatch, p):
 
     def fresh_builds():
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._saturated.cache_clear()
+        lagrangian._ring.cache_clear()
 
     monkeypatch.setattr(echelon, "P", p)
     try:
