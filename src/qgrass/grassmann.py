@@ -9,15 +9,15 @@ partitions of each degree that fit the box are listed once, in a fixed
 order; they are the columns.  Multiplication by h_i from degree d - i to d
 is an in-box Pieri map, memoised per (ell, k, d, i).  For each source column
 it lists the target columns its horizontal i-strips reach inside the box,
-all with coefficient 1.  The maps are walked inside the box, never filtered.
-A table per degree lists the single boxes each column can take without
-leaving the box; that table is the h_1 map.  An h_i map adds i such boxes in
-strictly increasing columns, so no partition outside the box is formed.  The
-columns and maps of a box are one `echelon.Ring`, `_ring(ell, k)`, which
-every build and report of the box shares.  The shared builder
-`echelon.generated` pushes integer rows through these maps: h_1 times a
-basis of degree d - 1, then the monomials of degree d in h_2..h_m, each
-degree settled by `echelon.exact_rank`.  `subalgebra_hilbert` keeps the
+all with coefficient 1.  The box is the bounds (k, ell, 0) of `schur`: at
+most ell parts, each at most k, weakly decreasing.  Its single-box table of
+degree d is the h_1 map, and the h_i map keeps the targets of the strips
+that `schur._strips` walks inside the box, never filtered, and drops their
+exponents.  The columns and maps of a box are one `echelon.Ring`,
+`_ring(ell, k)`, which every build and report of the box shares.  The
+shared builder `echelon.generated` pushes integer rows through these maps:
+h_1 times a basis of degree d - 1, then the monomials of degree d in
+h_2..h_m, each degree settled by `echelon.exact_rank`.  `subalgebra_hilbert` keeps the
 ranks alone; `subalgebra_slices` keeps the `Span` of every degree for the
 reports.
 
@@ -55,9 +55,9 @@ from typing import Iterator, NamedTuple
 
 from .echelon import Ring, Span, apply_map, exact_rank, generated
 from .kschur import _weak_pieri_step
-from .partitions import Partition, candidate_partitions, partitions_in_box_of_size
+from .partitions import Partition, candidate_partitions
 from .qseries import QPoly
-from .schur import SymVector
+from .schur import SymVector, _columns, _single_boxes, _strips
 
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
@@ -65,57 +65,22 @@ def project(v: SymVector, ell: int, k: int) -> SymVector:
     return SymVector._wrap({p: c for p, c in v.items() if p.fits(ell, k)})
 
 
-@cache
 def _box_columns(ell: int, k: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
     """The partitions of d in the ell x k box, and the index of each by its parts."""
-    cols = tuple(partitions_in_box_of_size(ell, k, d))
-    return cols, {p.parts: j for j, p in enumerate(cols)}
-
-
-@cache
-def _box_additions(ell: int, k: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Single boxes added inside the box, from degree d - 1 to degree d: for
-    each source column, the target columns, and in parallel the (1-based)
-    column of each added box.  Row r grows when it is shorter than the row
-    above it (row 0 when shorter than k), and a new row starts while there
-    are fewer than ell."""
-    index = _box_columns(ell, k, d)[1]
-    targets, boxes = [], []
-    for lam in _box_columns(ell, k, d - 1)[0]:
-        parts = lam.parts
-        base = parts + (0,)
-        above = k
-        to, at = [], []
-        for r in range(min(len(parts) + 1, ell)):
-            v = base[r]
-            if v < above:
-                to.append(index[parts[:r] + (v + 1,) + parts[r + 1:]])
-                at.append(v + 1)
-            above = v
-        targets.append(tuple(to))
-        boxes.append(tuple(at))
-    return tuple(targets), tuple(boxes)
+    return _columns(k, ell, 0, d)
 
 
 @cache
 def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """In-box h_i Pieri map from degree d - i to degree d: for each source
-    column, the indices of the target columns it reaches, all with
-    coefficient 1.  h_1 shares the single-box table of degree d; h_i walks
-    the tables of degrees d - i + 1..d."""
+    column, the indices of the target columns its horizontal i-strips reach,
+    all with coefficient 1.  h_1 is the single-box table of degree d."""
     if i == 1:
-        return ((1, _box_additions(ell, k, d)[0]),)
-    # a horizontal i-strip is i single boxes added in strictly increasing
-    # columns, and every shape on the way is an in-box partition (a strip box
-    # never sits below another); so each in-box strip is reached exactly once
-    tables = [_box_additions(ell, k, e) for e in range(d - i + 1, d + 1)]
-    out = []
-    for j in range(len(_box_columns(ell, k, d - i)[0])):
-        reach = [(j, 0)]
-        for targets, boxes in tables:
-            reach = [(u, c) for t, last in reach for u, c in zip(targets[t], boxes[t]) if c > last]
-        out.append(tuple(u for u, _ in reach))
-    return ((1, tuple(out)),)
+        return ((1, _single_boxes(k, ell, 0, d)[0]),)
+    out: list[list[int]] = [[] for _ in range(len(_box_columns(ell, k, d - i)[0]))]
+    for src, t, _, _, _, _ in _strips(k, ell, 0, d, i):
+        out[src].append(t)
+    return ((1, tuple(map(tuple, out))),)
 
 
 @cache

@@ -14,25 +14,11 @@ memoised per (n, d, i) as an integer Pieri map (Macdonald III (8.15), with
 Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
 2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
 mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
-columns c in which mu/lambda has a box and column c + 1 has none.
-
-The maps are walked, never searched.  A table per degree lists the single
-boxes each column can take, as (target column, row, new part): row r takes
-one while its new part stays below the part of the row above (n + 1 above
-row 0), so every target is strict.  sigma_i adds i such boxes to every
-source at once, rows top to bottom and each row left to right, so every
-shape on the way is strict (in increasing columns, (2, 1) would reach
-(3, 2) only through (2, 2)).  A partial strip carries the row of its last
-box, that row's old part and that row's bound.  A box may continue that row
-while its new part is at most the bound, or start a lower row, bound by the
-last row's old part (n + 1 for the first box).  That is the strip's bound
-for the next row down; a row further down sits under an untouched row,
-below which the table already keeps it, and whose part is below that bound,
-so the bound never binds it.  The exponent gains 1 for each row started,
-loses 1 when a box lands on its bound (its run of columns joins the one
-above) and loses 1 when a box starts a row that was empty
-(l(mu) > l(lambda)).  Each strip is reached once, in this order; sigma_1 is
-one table step.
+columns c in which mu/lambda has a box and column c + 1 has none.  The order
+is the bounds (n, n, 1) of `schur`: parts at most n, strictly decreasing.
+The map groups the strips that `schur._strips` walks, rows top to bottom so
+that every shape on the way is strict, by their power of 2; sigma_1 is one
+table step.
 
 The columns and maps of an order are one `echelon.Ring`, `_ring(n)`, whose
 saturation record and monomial rows its builds share.  The shared builder
@@ -66,9 +52,9 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .echelon import Ring, Span, apply_map, generated
-from .partitions import Partition, strict_partitions_of_size
+from .partitions import Partition
 from .qseries import QPoly
-from .schur import SymVector
+from .schur import SymVector, _columns, _strips
 
 
 @cache
@@ -113,65 +99,19 @@ def multiply(u: SymVector, v: SymVector, n: int) -> SymVector:
     )
 
 
-@cache
 def _strict_columns(n: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
     """The strict partitions of d with parts at most n, and the index of each by its parts."""
-    cols = tuple(strict_partitions_of_size(n, d))
-    return cols, {p.parts: j for j, p in enumerate(cols)}
-
-
-@cache
-def _strict_boxes(n: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Single boxes added to strict partitions with parts at most n, from
-    degree d - 1 to degree d: for each source column, (target column, row,
-    new part) of each box, rows increasing.  Row r grows while its new part
-    stays below the part of the row above (n + 1 above row 0), so every
-    target is strict."""
-    index = _strict_columns(n, d)[1]
-    table = []
-    for lam in _strict_columns(n, d - 1)[0]:
-        parts = lam.parts
-        above = n + 1
-        boxes = []
-        for r, v in enumerate(parts + (0,)):
-            if v + 1 < above:
-                boxes.append((index[parts[:r] + (v + 1,) + parts[r + 1:]], r, v + 1))
-            above = v
-        table.append(tuple(boxes))
-    return tuple(table)
+    return _columns(n, n, 1, d)
 
 
 @cache
 def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """Multiplication by sigma_i from degree d - i to degree d: for each
-    coefficient, the target column indices of each source column.  Walks i
-    single boxes through the tables of degrees d - i + 1..d, for every source
-    at once (see the module docstring)."""
+    coefficient, the target column indices of each source column.  Groups
+    the walked strips (`schur._strips`) by their power of 2."""
     width = len(_strict_columns(n, d - i)[0])
-    # a partial strip: source, current column, row of its last box, that
-    # row's old part, that row's bound, exponent; it starts in a virtual
-    # row -1 of part n + 1
-    strips = [(j, j, -1, n + 1, n + 1, 0) for j in range(width)]
-    for e in range(d - i + 1, d + 1):
-        table = _strict_boxes(n, e)
-        grown = []
-        push = grown.append
-        for src, col, row, old, bound, exp in strips:
-            for t, r, p in table[col]:
-                if r == row:
-                    # the row goes on; landing on its bound joins the run above
-                    if p <= bound:
-                        push((src, t, r, old, bound, exp - (p == bound)))
-                elif r > row and p <= old:
-                    # a lower row starts, bound by the last row's old part (a
-                    # row further down already sits below the untouched row
-                    # above it, so it never reaches that bound): a run of its
-                    # own unless it lands there, and a row that was empty
-                    # takes a factor 2 off
-                    push((src, t, r, p - 1, old, exp + 1 - (p == old) - (p == 1)))
-        strips = grown
     by_exp: dict[int, list[list[int]]] = {}
-    for src, t, _, _, _, exp in strips:
+    for src, t, _, _, _, exp in _strips(n, n, 1, d, i):
         if exp not in by_exp:
             by_exp[exp] = [[] for _ in range(width)]
         by_exp[exp][src].append(t)

@@ -12,7 +12,7 @@ denoting the empty partition.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -334,69 +334,79 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
 # and the column order of echelon bases.
 
 
-def _box_tuples(maxpart: int, rows: int, total: int) -> Iterator[tuple[int, ...]]:
+def _decreasing_tuples(maxpart: int, rows: int, total: int, gap: int) -> Iterator[tuple[int, ...]]:
+    """The part sequences summing to total, at most rows parts, each at most
+    maxpart and at least gap below the one before it: box partitions at gap
+    0, strict ones at gap 1.  A negative total has none."""
     # Iterative, so a tall box does not recurse once per row: fill greedily
     # (the lexicographically largest tail), then lower the last part that can
     # drop by one with the rows after it still holding the rest, and refill.
-    if total > maxpart * rows:
+    # Free rows under a part cap hold at most free * cap at gap 0, and at
+    # gap 1 the sum of the t largest parts below cap, t = min(free, cap - 1).
+    top = min(rows, maxpart) if gap else rows
+    if not 0 <= total <= top * maxpart - gap * top * (top - 1) // 2:
         return
     parts: list[int] = []
     cap, rest = maxpart, total
     while True:
         while rest:
-            parts.append(min(cap, rest))
-            rest -= parts[-1]
+            part = cap if cap < rest else rest
+            parts.append(part)
+            rest -= part
+            cap = part - gap
         yield tuple(parts)
         while parts:
             head = parts.pop()
             rest += head
-            if head > 1 and rest - head + 1 <= (head - 1) * (rows - len(parts) - 1):
-                cap = head - 1
+            cap = head - 1
+            free = rows - len(parts) - 1
+            if gap:
+                t = free if free < cap - 1 else cap - 1
+                room = t * (cap - 1) - t * (t - 1) // 2
+            else:
+                room = free * cap
+            if cap and rest - cap <= room:
                 parts.append(cap)
                 rest -= cap
+                cap -= gap
                 break
         else:
             return
 
 
-def _strict_tuples(maxpart: int, total: int) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for head in range(min(maxpart, total), 0, -1):
-        if total - head > head * (head - 1) // 2:
-            continue
-        for rest in _strict_tuples(head - 1, total - head):
-            yield (head,) + rest
+def _check_sides(**sides: int) -> None:
+    for name, side in sides.items():
+        if side < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={side}")
 
 
 def partitions_in_box_of_size(ell: int, k: int, d: int) -> Iterator[Partition]:
     """Partitions of d with at most ell parts, each at most k."""
-    for t in _box_tuples(k, ell, d):
-        yield Partition._wrap(t)
+    _check_sides(ell=ell, k=k)
+    return map(Partition._wrap, _decreasing_tuples(k, ell, d, 0))
 
 
 def partitions_in_box(ell: int, k: int) -> Iterator[Partition]:
     """All partitions inside an ell x k box."""
-    for d in range(ell * k + 1):
-        yield from partitions_in_box_of_size(ell, k, d)
+    _check_sides(ell=ell, k=k)
+    return chain.from_iterable(partitions_in_box_of_size(ell, k, d) for d in range(ell * k + 1))
 
 
 def k_bounded_partitions(k: int, d: int) -> Iterator[Partition]:
     """Partitions of d with every part at most k."""
-    yield from partitions_in_box_of_size(d, k, d)
+    return partitions_in_box_of_size(max(d, 0), k, d)
 
 
 def strict_partitions_of_size(n: int, d: int) -> Iterator[Partition]:
     """Strict partitions of d with parts at most n."""
-    for t in _strict_tuples(n, d):
-        yield Partition._wrap(t)
+    _check_sides(n=n)
+    return map(Partition._wrap, _decreasing_tuples(n, n, d, 1))
 
 
 def strict_partitions_in_triangle(n: int) -> Iterator[Partition]:
     """All strict partitions fitting inside the staircase (n, n-1, ..., 1)."""
-    for d in range(n * (n + 1) // 2 + 1):
-        yield from strict_partitions_of_size(n, d)
+    _check_sides(n=n)
+    return chain.from_iterable(strict_partitions_of_size(n, d) for d in range(n * (n + 1) // 2 + 1))
 
 
 def vacant_partitions(ell: int, k: int, i: int) -> Iterator[Partition]:
@@ -440,6 +450,7 @@ def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:
     k-bounded partitions), once per box for every m, and filtering on the
     first part.
     """
+    _check_sides(ell=ell, k=k)
     if m > k:
         raise ValueError(f"m={m} exceeds k={k}: k-conjugation is undefined beyond k-bounded parts")
     for images in _box_k_conjugates(ell, k)[0]:

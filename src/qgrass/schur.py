@@ -2,6 +2,33 @@
 
 The Schur basis is the only stored basis; complete homogeneous symmetric
 functions enter only as a multiplication operator and expansions.
+
+Both cohomology rings multiply by horizontal strips, on partitions bounded
+by (cap, rows, gap): at most rows parts, each at most cap and at least gap
+below the one above.  The Grassmannian box ell x k is (k, ell, 0), and the
+Lagrangian order n, strict partitions with parts at most n, is (n, n, 1).
+Their Pieri maps are walked here, never searched.  The columns of degree d
+are listed once per (cap, rows, gap, d), by `partitions._decreasing_tuples`.
+A table per degree lists the single boxes each column can take: row r takes
+one while its new part stays at least gap below the part of the row above
+(cap + gap above row 0), so every target stays in bounds.  A strip of i
+boxes is i such boxes added to every source at once, rows top to bottom
+and each row left to right, so every shape on the way is in bounds (in
+increasing columns, the strict (2, 1) would reach (3, 2) only through
+(2, 2)).  A partial strip carries the row of its last box, that row's old
+part and that row's bound.  A box may continue that row while its new part
+is at most the bound, or start a lower row, bound by the last row's old
+part (cap + gap for the first box).  That is the strip's bound for the next
+row down; a row further down sits under an untouched row, below which the
+table already keeps it, and whose part is at most that bound, so the bound
+never binds it.  Each strip is reached once, in this order.
+
+Each strip also carries the exponent a(lambda, mu) + l(lambda) - l(mu) of
+its Lagrangian Pieri coefficient (see `lagrangian`), where a counts the
+columns c in which mu/lambda has a box and column c + 1 has none.  It gains
+1 for each row started, loses 1 when a box lands on its bound (its run of
+columns joins the one above) and loses 1 when a box starts a row that was
+empty.  The box ring reads no exponent.
 """
 
 from __future__ import annotations
@@ -9,7 +36,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .partitions import Partition
+from .partitions import Partition, _decreasing_tuples
 from .qseries import IntCombination
 
 
@@ -116,3 +143,68 @@ def h_to_schur(lam: Partition) -> SymVector:
 def omega(v: SymVector) -> SymVector:
     """Fundamental involution: transpose every Schur index, coefficients unchanged."""
     return SymVector._wrap({p.conjugate(): c for p, c in v.items()})
+
+
+@cache
+def _columns(cap: int, rows: int, gap: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
+    """The partitions of d bounded by (cap, rows, gap), and the index of each by its parts."""
+    cols = tuple(map(Partition._wrap, _decreasing_tuples(cap, rows, d, gap)))
+    return cols, {p.parts: j for j, p in enumerate(cols)}
+
+
+# one copy of each (row, new part) pair, for every single-box table
+_BOXES: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+@cache
+def _single_boxes(
+    cap: int, rows: int, gap: int, d: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Single boxes added within (cap, rows, gap), from degree d - 1 to
+    degree d: for each source column, the target columns, and in parallel
+    the (row, new part) of each box, rows increasing, one copy of each pair
+    shared by every table."""
+    index = _columns(cap, rows, gap, d)[1]
+    targets, marks = [], []
+    for lam in _columns(cap, rows, gap, d - 1)[0]:
+        parts = lam.parts
+        above = cap + gap
+        to, at = [], []
+        for r in range(min(len(parts) + 1, rows)):
+            v = parts[r] if r < len(parts) else 0
+            if v + gap < above:
+                to.append(index[parts[:r] + (v + 1,) + parts[r + 1:]])
+                box = (r, v + 1)
+                at.append(_BOXES.setdefault(box, box))
+            above = v
+        targets.append(tuple(to))
+        marks.append(tuple(at))
+    return tuple(targets), tuple(marks)
+
+
+def _strips(cap: int, rows: int, gap: int, d: int, i: int) -> list[tuple[int, int, int, int, int, int]]:
+    """Every horizontal i-strip within (cap, rows, gap) from degree d - i to
+    degree d, walked through the single-box tables of degrees d - i + 1..d
+    (see the module docstring), as (source column, target column, row of
+    its last box, that row's old part, that row's bound, exponent)."""
+    top = cap + gap
+    # a partial strip has the fields of a finished one, with its current
+    # column as the target; it starts in a virtual row -1 of part cap + gap
+    strips = [(j, j, -1, top, top, 0) for j in range(len(_columns(cap, rows, gap, d - i)[0]))]
+    for e in range(d - i + 1, d + 1):
+        targets, marks = _single_boxes(cap, rows, gap, e)
+        grown = []
+        push = grown.append
+        for src, col, row, old, bound, exp in strips:
+            for t, (r, p) in zip(targets[col], marks[col]):
+                if r == row:
+                    # the row goes on; landing on its bound joins the run above
+                    if p <= bound:
+                        push((src, t, r, old, bound, exp - (p == bound)))
+                elif r > row and p <= old:
+                    # a lower row starts, bound by the last row's old part: a
+                    # run of its own unless it lands there, and a row that was
+                    # empty takes a factor 2 off
+                    push((src, t, r, p - 1, old, exp + 1 - (p == old) - (p == 1)))
+        strips = grown
+    return strips

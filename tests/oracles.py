@@ -41,3 +41,45 @@ def lg_stab_membership(n, m, degrees=None):
     columns = [_strict_columns(n, d)[0] for d in range(m + 1)]
     span = tuple(generated(Ring(columns, functools.partial(_lg_pieri_map, n)), degrees or range(1, m, 2)))[m]
     return span.contains_row([int(lam.parts == (m,)) for lam in span.columns])
+
+
+def box_tuples(maxpart, rows, total):
+    """The partitions of total with at most rows parts, each at most maxpart,
+    as part tuples in lexicographically decreasing order: the iterative walk
+    the engine listed box partitions with before one enumerator served both
+    rings.  Fill greedily (the lexicographically largest tail), then lower the
+    last part that can drop by one with the rows after it still holding the
+    rest, and refill.  Only for total >= 0."""
+    if total > maxpart * rows:
+        return
+    parts = []
+    cap, rest = maxpart, total
+    while True:
+        while rest:
+            parts.append(min(cap, rest))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts:
+            head = parts.pop()
+            rest += head
+            if head > 1 and rest - head + 1 <= (head - 1) * (rows - len(parts) - 1):
+                cap = head - 1
+                parts.append(cap)
+                rest -= cap
+                break
+        else:
+            return
+
+
+def strict_tuples(maxpart, total):
+    """The strict partitions of total with parts at most maxpart, as part
+    tuples in lexicographically decreasing order, by recursion on the first
+    part.  Only for total >= 0."""
+    if total == 0:
+        yield ()
+        return
+    for head in range(min(maxpart, total), 0, -1):
+        if total - head > head * (head - 1) // 2:
+            continue
+        for rest in strict_tuples(head - 1, total - head):
+            yield (head,) + rest

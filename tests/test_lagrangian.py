@@ -10,7 +10,6 @@ from qgrass.echelon import DegreeSlice
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
     _lg_pieri_map,
-    _strict_boxes,
     _strict_columns,
     lg_subalgebra_hilbert,
     lg_subalgebra_slices,
@@ -20,7 +19,7 @@ from qgrass.lagrangian import (
 )
 from qgrass.partitions import Partition, strict_partitions_in_triangle, strict_partitions_of_size
 from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
-from qgrass.schur import SymVector, _horizontal_strips
+from qgrass.schur import SymVector, _columns, _horizontal_strips, _single_boxes
 
 from oracles import generated_slices
 
@@ -368,19 +367,26 @@ def test_walked_pieri_maps_match_the_strip_search():
 
 def test_single_box_tables_are_the_strict_one_strips():
     # each source's boxes are its one-box strips, rows increasing, each with
-    # the row it grows and the new part
-    for n in range(1, 9):
-        for d in range(1, n * (n + 1) // 2 + 1):
-            index = _strict_columns(n, d)[1]
-            for lam, boxes in zip(_strict_columns(n, d - 1)[0], _strict_boxes(n, d)):
+    # the row it grows and the new part: in the order n (cap n, n rows, gap
+    # 1) against the strip search, and in the ell x k box (cap k, ell rows,
+    # gap 0) against the unbounded strips cut to the box
+    points = [(n, n, 1, lambda lam, n=n: [mu for mu, _ in strict_strips(lam, 1, n)]) for n in range(1, 9)]
+    points += [
+        (k, ell, 0, lambda lam, ell=ell, k=k: [mu for mu in _horizontal_strips(lam, 1) if Partition(mu).fits(ell, k)])
+        for ell in range(1, 7)
+        for k in range(1, 7)
+    ]
+    for cap, rows, gap, one_strips in points:
+        for d in range(1, cap * rows + 1):
+            index = _columns(cap, rows, gap, d)[1]
+            targets, marks = _single_boxes(cap, rows, gap, d)
+            for lam, to, at in zip(_columns(cap, rows, gap, d - 1)[0], targets, marks):
                 base = lam.parts + (0,)
                 want = [
-                    (index[mu], r, mu[r])
-                    for mu, _ in strict_strips(lam.parts, 1, n)
-                    for r in range(len(mu))
-                    if mu[r] != base[r]
+                    (index[mu], r, mu[r]) for mu in one_strips(lam.parts) for r in range(len(mu)) if mu[r] != base[r]
                 ]
-                assert list(boxes) == sorted(want, key=lambda box: box[1]), (n, lam)
+                got = [(t, r, p) for t, (r, p) in zip(to, at)]
+                assert got == sorted(want, key=lambda box: box[1]), (cap, rows, gap, lam)
 
 
 def reference_slices(n, m):

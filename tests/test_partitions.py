@@ -18,11 +18,15 @@ from qgrass.partitions import (
     shifted_compose,
     shifted_decompose,
     strict_partitions_in_triangle,
+    strict_partitions_of_size,
     vacancy,
     vacant_compose,
     vacant_decompose,
     vacant_partitions,
 )
+
+
+from oracles import box_tuples, strict_tuples
 
 
 def P(*parts):
@@ -404,6 +408,58 @@ def test_enumeration_order_is_size_then_lex_decreasing():
             if a.size == b.size:
                 assert a.parts > b.parts
         assert len(set(fam)) == len(fam)
+
+
+def test_one_enumerator_lists_both_rings():
+    # gap 0 against the old iterative box walk, gap 1 against the recursive
+    # strict search, at every total and one past the largest
+    for maxpart in range(10):
+        for rows in range(10):
+            for total in range(maxpart * rows + 2):
+                got = list(partitions_module._decreasing_tuples(maxpart, rows, total, 0))
+                assert got == list(box_tuples(maxpart, rows, total)), (maxpart, rows, total)
+    for n in range(15):
+        for total in range(n * (n + 1) // 2 + 2):
+            got = list(partitions_module._decreasing_tuples(n, n, total, 1))
+            assert got == list(strict_tuples(n, total)), (n, total)
+
+
+def test_enumerators_refuse_a_negative_side():
+    # every public enumerator; a side of one name is the smaller of the pair
+    for ell, k in [(-1, 3), (3, -1), (-2, -3)]:
+        side = min(ell, k)
+        for family in (
+            lambda: partitions_in_box_of_size(ell, k, 1),
+            lambda: partitions_in_box(ell, k),
+            lambda: k_bounded_partitions(side, 1),
+            lambda: strict_partitions_of_size(side, 0),
+            lambda: strict_partitions_in_triangle(side),
+            lambda: vacant_partitions(ell, k, 1),
+            lambda: candidate_partitions(ell, k, 0),
+        ):
+            with pytest.raises(ValueError):
+                list(family())
+
+
+def test_a_negative_size_has_no_partitions():
+    for size in (-1, -5):
+        assert list(partitions_in_box_of_size(3, 3, size)) == []
+        assert list(k_bounded_partitions(3, size)) == []
+        assert list(strict_partitions_of_size(3, size)) == []
+
+
+def test_empty_bounds_hold_only_the_empty_partition():
+    for family in (
+        partitions_in_box_of_size(0, 3, 0),
+        partitions_in_box_of_size(3, 0, 0),
+        partitions_in_box(0, 0),
+        k_bounded_partitions(0, 0),
+        strict_partitions_of_size(0, 0),
+        strict_partitions_in_triangle(0),
+    ):
+        assert list(family) == [P()]
+    assert list(partitions_in_box_of_size(0, 3, 1)) == list(k_bounded_partitions(0, 2)) == []
+    assert list(strict_partitions_of_size(0, 1)) == list(strict_partitions_of_size(2, 4)) == []
 
 
 def test_strict_in_triangle_example():
