@@ -17,8 +17,6 @@ _EXPORTS = {
             "bounded_from_core",
             "candidate_partitions",
             "core_from_bounded",
-            "dominance_leq",
-            "is_core",
             "k_bounded_partitions",
             "k_conjugate",
             "partitions_in_box",
@@ -48,8 +46,8 @@ _EXPORTS = {
         ),
         "qseries",
     ),
-    **dict.fromkeys(("SymVector", "h_to_schur", "omega", "pieri_h"), "schur"),
-    **dict.fromkeys(("k_schur", "weak_pieri_targets"), "kschur"),
+    **dict.fromkeys(("SymVector", "h_to_schur", "pieri_h"), "schur"),
+    "k_schur": "kschur",
     "DegreeSlice": "echelon",
     **dict.fromkeys(
         (

@@ -2,7 +2,7 @@
 
 This is the half of `harness` that names families and checks configs but
 computes nothing, so it imports no ring: the CLI builds its parser and
-checks a `verify` config from it alone, and `harness` re-exports it.
+checks a `verify` config from it alone, and `harness` reads its families.
 """
 
 from __future__ import annotations

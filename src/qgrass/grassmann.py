@@ -17,9 +17,10 @@ exponents.  The columns and maps of a box are one `echelon.Ring`,
 `_ring(ell, k)`, which every build and report of the box shares.  The
 shared builder `echelon.generated` pushes integer rows through these maps:
 h_1 times a basis of degree d - 1, then the monomials of degree d in
-h_2..h_m, each degree settled by `echelon.exact_rank`.  `subalgebra_hilbert` keeps the
-ranks alone; `subalgebra_slices` keeps the `Span` of every degree for the
-reports.
+h_2..h_m (none past h_k, whose maps are empty), each degree settled by
+`echelon.exact_rank`.  `subalgebra_hilbert` keeps the ranks alone and
+rebuilds them per call; `subalgebra_slices` keeps the `Span` of every degree
+for the reports.
 
 The candidate-basis reports use the same dense integer rows over the box
 columns.  The Schur terms outside the box span an ideal (h_r times s_mu
@@ -93,22 +94,18 @@ def _ring(ell: int, k: int) -> Ring:
 
 
 def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
-    """The spans of the subalgebra generated by h_1..h_m, through `echelon.generated`."""
+    """The spans of the subalgebra generated by h_1..h_m, through
+    `echelon.generated`.  Past h_k the in-box Pieri maps are empty (a
+    horizontal strip of more than k boxes leaves the box), so the build stops
+    at h_min(m, k)."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
-    return generated(_ring(ell, k), range(1, m + 1))
+    return generated(_ring(ell, k), range(1, min(m, k) + 1))
 
 
 @cache
 def _slice_data(ell: int, k: int, m: int) -> tuple[Span, ...]:
     return tuple(_generated(ell, k, m))
-
-
-@cache
-def _rank_data(ell: int, k: int, m: int) -> tuple[int, ...]:
-    # `map` keeps no span alive while the next degree is built, so a span's rows
-    # go as soon as the walk has read them
-    return tuple(map(attrgetter("rank"), _generated(ell, k, m)))
 
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[Span, ...]:
@@ -119,8 +116,9 @@ def subalgebra_slices(ell: int, k: int, m: int) -> tuple[Span, ...]:
 
 def subalgebra_hilbert(ell: int, k: int, m: int) -> QPoly:
     """Hilbert series of the subalgebra generated in degrees at most m, from
-    the ranks alone."""
-    return QPoly(dict(enumerate(_rank_data(ell, k, m))))
+    the ranks alone, built per call: `map` keeps no span alive while the next
+    degree is built, so a span's rows go as soon as the walk has read them."""
+    return QPoly(dict(enumerate(map(attrgetter("rank"), _generated(ell, k, m)))))
 
 
 class BasisDegree(NamedTuple):

@@ -18,13 +18,9 @@ import threading
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
-from .config import (  # noqa: F401  (re-exported, as callers import them from here)
+from .config import (
     DEFAULT_CONFIG,
     FAMILIES,
-    NS,
-    PAIRS,
-    ConfigError,
-    Family,
     _grid_points,
     validate_config,
 )
@@ -32,7 +28,6 @@ from .grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from .lagrangian import lg_subalgebra_hilbert, lg_top_power
 from .partitions import (
     _box_k_conjugates,
-    _box_vacancy_sums,
     k_conjugate,
     partitions_in_box,
     shifted_compose,
@@ -152,15 +147,15 @@ def _case(name, params, kind, expected: QPoly, actual: QPoly, detail: str = "") 
 def check_summand_identity(ell: int, k: int, i: int) -> Case:
     """Three-way identity: formula summand, i-vacant generating sum, and the
     generating sum over first-part-i partitions with in-box k-conjugate.
-    Both sums are rows of per-box memos, so every i shares one pass over the
-    box.
+    Both sums are rows of one per-box memo, so every i shares one pass over
+    the box.
     These are theorems, so any failure is a bug."""
     if not (1 <= i <= min(ell, k)):
         raise ValueError(f"need 1 <= i <= min(ell, k), got ell={ell}, k={k}, i={i}")
     formula = QPoly.q_power(i) * q_binomial(k, i) * q_binomial_prime(ell, i, k)
-    vacant_sum = QPoly.from_coeffs(_box_vacancy_sums(ell, k)[i])
-    _, conj_sums = _box_k_conjugates(ell, k)
-    conj_sum = QPoly.from_coeffs(conj_sums[i])
+    _, vacant, firsts = _box_k_conjugates(ell, k)
+    vacant_sum = QPoly.from_coeffs(vacant[i])
+    conj_sum = QPoly.from_coeffs(firsts[i])
     params = {"ell": ell, "k": k, "i": i}
     if vacant_sum != formula:
         return _case("summand", params, THEOREM, formula, vacant_sum,

@@ -37,17 +37,6 @@ def _targets(nu: tuple[int, ...], r: int, k: int) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def weak_pieri_targets(nu: Partition, r: int, k: int) -> tuple[Partition, ...]:
-    """k-bounded mu with mu/nu a horizontal r-strip whose k-conjugates differ
-    by a vertical r-strip; these index the expansion of h_r times the k-Schur
-    function of nu."""
-    if k < 1 or not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
-    if nu.first > k:
-        raise ValueError(f"{nu!r} is not {k}-bounded")
-    return tuple(Partition._wrap(t) for t in _targets(nu.parts, r, k))
-
-
 def _weak_pieri_step(
     parts: tuple[int, ...], k: int
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:

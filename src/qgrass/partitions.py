@@ -125,7 +125,6 @@ class Partition:
         return len(self._parts) <= rows and self.first <= cols
 
 
-@cache
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
@@ -134,11 +133,6 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
         for c in range(p):
             cols[c] += 1
     return tuple(cols)
-
-
-def is_core(lam: Partition, c: int) -> bool:
-    """True when no cell of lam has hook length exactly c."""
-    return all(h != c for row in lam.hook_lengths() for h in row)
 
 
 def _lift(parts: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
@@ -320,14 +314,6 @@ def _dominance_leq(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(accumulate(lam), accumulate(mu)))
 
 
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    """Dominance order on partitions of equal size: every prefix sum of lam is
-    at most the corresponding prefix sum of mu."""
-    if lam.size != mu.size:
-        raise ValueError(f"dominance compares partitions of equal size: {lam!r} vs {mu!r}")
-    return _dominance_leq(lam.parts, mu.parts)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration.  Every family is emitted in increasing size, ties broken by
 # lexicographically decreasing part sequences; this fixes golden-test output
@@ -419,28 +405,26 @@ def vacant_partitions(ell: int, k: int, i: int) -> Iterator[Partition]:
 
 
 @cache
-def _box_vacancy_sums(ell: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """sums[i][d]: the number of i-vacant partitions of size d in the ell x k
-    box (i = 0 holds the empty partition), from one pass over the box."""
-    sums = [[0] * (ell * k + 1) for _ in range(min(ell, k) + 1)]
-    for lam in partitions_in_box(ell, k):
-        sums[vacancy(lam, k)][lam.size] += 1
-    return tuple(map(tuple, sums))
-
-
-@cache
-def _box_k_conjugates(ell: int, k: int) -> tuple[tuple[tuple[Partition, ...], ...], tuple[tuple[int, ...], ...]]:
+def _box_k_conjugates(
+    ell: int, k: int
+) -> tuple[tuple[tuple[Partition, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """For each degree, the k-conjugates of the partitions of that size in the
-    ell x k box, sorted decreasing; and, from the same pass, their counts by
-    first part: sums[i][d] k-conjugates of size d have first part i."""
+    ell x k box, sorted decreasing; and, from the same pass, two tables of
+    counts: vacant[i][d] partitions of size d are i-vacant (i = 0 holds the
+    empty partition), and firsts[i][d] k-conjugates of size d have first part i."""
     images = []
-    sums = [[0] * (ell * k + 1) for _ in range(k + 1)]
+    vacant = [[0] * (ell * k + 1) for _ in range(min(ell, k) + 1)]
+    firsts = [[0] * (ell * k + 1) for _ in range(k + 1)]
     for d in range(ell * k + 1):
-        degree = sorted((k_conjugate(lam, k) for lam in partitions_in_box_of_size(ell, k, d)), reverse=True)
-        for mu in degree:
-            sums[mu.first][mu.size] += 1
+        degree = []
+        for lam in partitions_in_box_of_size(ell, k, d):
+            vacant[vacancy(lam, k)][d] += 1
+            mu = k_conjugate(lam, k)
+            firsts[mu.first][mu.size] += 1
+            degree.append(mu)
+        degree.sort(reverse=True)
         images.append(tuple(degree))
-    return tuple(images), tuple(map(tuple, sums))
+    return tuple(images), tuple(map(tuple, vacant)), tuple(map(tuple, firsts))
 
 
 def candidate_partitions(ell: int, k: int, m: int) -> Iterator[Partition]:

@@ -1,4 +1,4 @@
-"""Symmetric functions in Schur coordinates: the h Pieri product and the involution omega.
+"""Symmetric functions in Schur coordinates: the h Pieri product.
 
 The Schur basis is the only stored basis; complete homogeneous symmetric
 functions enter only as a multiplication operator and expansions.
@@ -138,11 +138,6 @@ def h_to_schur(lam: Partition) -> SymVector:
     """Schur expansion of the product of complete homogeneous generators
     indexed by the parts of lam; all coefficients are Kostka numbers."""
     return _h_to_schur(lam.parts)
-
-
-def omega(v: SymVector) -> SymVector:
-    """Fundamental involution: transpose every Schur index, coefficients unchanged."""
-    return SymVector._wrap({p.conjugate(): c for p, c in v.items()})
 
 
 @cache

@@ -3,7 +3,39 @@
 import functools
 
 from qgrass.echelon import DegreeSlice, Ring, _spanning_rows, generated
+from qgrass.kschur import _targets
 from qgrass.lagrangian import _lg_pieri_map, _strict_columns
+from qgrass.partitions import Partition, _dominance_leq
+from qgrass.schur import SymVector
+
+
+def omega(v):
+    """Fundamental involution: transpose every Schur index, coefficients unchanged."""
+    return SymVector._wrap({p.conjugate(): c for p, c in v.items()})
+
+
+def dominance_leq(lam, mu):
+    """Dominance order on partitions of equal size: every prefix sum of lam is
+    at most the corresponding prefix sum of mu."""
+    if lam.size != mu.size:
+        raise ValueError(f"dominance compares partitions of equal size: {lam!r} vs {mu!r}")
+    return _dominance_leq(lam.parts, mu.parts)
+
+
+def is_core(lam, c):
+    """True when no cell of lam has hook length exactly c."""
+    return all(h != c for row in lam.hook_lengths() for h in row)
+
+
+def weak_pieri_targets(nu, r, k):
+    """k-bounded mu with mu/nu a horizontal r-strip whose k-conjugates differ
+    by a vertical r-strip; these index the expansion of h_r times the k-Schur
+    function of nu."""
+    if k < 1 or not 1 <= r <= k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    if nu.first > k:
+        raise ValueError(f"{nu!r} is not {k}-bounded")
+    return tuple(Partition._wrap(t) for t in _targets(nu.parts, r, k))
 
 
 def generated_slices(columns, pieri_map, degrees):

@@ -12,13 +12,12 @@ from pathlib import Path
 
 from qgrass.grassmann import h_basis_report, kschur_basis_report, subalgebra_hilbert
 from qgrass.harness import check_rt, sweep
-from qgrass.kschur import k_schur, weak_pieri_targets
+from qgrass.kschur import k_schur
 from qgrass.lagrangian import lg_subalgebra_hilbert, lg_top_power
 from qgrass.partitions import (
     Partition,
     candidate_partitions,
     core_from_bounded,
-    dominance_leq,
     k_bounded_partitions,
     k_conjugate,
     partitions_in_box,
@@ -39,7 +38,9 @@ from qgrass.qseries import (
     q_binomial,
     q_binomial_prime,
 )
-from qgrass.schur import SymVector, h_to_schur, omega
+from qgrass.schur import SymVector, h_to_schur
+
+from oracles import dominance_leq, omega, weak_pieri_targets
 
 SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
 

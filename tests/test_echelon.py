@@ -560,7 +560,7 @@ def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, n
 
 
 def _fresh_rings():
-    for memo in (grassmann._rank_data, grassmann._ring, lagrangian._lg_rank_data, lagrangian._ring):
+    for memo in (grassmann._ring, lagrangian._lg_rank_data, lagrangian._ring):
         memo.cache_clear()
 
 

@@ -166,8 +166,23 @@ def test_subalgebra_full_generation_matches_closed_form():
             assert subalgebra_hilbert(ell, k, min(ell, k) + 1) == full
 
 
+@pytest.mark.parametrize("ell, k", [(2, 5), (5, 2), (3, 4), (4, 3), (3, 3), (1, 6), (6, 1)])
+def test_generators_past_h_k_add_nothing(ell, k):
+    # h_i with i > k adds a horizontal strip of more than k boxes, at most one
+    # per column, so its in-box Pieri map is empty at every degree, and a
+    # build over h_1..h_m, m = k + 1..k + 3, has the spans of m = k, as the
+    # reference build over every h_i to h_m shows
+    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    want = [(s.rank, tuple(s.pivots)) for s in subalgebra_slices(ell, k, k)]
+    for m in range(k + 1, k + 4):
+        assert not any(t for d in range(m, ell * k + 1) for _, targets in _pieri_map(ell, k, d, m) for t in targets)
+        assert [(s.rank, tuple(s.pivots)) for s in subalgebra_slices(ell, k, m)] == want, m
+        reference = generated_slices(columns, partial(_pieri_map, ell, k), range(1, m + 1))
+        assert [(sl.rank, sl.pivots) for sl in reference] == want, m
+        assert subalgebra_hilbert(ell, k, m) == subalgebra_hilbert(ell, k, k), m
+
+
 def _fresh_box_builds():
-    grassmann._rank_data.cache_clear()
     _ring.cache_clear()
 
 

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from qgrass import echelon, forked, grassmann, harness, lagrangian, partitions
+from qgrass.config import ConfigError
 from qgrass.echelon import DegreeSlice, Ring, generated
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
 from qgrass.harness import (
     CONJECTURE,
     THEOREM,
     Case,
-    ConfigError,
     _run_tasks,
     check_h_basis,
     check_kschur_basis,
@@ -113,12 +113,10 @@ def test_check_rt_builds_each_monomial_row_once(monkeypatch):
         return apply_map(terms, pieri_map, width)
 
     monkeypatch.setattr(echelon, "apply_map", counting_apply_map)
-    grassmann._rank_data.cache_clear()
     grassmann._ring.cache_clear()
     try:
         assert all(c.status == "pass" for c in check_rt(6, 6))
     finally:
-        grassmann._rank_data.cache_clear()
         grassmann._ring.cache_clear()
     assert len(built) == 2052
 
@@ -269,10 +267,8 @@ def test_roundtrip_and_identity_cases():
 @pytest.fixture
 def fresh_box_memos():
     # a patched vacancy or k_conjugate must not leave its values in the per-box memos
-    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
     yield
-    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
 
 
@@ -289,7 +285,6 @@ def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_memos):
     # a k-conjugation that forgets to conjugate, reached through the per-box memo
     monkeypatch.setattr(partitions, "vacancy", vacancy)
     monkeypatch.setattr(partitions, "k_conjugate", lambda lam, k: lam)
-    partitions._box_vacancy_sums.cache_clear()
     partitions._box_k_conjugates.cache_clear()
     case = check_summand_identity(3, 3, 2)
     assert (case.status, case.expected) == ("fail", formula)
@@ -299,7 +294,7 @@ def test_summand_fails_on_either_broken_side(monkeypatch, fresh_box_memos):
 
 def _assert_summand_calls_once_per_box_partition(monkeypatch, name):
     # every summand case of a box runs, and partitions.<name> sees each
-    # partition of the box exactly once
+    # partition of the box exactly once, in the one pass of the per-box memo
     calls, real = [], getattr(partitions, name)
 
     def counted(lam, k):

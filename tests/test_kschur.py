@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qgrass.kschur import k_schur, weak_pieri_targets
-from qgrass.partitions import Partition, dominance_leq, k_bounded_partitions, k_conjugate
-from qgrass.schur import SymVector, h_to_schur, omega
+from qgrass.kschur import k_schur
+from qgrass.partitions import Partition, k_bounded_partitions, k_conjugate
+from qgrass.schur import SymVector, h_to_schur
+
+from oracles import dominance_leq, omega, weak_pieri_targets
 
 
 def P(*parts):

@@ -9,8 +9,6 @@ from qgrass.partitions import (
     bounded_from_core,
     candidate_partitions,
     core_from_bounded,
-    dominance_leq,
-    is_core,
     k_bounded_partitions,
     k_conjugate,
     partitions_in_box,
@@ -26,7 +24,7 @@ from qgrass.partitions import (
 )
 
 
-from oracles import box_tuples, strict_tuples
+from oracles import box_tuples, dominance_leq, is_core, strict_tuples
 
 
 def P(*parts):
