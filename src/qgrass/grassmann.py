@@ -4,17 +4,16 @@ The quotient of the symmetric function ring kills the Schur terms whose
 index leaves the ell x k box.  So a ring element is a SymVector supported in
 the box, and a product is a Pieri product followed by projection.
 
-Subalgebra pieces are built degree by degree, on integers alone.  The
-partitions of each degree that fit the box are listed once, in a fixed
-order; they are the columns.  Multiplication by h_i from degree d - i to d
-is an in-box Pieri map, memoised per (ell, k, d, i).  For each source column
-it lists the target columns its horizontal i-strips reach inside the box,
-all with coefficient 1.  The box is the bounds (k, ell, 0) of `schur`: at
-most ell parts, each at most k, weakly decreasing.  Its single-box table of
-degree d is the h_1 map, and the h_i map keeps the targets of the strips
-that `schur._strips` walks inside the box, never filtered, and drops their
-exponents.  The columns and maps of a box are one `echelon.Ring`,
-`_ring(ell, k)`, which every build and report of the box shares.  The
+Subalgebra pieces are built degree by degree, on integers alone.  The box
+is the bounds (k, ell, 0) of `schur`: at most ell parts, each at most k,
+weakly decreasing.  Its columns (the partitions of each degree in the box,
+listed once in a fixed order) and its in-box Pieri maps are one
+`echelon.Ring`, `schur._ring(k, ell, 0)`, which every build and report of
+the box shares.  The map of h_i from degree d - i to d,
+`schur._pieri_map(k, ell, 0, d, i)`, lists for each source column the
+target columns its horizontal i-strips reach inside the box, all with
+coefficient 1: h_1 is the single-box table of degree d, and h_i keeps the
+targets of the strips that `schur._strips` walks, never filtered.  The
 shared builder `echelon.generated` pushes integer rows through these maps:
 h_1 times a basis of degree d - 1, then the monomials of degree d in
 h_2..h_m (none past h_k, whose maps are empty), each degree settled by
@@ -54,43 +53,16 @@ from functools import cache
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .echelon import Ring, Span, apply_map, exact_rank, generated
+from .echelon import Span, apply_map, exact_rank, generated
 from .kschur import _weak_pieri_step
 from .partitions import Partition, candidate_partitions
 from .qseries import QPoly
-from .schur import SymVector, _columns, _single_boxes, _strips
+from .schur import SymVector, _ring
 
 
 def project(v: SymVector, ell: int, k: int) -> SymVector:
     """Drop every Schur term whose index does not fit the ell x k box."""
     return SymVector._wrap({p: c for p, c in v.items() if p.fits(ell, k)})
-
-
-def _box_columns(ell: int, k: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
-    """The partitions of d in the ell x k box, and the index of each by its parts."""
-    return _columns(k, ell, 0, d)
-
-
-@cache
-def _pieri_map(ell: int, k: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """In-box h_i Pieri map from degree d - i to degree d: for each source
-    column, the indices of the target columns its horizontal i-strips reach,
-    all with coefficient 1.  h_1 is the single-box table of degree d."""
-    if i == 1:
-        return ((1, _single_boxes(k, ell, 0, d)[0]),)
-    out: list[list[int]] = [[] for _ in range(len(_box_columns(ell, k, d - i)[0]))]
-    for src, t, _, _, _, _ in _strips(k, ell, 0, d, i):
-        out[src].append(t)
-    return ((1, tuple(map(tuple, out))),)
-
-
-@cache
-def _ring(ell: int, k: int) -> Ring:
-    """The box as an `echelon.Ring`: its columns and in-box Pieri maps, and
-    the saturation record and monomial rows that every build and report of
-    the box shares."""
-    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return Ring(columns, lambda d, i: _pieri_map(ell, k, d, i))
 
 
 def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
@@ -100,7 +72,7 @@ def _generated(ell: int, k: int, m: int) -> Iterator[Span]:
     at h_min(m, k)."""
     if ell < 0 or k < 0 or m < 0:
         raise ValueError(f"need ell, k, m >= 0, got ell={ell}, k={k}, m={m}")
-    return generated(_ring(ell, k), range(1, min(m, k) + 1))
+    return generated(_ring(k, ell, 0), range(1, min(m, k) + 1))
 
 
 @cache
@@ -159,9 +131,8 @@ def _k_schur_row(ell: int, k: int, parts: tuple[int, ...], level: int) -> tuple[
     if not parts:
         return (1,)
     r, nu, others = _weak_pieri_step(parts, level)
-    d = sum(parts)
-    width = len(_box_columns(ell, k, d)[0])
-    row = apply_map(enumerate(_k_schur_row(ell, k, nu, level)), _pieri_map(ell, k, d, r), width)
+    d, ring = sum(parts), _ring(k, ell, 0)
+    row = apply_map(enumerate(_k_schur_row(ell, k, nu, level)), ring.pieri_map(d, r), len(ring.columns[d]))
     for mu in others:
         row = [a - b for a, b in zip(row, _k_schur_row(ell, k, mu, level))]
     return tuple(row)
@@ -199,7 +170,7 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
 def h_basis_report(ell: int, k: int, m: int) -> BasisReport:
     """Rank checks for the candidate basis of complete homogeneous products
     indexed by partitions with first part at most m and in-box k-conjugate."""
-    return _basis_report(ell, k, m, lambda lam: _ring(ell, k).monomial_row(lam.parts[::-1]))
+    return _basis_report(ell, k, m, lambda lam: _ring(k, ell, 0).monomial_row(lam.parts[::-1]))
 
 
 def kschur_basis_report(ell: int, k: int, m: int) -> BasisReport:

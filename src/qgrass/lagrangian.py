@@ -7,23 +7,22 @@ sigma_i.  They satisfy the quadratic relations
 
 and nothing else.  The ring has two presentations here.
 
-Subalgebras are built in the Schubert basis, on integers alone.  The columns
-of degree d are the strict partitions of d with parts at most n, listed once
-per (n, d).  Multiplication by sigma_i from degree d - i to degree d is
-memoised per (n, d, i) as an integer Pieri map (Macdonald III (8.15), with
-Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
-2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
-mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts the
-columns c in which mu/lambda has a box and column c + 1 has none.  The order
-is the bounds (n, n, 1) of `schur`: parts at most n, strictly decreasing.
-The map groups the strips that `schur._strips` walks, rows top to bottom so
-that every shape on the way is strict, by their power of 2; sigma_1 is one
-table step.
+Subalgebras are built in the Schubert basis, on integers alone.  The order
+n is the bounds (n, n, 1) of `schur`: parts at most n, strictly decreasing.
+Its columns (the strict partitions of each degree, listed once) and its
+Pieri maps are one `echelon.Ring`, `schur._ring(n, n, 1)`, whose saturation
+record and monomial rows its builds share.  Multiplication by sigma_i from
+degree d - i to degree d, `schur._pieri_map(n, n, 1, d, i)`, is an integer
+Pieri map (Macdonald III (8.15), with Q_lambda = 2^l(lambda) P_lambda):
+sigma_i sigma_lambda is the sum of 2^(a(lambda, mu) + l(lambda) - l(mu))
+sigma_mu over the strict mu with mu_1 <= n and mu/lambda a horizontal
+i-strip, where a(lambda, mu) counts the columns c in which mu/lambda has a
+box and column c + 1 has none.  The map groups the strips that
+`schur._strips` walks, rows top to bottom so that every shape on the way is
+strict, by their power of 2; sigma_1 is one table step.
 
-The columns and maps of an order are one `echelon.Ring`, `_ring(n)`, whose
-saturation record and monomial rows its builds share.  The shared builder
-`echelon.generated` pushes integer rows through the maps of the odd
-generators alone.  The relation for e_j^2 ends in
+The shared builder `echelon.generated` pushes integer rows through the maps
+of the odd generators alone.  The relation for e_j^2 ends in
 2 (-1)^(j+1) e_(2j), so e_(2j) lies in the subalgebra of e_1, ...,
 e_(2j-1): the subalgebra generated in degrees at most 2j is that of the odd
 e_i < 2j, shares its build, and no Pieri map of an even sigma_i is built.
@@ -51,10 +50,10 @@ from functools import cache
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .echelon import Ring, Span, apply_map, generated
+from .echelon import Span, apply_map, generated
 from .partitions import Partition
 from .qseries import QPoly
-from .schur import SymVector, _columns, _strips
+from .schur import SymVector, _ring
 
 
 @cache
@@ -99,37 +98,10 @@ def multiply(u: SymVector, v: SymVector, n: int) -> SymVector:
     )
 
 
-def _strict_columns(n: int, d: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], int]]:
-    """The strict partitions of d with parts at most n, and the index of each by its parts."""
-    return _columns(n, n, 1, d)
-
-
-@cache
-def _lg_pieri_map(n: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """Multiplication by sigma_i from degree d - i to degree d: for each
-    coefficient, the target column indices of each source column.  Groups
-    the walked strips (`schur._strips`) by their power of 2."""
-    width = len(_strict_columns(n, d - i)[0])
-    by_exp: dict[int, list[list[int]]] = {}
-    for src, t, _, _, _, exp in _strips(n, n, 1, d, i):
-        if exp not in by_exp:
-            by_exp[exp] = [[] for _ in range(width)]
-        by_exp[exp][src].append(t)
-    return tuple((1 << e, tuple(map(tuple, by_exp[e]))) for e in sorted(by_exp))
-
-
-@cache
-def _ring(n: int) -> Ring:
-    """The order n as an `echelon.Ring`: its columns and Pieri maps, and
-    the saturation record and monomial rows that its builds share."""
-    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return Ring(columns, lambda d, i: _lg_pieri_map(n, d, i))
-
-
 def _lg_generated(n: int, odd: int) -> Iterator[Span]:
     """The spans of the subalgebra generated by the odd e_i <= odd, in every
     degree, through `echelon.generated`."""
-    return generated(_ring(n), range(1, odd + 1, 2))
+    return generated(_ring(n, n, 1), range(1, odd + 1, 2))
 
 
 @cache
@@ -145,9 +117,11 @@ def _lg_rank_data(n: int, odd: int) -> tuple[int, ...]:
 
 
 def _odd_bound(n: int, m: int) -> int:
-    # the odd e_i <= m generate the subalgebra (the `lg-stab` theorem)
-    if not (1 <= m <= n):
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    # the odd e_i <= m generate the subalgebra (the `lg-stab` theorem), and
+    # an m past n adds none: every generator has degree at most n
+    if n < 1 or m < 1:
+        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
+    m = min(m, n)
     return m if m % 2 else m - 1
 
 
@@ -155,9 +129,9 @@ def lg_subalgebra_slices(n: int, m: int) -> tuple[Span, ...]:
     """The `Span` of each graded piece of the subalgebra generated by
     e_1, ..., e_m, in the Schubert basis: the columns of degree d are the
     strict partitions of d with parts at most n (parts decreasing).  The odd
-    e_i <= m generate it, so an even m shares the build of m - 1.  No check
-    reads these spans; they serve tests and tracing.  Treat them as
-    immutable."""
+    e_i <= min(m, n) generate it, so an even m shares the build of m - 1,
+    and an m past n that of n.  No check reads these spans; they serve tests
+    and tracing.  Treat them as immutable."""
     return _lg_slice_data(n, _odd_bound(n, m))
 
 
@@ -173,10 +147,12 @@ def lg_top_power(n: int) -> int:
     the degree of the Plucker embedding."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    top = n * (n + 1) // 2
+    ring = _ring(n, n, 1)
     # one row walked up, not `Ring.monomial_row`, which would keep the row of
     # every power of e_1 for the life of the ring
     row = [1]
-    for d in range(1, top + 1):
-        row = apply_map(enumerate(row), _lg_pieri_map(n, d, 1), len(_strict_columns(n, d)[0]))
-    return row[_strict_columns(n, top)[1][tuple(range(n, 0, -1))]]
+    for d in range(1, len(ring.columns)):
+        row = apply_map(enumerate(row), ring.pieri_map(d, 1), len(ring.columns[d]))
+    # the staircase is the only column of the top degree
+    (point,) = row
+    return point

@@ -29,15 +29,25 @@ columns c in which mu/lambda has a box and column c + 1 has none.  It gains
 1 for each row started, loses 1 when a box lands on its bound (its run of
 columns joins the one above) and loses 1 when a box starts a row that was
 empty.  The box ring reads no exponent.
+
+Both rings are built here, once per bounds: `_pieri_map` groups the walked
+strips by coefficient (1 in the box, 2^exponent in the order), and `_ring`
+is the `echelon.Ring` of the columns and maps of every degree, which every
+build and report of the ring shares.  The box's h_1 map is its single-box
+table itself.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .partitions import Partition, _decreasing_tuples
 from .qseries import IntCombination
+
+if TYPE_CHECKING:
+    from .echelon import Ring
 
 
 def _order_key(p: Partition):
@@ -203,3 +213,34 @@ def _strips(cap: int, rows: int, gap: int, d: int, i: int) -> list[tuple[int, in
                     push((src, t, r, p - 1, old, exp + 1 - (p == old) - (p == 1)))
         strips = grown
     return strips
+
+
+@cache
+def _pieri_map(cap: int, rows: int, gap: int, d: int, i: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Multiplication by the degree-i generator within (cap, rows, gap), from
+    degree d - i to degree d, in the format of `echelon.apply_map`: for each
+    coefficient, the target columns of each source column.  The strips that
+    `_strips` walks are grouped by coefficient: 1 in the box (gap 0), and
+    2^exponent in the order (gap 1).  In the box, h_1 is the single-box
+    table of degree d itself."""
+    if i == 1 and not gap:
+        return ((1, _single_boxes(cap, rows, gap, d)[0]),)
+    width = len(_columns(cap, rows, gap, d - i)[0])
+    groups: defaultdict[int, list[list[int]]] = defaultdict(lambda: [[] for _ in range(width)])
+    for src, t, _, _, _, exp in _strips(cap, rows, gap, d, i):
+        # grouped by exponent; the box reads none, so its strips all take 1
+        groups[exp * gap][src].append(t)
+    return tuple((1 << e, tuple(map(tuple, groups[e]))) for e in sorted(groups))
+
+
+@cache
+def _ring(cap: int, rows: int, gap: int) -> Ring:
+    """The partitions bounded by (cap, rows, gap) as an `echelon.Ring`: their
+    columns and Pieri maps, and the saturation record and monomial rows that
+    every build and report of the ring shares."""
+    # imported here, so that loading `schur` (as `kschur` does) loads no echelon
+    from .echelon import Ring
+
+    top = sum(max(cap - gap * r, 0) for r in range(rows))
+    columns = [_columns(cap, rows, gap, d)[0] for d in range(top + 1)]
+    return Ring(columns, lambda d, i: _pieri_map(cap, rows, gap, d, i))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qgrass.echelon import apply_map
-from qgrass.lagrangian import _lg_pieri_map, _strict_columns, normal_form
+from qgrass.lagrangian import normal_form
+from qgrass.schur import _columns, _pieri_map
 
 settings.register_profile(
     "suite",
@@ -22,7 +23,7 @@ def schubert_row():
         row, d = [1], 0
         for i in indices:
             d += i
-            row = apply_map(enumerate(row), _lg_pieri_map(n, d, i), len(_strict_columns(n, d)[0]))
+            row = apply_map(enumerate(row), _pieri_map(n, n, 1, d, i), len(_columns(n, n, 1, d)[0]))
         return row
 
     return row_of

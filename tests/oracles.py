@@ -4,9 +4,8 @@ import functools
 
 from qgrass.echelon import DegreeSlice, Ring, _spanning_rows, generated
 from qgrass.kschur import _targets
-from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 from qgrass.partitions import Partition, _dominance_leq
-from qgrass.schur import SymVector
+from qgrass.schur import SymVector, _columns, _pieri_map
 
 
 def omega(v):
@@ -70,8 +69,8 @@ def lg_stab_membership(n, m, degrees=None):
     with i in `degrees` (default: the odd i < m) through `echelon.generated`,
     and test sigma_m, the Schubert class of (m), with the exact
     `Span.contains_row`."""
-    columns = [_strict_columns(n, d)[0] for d in range(m + 1)]
-    span = tuple(generated(Ring(columns, functools.partial(_lg_pieri_map, n)), degrees or range(1, m, 2)))[m]
+    columns = [_columns(n, n, 1, d)[0] for d in range(m + 1)]
+    span = tuple(generated(Ring(columns, functools.partial(_pieri_map, n, n, 1)), degrees or range(1, m, 2)))[m]
     return span.contains_row([int(lam.parts == (m,)) for lam in span.columns])
 
 

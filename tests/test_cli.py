@@ -503,6 +503,11 @@ def test_usage_errors_exit_2(capsys):
     for m in ("9", "5000"):
         code, out, _ = run(capsys, "hilb", "grass", "--ell", "3", "--k", "3", "--m", m)
         assert code == 0 and out.strip() == "1,1,2,3,3,3,3,2,1,1"
+    # and so are generators beyond n
+    whole = run(capsys, "hilb", "lg", "--n", "3", "--m", "3")
+    assert whole[0] == 0
+    for m in ("9", "5000"):
+        assert run(capsys, "hilb", "lg", "--n", "3", "--m", m) == whole, m
     code, _, err = run(capsys, "formula", "rt", "--ell", "3", "--k", "3", "--m", "9")
     assert code == 2 and "error:" in err
     # a size flag of the other space is refused, not ignored
@@ -633,6 +638,12 @@ def test_cli_import_loads_no_ring_and_no_json():
 def test_each_command_loads_only_the_ring_it_runs(argv, loaded):
     names = ("qgrass.grassmann", "qgrass.lagrangian", "qgrass.harness", "json")
     assert _loaded_by_cli_import(names, argv) == f"{loaded}\n"
+
+
+def test_kschur_loads_no_echelon():
+    # `schur` imports `echelon` only when it builds a ring, which kschur never does
+    names = ("qgrass.schur", "qgrass.echelon", "qgrass.grassmann", "qgrass.lagrangian")
+    assert _loaded_by_cli_import(names, ["kschur", "--k", "3", "2,2,1"]) == "['qgrass.schur']\n"
 
 
 # What `from qgrass import *` binds: every export and the engine submodules.

@@ -9,10 +9,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qgrass import echelon, grassmann, lagrangian
+from qgrass import echelon, grassmann, lagrangian, schur
 from qgrass.echelon import DegreeSlice, PackedRank, Ring, _monomials, apply_map, exact_rank, generated
-from qgrass.grassmann import _box_columns, _pieri_map
-from qgrass.lagrangian import _lg_pieri_map, _strict_columns
+from qgrass.schur import _columns, _pieri_map
 
 from oracles import dense_rows, generated_slices
 
@@ -291,8 +290,8 @@ def _assert_same_slices(built, ref, point):
 def test_generated_slices_match_push_every_row_reference_in_boxes():
     for ell in range(1, 7):
         for k in range(1, 7):
-            columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-            pieri = functools.partial(_pieri_map, ell, k)
+            columns = [_columns(k, ell, 0, d)[0] for d in range(ell * k + 1)]
+            pieri = functools.partial(_pieri_map, k, ell, 0)
             # generators past min(ell, k) are redundant but legal
             for m in range(max(ell, k) + 1):
                 built = generated_slices(columns, pieri, range(1, m + 1))
@@ -317,8 +316,8 @@ def test_generated_slices_match_push_every_row_reference_for_lg(monkeypatch):
         return row_terms(self)
 
     for n in range(1, 10):
-        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-        pieri = functools.partial(_lg_pieri_map, n)
+        columns = [_columns(n, n, 1, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        pieri = functools.partial(_pieri_map, n, n, 1)
         for m in range(1, n + 1):
             reads = Counter()
             with monkeypatch.context() as mp:
@@ -390,12 +389,13 @@ def test_generated_slices_echelon_work(monkeypatch, space, size, m, inserts, zer
         return results[-1]
 
     if space == "box":
-        columns = [_box_columns(*size, d)[0] for d in range(size[0] * size[1] + 1)]
-        pieri, degrees = functools.partial(_pieri_map, *size), range(1, m + 1)
+        ell, k = size
+        columns = [_columns(k, ell, 0, d)[0] for d in range(ell * k + 1)]
+        pieri, degrees = functools.partial(_pieri_map, k, ell, 0), range(1, m + 1)
     else:
         (n,) = size
-        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-        pieri, degrees = functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
+        columns = [_columns(n, n, 1, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        pieri, degrees = functools.partial(_pieri_map, n, n, 1), range(1, m + 1, 2)
     monkeypatch.setattr(DegreeSlice, "add_row", counting_add_row)
     built = _count_apply_map(monkeypatch)
     generated_slices(columns, pieri, degrees)
@@ -409,11 +409,12 @@ def _point(space, size, m):
     # the builders' arguments at a box (ell, k) or a Lagrangian n, with
     # the odd generators up to m in the Lagrangian ring
     if space == "box":
-        columns = [_box_columns(*size, d)[0] for d in range(size[0] * size[1] + 1)]
-        return columns, functools.partial(_pieri_map, *size), range(1, m + 1)
+        ell, k = size
+        columns = [_columns(k, ell, 0, d)[0] for d in range(ell * k + 1)]
+        return columns, functools.partial(_pieri_map, k, ell, 0), range(1, m + 1)
     (n,) = size
-    columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-    return columns, functools.partial(_lg_pieri_map, n), range(1, m + 1, 2)
+    columns = [_columns(n, n, 1, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+    return columns, functools.partial(_pieri_map, n, n, 1), range(1, m + 1, 2)
 
 
 def _cold_build(columns, pieri_map, degrees):
@@ -560,7 +561,7 @@ def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, n
 
 
 def _fresh_rings():
-    for memo in (grassmann._ring, lagrangian._lg_rank_data, lagrangian._ring):
+    for memo in (schur._ring, lagrangian._lg_rank_data):
         memo.cache_clear()
 
 
@@ -581,7 +582,7 @@ def test_each_ring_keeps_its_own_saturation_record(monkeypatch):
         grassmann.subalgebra_hilbert(7, 7, 2)
         monkeypatch.setattr(echelon, "_primitive", counting_primitive)
         lagrangian.lg_subalgebra_hilbert(10, 5)
-        rings = [grassmann._ring(6, 6), grassmann._ring(7, 7), lagrangian._ring(10)]
+        rings = [schur._ring(6, 6, 0), schur._ring(7, 7, 0), schur._ring(10, 10, 1)]
         records = [ring.saturated for ring in rings]
         assert all(records) and len(set(map(id, records))) == 3
         assert len(calls) == 1799

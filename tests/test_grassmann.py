@@ -10,10 +10,7 @@ from qgrass.grassmann import (
     BasisDegree,
     BasisReport,
     _basis_report,
-    _box_columns,
     _k_schur_row,
-    _pieri_map,
-    _ring,
     _slice_data,
     h_basis_report,
     kschur_basis_report,
@@ -24,7 +21,7 @@ from qgrass.grassmann import (
 from qgrass.kschur import k_schur
 from qgrass.partitions import Partition, candidate_partitions, partitions_in_box_of_size
 from qgrass.qseries import QPoly, grass_hilbert_series, grass_subalgebra_formula
-from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, pieri_h
+from qgrass.schur import SymVector, _columns, _horizontal_strips, _pieri_map, _ring, h_to_schur, pieri_h
 
 from oracles import dense_rows, generated_slices
 
@@ -127,11 +124,14 @@ def test_box_bounded_strips_are_the_filtered_strips(parts, r, ell, k):
 
 def in_box_strips(ell, k, parts, r):
     # the in-box h_r Pieri map's targets from parts, as partitions in the
-    # lexicographically decreasing order of `_horizontal_strips`
+    # lexicographically decreasing order of `_horizontal_strips`, read from
+    # every coefficient group (there is none where no strip exists)
     d = sum(parts) + r
-    targets = _pieri_map(ell, k, d, r)[0][1][_box_columns(ell, k, d - r)[1][parts]]
-    cols = _box_columns(ell, k, d)[0]
-    return tuple(sorted((cols[t].parts for t in targets), reverse=True))
+    src = _columns(k, ell, 0, d - r)[1][parts]
+    cols = _columns(k, ell, 0, d)[0]
+    groups = _pieri_map(k, ell, 0, d, r)
+    assert all(c == 1 for c, _ in groups)
+    return tuple(sorted((cols[t].parts for _, targets in groups for t in targets[src]), reverse=True))
 
 
 def test_pieri_maps_reach_each_in_box_strip_once():
@@ -141,11 +141,13 @@ def test_pieri_maps_reach_each_in_box_strip_once():
     points += [(7, 7, i) for i in range(1, 4)]
     for ell, k, i in points:
         for d in range(i, ell * k + 1):
-            ((c, targets),) = _pieri_map(ell, k, d, i)
-            sources = _box_columns(ell, k, d - i)[0]
-            cols = _box_columns(ell, k, d)[0]
-            assert c == 1 and len(targets) == len(sources)
-            for lam, reach in zip(sources, targets):
+            # one group of coefficient 1, or none where no strip exists
+            groups = _pieri_map(k, ell, 0, d, i)
+            sources = _columns(k, ell, 0, d - i)[0]
+            cols = _columns(k, ell, 0, d)[0]
+            assert [c for c, _ in groups] in ([], [1]) and all(len(targets) == len(sources) for _, targets in groups)
+            for j, lam in enumerate(sources):
+                reach = [t for _, targets in groups for t in targets[j]]
                 assert len(set(reach)) == len(reach), (ell, k, d, i, lam)
                 want = {mu for mu in _horizontal_strips(lam.parts, i) if len(mu) <= ell and (not mu or mu[0] <= k)}
                 assert {cols[t].parts for t in reach} == want, (ell, k, d, i, lam)
@@ -172,12 +174,12 @@ def test_generators_past_h_k_add_nothing(ell, k):
     # per column, so its in-box Pieri map is empty at every degree, and a
     # build over h_1..h_m, m = k + 1..k + 3, has the spans of m = k, as the
     # reference build over every h_i to h_m shows
-    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
+    columns = [_columns(k, ell, 0, d)[0] for d in range(ell * k + 1)]
     want = [(s.rank, tuple(s.pivots)) for s in subalgebra_slices(ell, k, k)]
     for m in range(k + 1, k + 4):
-        assert not any(t for d in range(m, ell * k + 1) for _, targets in _pieri_map(ell, k, d, m) for t in targets)
+        assert not any(t for d in range(m, ell * k + 1) for _, targets in _pieri_map(k, ell, 0, d, m) for t in targets)
         assert [(s.rank, tuple(s.pivots)) for s in subalgebra_slices(ell, k, m)] == want, m
-        reference = generated_slices(columns, partial(_pieri_map, ell, k), range(1, m + 1))
+        reference = generated_slices(columns, partial(_pieri_map, k, ell, 0), range(1, m + 1))
         assert [(sl.rank, sl.pivots) for sl in reference] == want, m
         assert subalgebra_hilbert(ell, k, m) == subalgebra_hilbert(ell, k, k), m
 
@@ -215,7 +217,7 @@ def test_bounds_of_a_box_share_its_monomial_rows(monkeypatch):
     _fresh_box_builds()
     try:
         subalgebra_hilbert(6, 6, 3)
-        ring = _ring(6, 6)
+        ring = _ring(6, 6, 0)
         held, read, written = set(ring._rows), [], []
 
         class Recording(dict):
@@ -239,7 +241,7 @@ def test_saturation_record_skips_recorded_degrees(monkeypatch):
     _fresh_box_builds()
     try:
         subalgebra_hilbert(6, 6, 5)
-        recorded = {d for d, m in _ring(6, 6).saturated.items() if m <= 5}
+        recorded = {d for d, m in _ring(6, 6, 0).saturated.items() if m <= 5}
         ranked = []
 
         def watched_exact_rank(d, columns, rows):
@@ -418,7 +420,7 @@ def test_basis_report_cuts_to_pivots_only_after_containment():
     sl = subalgebra_slices(3, 3, 2)[3]
     (free,) = set(range(len(sl.columns))) - set(sl.pivots)
     outside = tuple(int(j == free) for j in range(len(sl.columns)))
-    h_row = _ring(3, 3).monomial_row
+    h_row = _ring(3, 3, 0).monomial_row
     report = _basis_report(3, 3, 2, lambda lam: outside if lam.size == 3 else h_row(lam.parts[::-1]))
     assert report.degrees[3] == BasisDegree(
         degree=3, candidates=2, rank=1, dim=2, independent=False, spans=False, contained=False
@@ -444,7 +446,7 @@ FINDINGS_BOXES = [(2, 5), (3, 5), (4, 5), (5, 2), (6, 2)]
 
 def dense(v, ell, k, d):
     """A projected SymVector of degree d as a row over the box columns."""
-    cols = _box_columns(ell, k, d)[0]
+    cols = _columns(k, ell, 0, d)[0]
     assert set(v) <= set(cols)
     return tuple(v.coeff(p) for p in cols)
 
@@ -460,8 +462,8 @@ def reference_kschur(ell, k):
 @cache
 def reference_pieces(ell, k, m):
     # the exact pieces of the second algorithm, not the engine's spans
-    columns = [_box_columns(ell, k, d)[0] for d in range(ell * k + 1)]
-    return generated_slices(columns, partial(_pieri_map, ell, k), range(1, m + 1))
+    columns = [_columns(k, ell, 0, d)[0] for d in range(ell * k + 1)]
+    return generated_slices(columns, partial(_pieri_map, k, ell, 0), range(1, m + 1))
 
 
 def reference_basis_report(ell, k, m, vector_of):
@@ -500,7 +502,7 @@ def test_in_box_candidate_rows_match_projected_expansions():
         lams = {lam for m in range(1, min(ell, k) + 1) for lam in candidate_partitions(ell, k, m)}
         for lam in lams:
             d = lam.size
-            h_row = _ring(ell, k).monomial_row(lam.parts[::-1])
+            h_row = _ring(k, ell, 0).monomial_row(lam.parts[::-1])
             assert tuple(h_row) == dense(reference_h(ell, k)(lam), ell, k, d), (ell, k, lam)
             assert _k_schur_row(ell, k, lam.parts, lam.first) == dense(
                 reference_kschur(ell, k)(lam), ell, k, d

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import echelon, forked, grassmann, harness, lagrangian, partitions
+from qgrass import echelon, forked, harness, lagrangian, partitions, schur
 from qgrass.config import ConfigError
 from qgrass.echelon import DegreeSlice, Ring, generated
 from qgrass.grassmann import h_basis_report, kschur_basis_report, project
@@ -34,10 +34,9 @@ from qgrass.harness import (
     sweep,
     validate_config,
 )
-from qgrass.lagrangian import _lg_pieri_map, _strict_columns
 from qgrass.partitions import Partition
 from qgrass.qseries import QPoly
-from qgrass.schur import SymVector, h_to_schur
+from qgrass.schur import SymVector, _columns, _pieri_map, h_to_schur
 
 from oracles import lg_stab_membership
 
@@ -113,11 +112,11 @@ def test_check_rt_builds_each_monomial_row_once(monkeypatch):
         return apply_map(terms, pieri_map, width)
 
     monkeypatch.setattr(echelon, "apply_map", counting_apply_map)
-    grassmann._ring.cache_clear()
+    schur._ring.cache_clear()
     try:
         assert all(c.status == "pass" for c in check_rt(6, 6))
     finally:
-        grassmann._ring.cache_clear()
+        schur._ring.cache_clear()
     assert len(built) == 2052
 
 
@@ -138,8 +137,8 @@ def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
     # membership oracle on the same generator rejects it; under the bad
     # prime 2 the ranks come from the exact fallback
     def e1_only(n, odd):
-        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
-        return tuple(span.rank for span in generated(Ring(columns, functools.partial(_lg_pieri_map, n)), (1,)))
+        columns = [_columns(n, n, 1, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        return tuple(span.rank for span in generated(Ring(columns, functools.partial(_pieri_map, n, n, 1)), (1,)))
 
     monkeypatch.setattr(lagrangian, "_lg_rank_data", e1_only)
     for p in (echelon.P, 2):
@@ -170,7 +169,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
     # a build of degrees 0..m both hold at every even m
     monkeypatch.setattr(echelon, "P", p)
     lagrangian._lg_rank_data.cache_clear()
-    lagrangian._ring.cache_clear()
+    schur._ring.cache_clear()
     try:
         for n in range(2, 10):
             stab = {c.params["m"]: c.status for c in check_lg(n) if c.name == "lg-stab"}
@@ -178,7 +177,7 @@ def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
             assert all(lg_stab_membership(n, m) for m in stab), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._ring.cache_clear()
+        schur._ring.cache_clear()
 
 
 def test_check_lg_passes_under_a_bad_prime(monkeypatch):
@@ -195,28 +194,28 @@ def test_check_lg_passes_under_a_bad_prime(monkeypatch):
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
     monkeypatch.setattr(echelon, "P", 2)
     lagrangian._lg_rank_data.cache_clear()
-    lagrangian._ring.cache_clear()
+    schur._ring.cache_clear()
     try:
         for n in range(2, 9):
             assert all(c.status == "pass" for c in check_lg(n)), n
     finally:
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._ring.cache_clear()
+        schur._ring.cache_clear()
     assert exact
 
 
 def test_check_lg_builds_from_odd_generators_only(monkeypatch):
-    pieri_map = lagrangian._lg_pieri_map
+    pieri_map = schur._pieri_map
     built = set()
 
-    def recording_pieri_map(n, d, i):
+    def recording_pieri_map(cap, rows, gap, d, i):
         built.add(i)
-        return pieri_map(n, d, i)
+        return pieri_map(cap, rows, gap, d, i)
 
-    monkeypatch.setattr(lagrangian, "_lg_pieri_map", recording_pieri_map)
+    monkeypatch.setattr(schur, "_pieri_map", recording_pieri_map)
     for n in (1, 2, 7, 8):
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._ring.cache_clear()
+        schur._ring.cache_clear()
         lagrangian._lg_slice_data.cache_clear()
         pieri_map.cache_clear()
         built.clear()

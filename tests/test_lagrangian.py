@@ -5,12 +5,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qgrass import echelon, lagrangian
+from qgrass import echelon, lagrangian, schur
 from qgrass.echelon import DegreeSlice
 from qgrass.harness import plucker_degree
 from qgrass.lagrangian import (
-    _lg_pieri_map,
-    _strict_columns,
     lg_subalgebra_hilbert,
     lg_subalgebra_slices,
     lg_top_power,
@@ -19,7 +17,7 @@ from qgrass.lagrangian import (
 )
 from qgrass.partitions import Partition, strict_partitions_in_triangle, strict_partitions_of_size
 from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
-from qgrass.schur import SymVector, _columns, _horizontal_strips, _single_boxes
+from qgrass.schur import SymVector, _columns, _horizontal_strips, _pieri_map, _single_boxes
 
 from oracles import generated_slices
 
@@ -144,10 +142,11 @@ def test_lg_subalgebra_hilbert_examples():
     assert lg_subalgebra_hilbert(2, 1) == QPoly.from_coeffs([1, 1, 1, 1])
     assert lg_subalgebra_hilbert(3, 1) == QPoly.from_coeffs([1] * 7)
     assert lg_subalgebra_hilbert(3, 2) == lg_subalgebra_hilbert(3, 1)
-    with pytest.raises(ValueError):
-        lg_subalgebra_hilbert(3, 0)
-    with pytest.raises(ValueError):
-        lg_subalgebra_hilbert(3, 4)
+    for point in [(3, 0), (0, 1), (-1, 1)]:
+        with pytest.raises(ValueError):
+            lg_subalgebra_hilbert(*point)
+    # an m past n adds no generator: the subalgebra is the ring
+    assert lg_subalgebra_hilbert(3, 4) == lg_subalgebra_hilbert(3, 3)
 
 
 def test_lg_full_generation_matches_series():
@@ -164,7 +163,7 @@ def test_saturation_record_matches_cold_builds(monkeypatch, p):
 
     def fresh_builds():
         lagrangian._lg_rank_data.cache_clear()
-        lagrangian._ring.cache_clear()
+        schur._ring.cache_clear()
 
     monkeypatch.setattr(echelon, "P", p)
     try:
@@ -186,10 +185,10 @@ def test_lg_even_m_stabilization():
     # an even m shares the odd build of m - 1, whose series is that of the
     # second algorithm's build from every generator e_1..e_m
     for n in range(1, 7):
-        columns = [_strict_columns(n, d)[0] for d in range(n * (n + 1) // 2 + 1)]
+        columns = [_columns(n, n, 1, d)[0] for d in range(n * (n + 1) // 2 + 1)]
         for m in range(2, n + 1, 2):
             assert lg_subalgebra_slices(n, m) is lg_subalgebra_slices(n, m - 1)
-            every = generated_slices(columns, functools.partial(_lg_pieri_map, n), range(1, m + 1))
+            every = generated_slices(columns, functools.partial(_pieri_map, n, n, 1), range(1, m + 1))
             assert lg_subalgebra_hilbert(n, m) == QPoly({sl.degree: sl.rank for sl in every})
 
 
@@ -233,9 +232,9 @@ def sigma(n, i, vec):
     if i > n or not vec:
         return out
     d = sum(next(iter(vec))) + i
-    cols = _strict_columns(n, d)[0]
-    source = _strict_columns(n, d - i)[1]
-    for c, targets in _lg_pieri_map(n, d, i):
+    cols = _columns(n, n, 1, d)[0]
+    source = _columns(n, n, 1, d - i)[1]
+    for c, targets in _pieri_map(n, n, 1, d, i):
         for lam, a in vec.items():
             for t in targets[source[lam]]:
                 mu = cols[t].parts
@@ -337,8 +336,8 @@ def filtered_strips(lam, i, n):
 def strips_pieri_map(n, d, i, strips):
     """sigma_i from degree d - i to d assembled from strips(lam, i, n) of each
     source, as {coefficient: per-source sorted target columns}."""
-    index = _strict_columns(n, d)[1]
-    hits = [strips(lam.parts, i, n) for lam in _strict_columns(n, d - i)[0]]
+    index = _columns(n, n, 1, d)[1]
+    hits = [strips(lam.parts, i, n) for lam in _columns(n, n, 1, d - i)[0]]
     return {
         1 << e: [sorted(index[mu] for mu, exp in found if exp == e) for found in hits]
         for e in sorted({exp for found in hits for _, exp in found})
@@ -360,7 +359,7 @@ def test_walked_pieri_maps_match_the_strip_search():
         references = (strict_strips, filtered_strips) if n <= 7 else (strict_strips,)
         for d in range(n * (n + 1) // 2 + 1):
             for i in range(d + 1):
-                walked = {c: [sorted(t) for t in targets] for c, targets in _lg_pieri_map(n, d, i)}
+                walked = {c: [sorted(t) for t in targets] for c, targets in _pieri_map(n, n, 1, d, i)}
                 for strips in references:
                     assert walked == strips_pieri_map(n, d, i, strips), (n, d, i, strips.__name__)
 

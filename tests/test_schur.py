@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qgrass.partitions import Partition, k_bounded_partitions
 from qgrass.qseries import QPoly
-from qgrass.schur import SymVector, _horizontal_strips, h_to_schur, pieri_h
+from qgrass.schur import SymVector, _horizontal_strips, _ring, h_to_schur, pieri_h
 
 from oracles import dominance_leq, omega
 
@@ -199,3 +199,13 @@ def test_omega_examples():
 @given(small_vectors())
 def test_omega_is_involution(v):
     assert omega(omega(v)) == v
+
+
+def test_each_ring_has_a_single_top_column():
+    # the top degree of the box is the full box alone, and that of the order
+    # the staircase alone: `lg_top_power` reads the only entry of its top row
+    for ell in range(7):
+        for k in range(7):
+            assert _ring(k, ell, 0).columns[-1] == (Partition((k,) * ell),), (ell, k)
+    for n in range(1, 11):
+        assert _ring(n, n, 1).columns[-1] == (Partition(range(n, 0, -1)),), n
