@@ -13,13 +13,19 @@ heuristics.
 `generated` builds the graded pieces of the subalgebra of a `Ring`
 generated by one generator in each of a list of degrees (1..m in the
 Grassmannian, the odd degrees up to m in the Lagrangian ring).  A `Ring` is
-one box or order: a basis of each degree and integer Pieri maps for the
-generators.  A monomial either contains the smallest generator g_(i_1) or
-lies in the others alone, so the degree-d piece is g_(i_1) times a basis of
-degree d - i_1, plus the span of the monomials of degree d in the other
-generators.  Only the smallest generator reads the basis below.
+one box or order: the columns of each degree and integer Pieri maps for the
+generators.  A ring `schur` builds has `range(width)` as the columns of a
+degree, so the columns of every `Span` and `DegreeSlice` built over it are
+indices, in the order `partitions._decreasing_tuples` lists the partitions
+(the tests name them); a caller may give any other labels.  A monomial
+either contains the smallest generator g_(i_1) or lies in the others alone,
+so the degree-d piece is g_(i_1) times a basis of degree d - i_1, plus the
+span of the monomials of degree d in the other generators.  Only the
+smallest generator reads the basis below.
 
-A `Ring` holds what every build of it shares, so that each is done once.
+A `Ring` holds what every build of it shares, so that each is done once:
+its widths and maps (`schur` keeps the single-box tables the maps are read
+from), and the two records below.
 - Its monomial rows: `monomial_row` builds the row of a monomial through
   the Pieri maps, from the row of its longest suffix already kept, and
   keeps it, for the builds and for the reports that read the same rows.
@@ -79,11 +85,13 @@ def _primitive(lead: int, tail: list[int]) -> tuple[int, list[int]]:
 
 
 class DegreeSlice:
-    """Reduced-echelon basis of one graded piece, over a fixed column order."""
+    """Reduced-echelon basis of one graded piece, over a fixed column order:
+    the columns are the labels given (indices, for a ring `schur` builds),
+    kept as given and not copied, so they must not change."""
 
     def __init__(self, degree: int, columns: Sequence[Hashable]):
         self.degree = degree
-        self.columns = tuple(columns)
+        self.columns = columns
         # row i is _leads[i] at column _pivots[i] (increasing), _tails[i] over
         # the columns _free and zero at every other pivot
         self._pivots: list[int] = []
@@ -209,12 +217,14 @@ def _monomials(parts: Sequence[int]) -> Callable[[int], list[tuple[int, ...]]]:
 
 
 class Ring:
-    """What every build of one ring shares: columns[d], the basis of degree
-    d (columns[0] is the unit alone); pieri_map(d, i), multiplication by the
-    generator g_i from degree d - i to d in the format of `apply_map`; the
-    saturation record `saturated`; and the rows of its monomials.  Every
-    `generated` of one ring must take a prefix of one increasing sequence of
-    generator degrees, so that its pieces only grow with the bound."""
+    """What every build of one ring shares: columns[d], the columns of
+    degree d, whose length is its width (`range(width)` in a ring `schur`
+    builds; columns[0] is the unit alone); pieri_map(d, i), multiplication
+    by the generator g_i from degree d - i to d in the format of
+    `apply_map`; the saturation record `saturated`; and the rows of its
+    monomials.  Every `generated` of one ring must take a prefix of one
+    increasing sequence of generator degrees, so that its pieces only grow
+    with the bound."""
 
     def __init__(self, columns: Sequence[Sequence[Hashable]], pieri_map: Callable[[int, int], Sequence]):
         self.columns = columns
@@ -308,17 +318,18 @@ class PackedRank:
 class Span:
     """The span over Q of integer rows over the columns of degree d, as
     `exact_rank` settles it: its rank, a basis (`row_terms`) and pivots,
-    columns on which that basis is nonsingular.  A saturated span keeps no
-    rows; one of independent rows keeps them until its first `contains_row`;
-    one that fell back keeps the fallback `DegreeSlice`."""
+    columns on which that basis is nonsingular.  Its columns are those given,
+    not copied: the ring's `range(width)` in a build.  A saturated span keeps
+    no rows; one of independent rows keeps them until its first
+    `contains_row`; one that fell back keeps the fallback `DegreeSlice`."""
 
     def __init__(self, degree: int, columns: Sequence[Hashable], rank: int, pivots: Sequence[int],
                  rows: Sequence[Sequence[int]] = (), exact: DegreeSlice | None = None):
         self.degree = degree
-        self.columns = tuple(columns)
+        self.columns = columns
         self.rank = rank
         self.pivots = pivots
-        self.saturated = rank == len(self.columns)
+        self.saturated = rank == len(columns)
         self._rows = rows
         self._exact = exact
 

@@ -6,10 +6,12 @@ the box, and a product is a Pieri product followed by projection.
 
 Subalgebra pieces are built degree by degree, on integers alone.  The box
 is the bounds (k, ell, 0) of `schur`: at most ell parts, each at most k,
-weakly decreasing.  Its columns (the partitions of each degree in the box,
-listed once in a fixed order) and its in-box Pieri maps are one
-`echelon.Ring`, `schur._ring(k, ell, 0)`, which every build and report of
-the box shares.  The map of h_i from degree d - i to d,
+weakly decreasing.  It is one `echelon.Ring`, `schur._ring(k, ell, 0)`,
+which every build and report of the box shares: the width of each degree
+(the box partitions of that degree, enumerated once, in a fixed order, and
+kept as indices: nothing reads a column's partition), the in-box Pieri
+maps, read from one single-box table per degree, the saturation record and
+the monomial rows.  The map of h_i from degree d - i to d,
 `schur._pieri_map(k, ell, 0, d, i)`, lists for each source column the
 target columns its horizontal i-strips reach inside the box, all with
 coefficient 1: h_1 is the single-box table of degree d, and h_i keeps the
@@ -33,13 +35,13 @@ candidate is expanded over the Schur terms outside the box.
 A report settles each degree d against the `Span` of A_d.
 - contained: the exact `Span.contains_row` of every candidate, true at once
   where A_d is all of H_d.
-- rank: `echelon.exact_rank` of the candidate rows, which runs an exact
-  echelon only where the rank mod P cannot settle it.  Once the candidates
-  lie in A_d, their rows are cut to the pivots of A_d, columns on which its
-  basis is nonsingular.  A vector of A_d is fixed by those entries, so the
-  rank is unchanged, and where the candidates span A_d the rank mod P
-  reaches the width of the cut.  Where they do not lie in A_d, every column
-  is kept.
+- rank: `echelon.exact_rank` of the candidate rows over the width of the
+  cut below, which runs an exact echelon only where the rank mod P cannot
+  settle it.  Once the candidates lie in A_d, their rows are cut to the
+  pivots of A_d, columns on which its basis is nonsingular.  A vector of A_d
+  is fixed by those entries, so the rank is unchanged, and where the
+  candidates span A_d the rank mod P reaches the width of the cut.  Where
+  they do not lie in A_d, every column is kept.
 - dim is the rank of A_d.
 
 The reference is `project` over `h_to_schur` and `k_schur`: a SymVector
@@ -82,7 +84,9 @@ def _slice_data(ell: int, k: int, m: int) -> tuple[Span, ...]:
 
 def subalgebra_slices(ell: int, k: int, m: int) -> tuple[Span, ...]:
     """The `Span` of every graded piece of the subalgebra generated in
-    degrees at most m.  Treat the returned spans as immutable."""
+    degrees at most m.  The columns of degree d index the box partitions of
+    d in the order `partitions._decreasing_tuples` lists them.  Treat the
+    returned spans as immutable."""
     return _slice_data(ell, k, m)
 
 
@@ -152,7 +156,7 @@ def _basis_report(ell: int, k: int, m: int, row_of) -> BasisReport:
         rows = [row_of(lam) for lam in by_degree[d]]
         contained = all(span.contains_row(row) for row in rows)
         cut = span.pivots if contained else range(len(span.columns))
-        rank = exact_rank(d, [span.columns[j] for j in cut], ([row[j] for j in cut] for row in rows)).rank
+        rank = exact_rank(d, range(len(cut)), ([row[j] for j in cut] for row in rows)).rank
         entries.append(
             BasisDegree(
                 degree=d,

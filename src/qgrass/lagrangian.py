@@ -9,17 +9,21 @@ and nothing else.  The ring has two presentations here.
 
 Subalgebras are built in the Schubert basis, on integers alone.  The order
 n is the bounds (n, n, 1) of `schur`: parts at most n, strictly decreasing.
-Its columns (the strict partitions of each degree, listed once) and its
-Pieri maps are one `echelon.Ring`, `schur._ring(n, n, 1)`, whose saturation
-record and monomial rows its builds share.  Multiplication by sigma_i from
-degree d - i to degree d, `schur._pieri_map(n, n, 1, d, i)`, is an integer
-Pieri map (Macdonald III (8.15), with Q_lambda = 2^l(lambda) P_lambda):
-sigma_i sigma_lambda is the sum of 2^(a(lambda, mu) + l(lambda) - l(mu))
-sigma_mu over the strict mu with mu_1 <= n and mu/lambda a horizontal
-i-strip, where a(lambda, mu) counts the columns c in which mu/lambda has a
-box and column c + 1 has none.  The map groups the strips that
-`schur._strips` walks, rows top to bottom so that every shape on the way is
-strict, by their power of 2; sigma_1 is one table step.
+It is one `echelon.Ring`, `schur._ring(n, n, 1)`, which its builds share:
+the width of each degree (the strict partitions of that degree, enumerated
+once and kept as indices), the Pieri maps, read from one single-box table
+per degree, the saturation record and the monomial rows.  Multiplication
+by sigma_i from degree d - i to degree d, `schur._pieri_map(n, n, 1, d, i)`,
+is an integer Pieri map (Macdonald III (8.15), with
+Q_lambda = 2^l(lambda) P_lambda): sigma_i sigma_lambda is the sum of
+2^(a(lambda, mu) + l(lambda) - l(mu)) sigma_mu over the strict mu with
+mu_1 <= n and mu/lambda a horizontal i-strip, where a(lambda, mu) counts
+the columns c in which mu/lambda has a box and column c + 1 has none.  For
+i >= 2 the map groups the strips that `schur._strips` walks, rows top to
+bottom so that every shape on the way is strict, by their power of 2.
+sigma_1 is read off the single-box table, with no walk: a box in a row
+already there takes 2 (a = 1, l(mu) = l(lambda)), and the one box that
+starts a new row, at part 1, takes 1.
 
 The shared builder `echelon.generated` pushes integer rows through the maps
 of the odd generators alone.  The relation for e_j^2 ends in
@@ -127,8 +131,9 @@ def _odd_bound(n: int, m: int) -> int:
 
 def lg_subalgebra_slices(n: int, m: int) -> tuple[Span, ...]:
     """The `Span` of each graded piece of the subalgebra generated by
-    e_1, ..., e_m, in the Schubert basis: the columns of degree d are the
-    strict partitions of d with parts at most n (parts decreasing).  The odd
+    e_1, ..., e_m, in the Schubert basis: the columns of degree d index the
+    strict partitions of d with parts at most n (parts decreasing), in the
+    order `partitions._decreasing_tuples` lists them.  The odd
     e_i <= min(m, n) generate it, so an even m shares the build of m - 1,
     and an m past n that of n.  No check reads these spans; they serve tests
     and tracing.  Treat them as immutable."""

@@ -4,8 +4,32 @@ import functools
 
 from qgrass.echelon import DegreeSlice, Ring, _spanning_rows, generated
 from qgrass.kschur import _targets
-from qgrass.partitions import Partition, _dominance_leq
-from qgrass.schur import SymVector, _columns, _pieri_map
+from qgrass.partitions import Partition, _decreasing_tuples, _dominance_leq
+from qgrass.schur import SymVector, _pieri_map
+
+
+@functools.cache
+def _columns(cap, rows, gap, d):
+    """The columns of degree d of the ring bounded by (cap, rows, gap), by
+    name: the engine's column j is the j-th partition `_decreasing_tuples`
+    lists, and the index of each by its parts."""
+    cols = tuple(map(Partition._wrap, _decreasing_tuples(cap, rows, d, gap)))
+    return cols, {p.parts: j for j, p in enumerate(cols)}
+
+
+def single_boxes(cap, rows, gap, d):
+    """The single-box table from degree d - 1 to degree d, by name: each
+    source partition grows by one box in every row, the new one included,
+    and the shapes that are columns of degree d are kept, rows increasing,
+    as the target columns and, in parallel, the (row, new part) pairs."""
+    index = _columns(cap, rows, gap, d)[1]
+    targets, marks = [], []
+    for lam in _columns(cap, rows, gap, d - 1)[0]:
+        grown = [lam.parts[:r] + (part + 1,) + lam.parts[r + 1:] for r, part in enumerate(lam.parts + (0,))]
+        kept = [(r, mu) for r, mu in enumerate(grown) if mu in index]
+        targets.append(tuple(index[mu] for _, mu in kept))
+        marks.append(tuple((r, mu[r]) for r, mu in kept))
+    return tuple(targets), tuple(marks)
 
 
 def omega(v):

@@ -11,9 +11,9 @@ from hypothesis import example, given, strategies as st
 
 from qgrass import echelon, grassmann, lagrangian, schur
 from qgrass.echelon import DegreeSlice, PackedRank, Ring, _monomials, apply_map, exact_rank, generated
-from qgrass.schur import _columns, _pieri_map
+from qgrass.schur import _pieri_map
 
-from oracles import dense_rows, generated_slices
+from oracles import _columns, dense_rows, generated_slices
 
 
 def test_rank_and_redundancy():

@@ -36,9 +36,9 @@ from qgrass.harness import (
 )
 from qgrass.partitions import Partition
 from qgrass.qseries import QPoly
-from qgrass.schur import SymVector, _columns, _pieri_map, h_to_schur
+from qgrass.schur import SymVector, _pieri_map, h_to_schur
 
-from oracles import lg_stab_membership
+from oracles import _columns, lg_stab_membership
 
 SWEEP_DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "answers" / "sweep-default.txt"
 

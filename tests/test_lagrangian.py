@@ -17,9 +17,9 @@ from qgrass.lagrangian import (
 )
 from qgrass.partitions import Partition, strict_partitions_in_triangle, strict_partitions_of_size
 from qgrass.qseries import QPoly, lg_hilbert_series, lg_subalgebra_formula
-from qgrass.schur import SymVector, _columns, _horizontal_strips, _pieri_map, _single_boxes
+from qgrass.schur import SymVector, _horizontal_strips, _pieri_map, _tables
 
-from oracles import generated_slices
+from oracles import _columns, generated_slices
 
 
 def E(*parts):
@@ -376,9 +376,12 @@ def test_single_box_tables_are_the_strict_one_strips():
         for k in range(1, 7)
     ]
     for cap, rows, gap, one_strips in points:
-        for d in range(1, cap * rows + 1):
+        tables = _tables(cap, rows, gap)[1]
+        # no column past the ring's top degree, where the tables stop
+        assert not _columns(cap, rows, gap, len(tables))[0], (cap, rows, gap)
+        for d in range(1, len(tables)):
             index = _columns(cap, rows, gap, d)[1]
-            targets, marks = _single_boxes(cap, rows, gap, d)
+            targets, marks = tables[d]
             for lam, to, at in zip(_columns(cap, rows, gap, d - 1)[0], targets, marks):
                 base = lam.parts + (0,)
                 want = [
@@ -416,4 +419,6 @@ def test_schubert_builder_matches_rewriting_reference():
             ref = reference_slices(n, m)
             assert [sl.rank for sl in built] == [sl.rank for sl in ref], (n, m)
             for sl in built:
-                assert sl.columns == tuple(strict_partitions_of_size(n, sl.degree))
+                # the columns are indices, which the oracle names
+                assert sl.columns == range(len(ref[sl.degree].columns))
+                assert _columns(n, n, 1, sl.degree)[0] == tuple(strict_partitions_of_size(n, sl.degree))

@@ -1,14 +1,17 @@
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+
+from qgrass.echelon import generated
 from qgrass.partitions import Partition, k_bounded_partitions
 from qgrass.qseries import QPoly
-from qgrass.schur import SymVector, _horizontal_strips, _ring, h_to_schur, pieri_h
+from qgrass.schur import SymVector, _horizontal_strips, _pieri_map, _ring, _strips, _tables, h_to_schur, pieri_h
 
-from oracles import dominance_leq, omega
+from oracles import _columns, dominance_leq, omega, single_boxes
 
 
 def P(*parts):
@@ -203,9 +206,83 @@ def test_omega_is_involution(v):
 
 def test_each_ring_has_a_single_top_column():
     # the top degree of the box is the full box alone, and that of the order
-    # the staircase alone: `lg_top_power` reads the only entry of its top row
+    # the staircase alone: `lg_top_power` reads the only entry of its top row.
+    # A ring's columns are indices, which the oracle names
     for ell in range(7):
         for k in range(7):
-            assert _ring(k, ell, 0).columns[-1] == (Partition((k,) * ell),), (ell, k)
+            columns = _ring(k, ell, 0).columns
+            assert columns[-1] == range(1), (ell, k)
+            assert _columns(k, ell, 0, len(columns) - 1)[0] == (Partition((k,) * ell),), (ell, k)
     for n in range(1, 11):
-        assert _ring(n, n, 1).columns[-1] == (Partition(range(n, 0, -1)),), n
+        columns = _ring(n, n, 1).columns
+        assert columns[-1] == range(1), n
+        assert _columns(n, n, 1, len(columns) - 1)[0] == (Partition(range(n, 0, -1)),), n
+
+
+RING_BOUNDS = [(k, ell, 0) for ell in range(7) for k in range(7)] + [(n, n, 1) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("cap, rows, gap", RING_BOUNDS)
+def test_ring_pass_tables_are_the_named_tables(cap, rows, gap):
+    # one enumeration pass per ring keeps widths and tables alone: the widths
+    # are the oracle's column counts up to the top degree (none past it), and
+    # each table is the one grown box by box over the named columns
+    widths, tables = _tables(cap, rows, gap)
+    assert len(widths) == len(tables)
+    assert widths == tuple(len(_columns(cap, rows, gap, d)[0]) for d in range(len(widths)))
+    assert not _columns(cap, rows, gap, len(widths))[0]
+    assert tables[0] == ((), ())
+    for d in range(1, len(tables)):
+        assert tables[d] == single_boxes(cap, rows, gap, d), (cap, rows, gap, d)
+
+
+def walked_map(cap, rows, gap, d, i):
+    # the strips `_strips` walks, grouped by coefficient per source
+    groups = defaultdict(lambda: [[] for _ in range(_tables(cap, rows, gap)[0][d - i])])
+    for src, t, _, _, _, exp in _strips(cap, rows, gap, d, i):
+        groups[1 << exp * gap][src].append(t)
+    return tuple((c, tuple(map(tuple, groups[c]))) for c in sorted(groups))
+
+
+@pytest.mark.parametrize(
+    "cap, rows, gap", [(k, ell, 0) for ell in range(1, 7) for k in range(1, 7)] + [(n, n, 1) for n in range(1, 13)]
+)
+def test_degree_one_maps_are_read_off_the_tables(cap, rows, gap):
+    # the e_1 (h_1) map is read off the table, not walked: equal to the walked
+    # strips per source and coefficient, and in the order a source with no
+    # box of new part 1 shares the table's target tuple
+    tables = _tables(cap, rows, gap)[1]
+    for d in range(1, len(tables)):
+        got = _pieri_map(cap, rows, gap, d, 1)
+        assert got == walked_map(cap, rows, gap, d, 1), (cap, rows, gap, d)
+        targets, marks = tables[d]
+        if not gap:
+            assert got[0][1] is targets
+            continue
+        twos = dict(got).get(2, ())
+        for j, (to, at) in enumerate(zip(targets, marks)):
+            if to and all(p != 1 for _, p in at):
+                assert twos[j] is to, (cap, rows, gap, d, j)
+
+
+def test_ring_builds_make_no_partition(monkeypatch):
+    # a ring keeps widths and tables, and no build reads a column's name
+    made = []
+    wrap, init = Partition._wrap.__func__, Partition.__init__
+
+    def counted_wrap(cls, parts):
+        made.append(parts)
+        return wrap(cls, parts)
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Partition, "_wrap", classmethod(counted_wrap))
+    monkeypatch.setattr(Partition, "__init__", counted_init)
+    for memo in (_tables, _pieri_map, _ring):
+        memo.cache_clear()
+    for bounds, degrees in [((7, 7, 0), (1, 2)), ((9, 9, 1), (1, 3))]:
+        spans = list(generated(_ring(*bounds), degrees))
+        assert len(spans) == len(_ring(*bounds).columns), bounds
+    assert made == []
