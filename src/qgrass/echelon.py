@@ -8,7 +8,7 @@ and normalisation run over the n - r free entries, and a new pivot deletes
 its column from every tail.  Rows and vectors go in as integers
 (fraction-free); any other entry is rejected, never rounded; dense rows are
 built on demand.  Pivots are first nonzero columns, with no numerical
-heuristics.
+heuristics.  Membership is the packed check of the fallback below.
 
 `generated` builds the graded pieces of the subalgebra of a `Ring`
 generated by one generator in each of a list of degrees (1..m in the
@@ -41,33 +41,41 @@ from), and the two records below.
   serves less.  The record is the ring's own, so no build reads a record
   written over other columns or maps.
 
-Each piece is a `Span`, the result of `exact_rank`: the one rule for the
-rank over Q of integer rows, which the subalgebra builds and the
-candidate-basis reports both call.  `PackedRank` holds an echelon mod the
-prime P = 2^20 - 3, each row one int with a 64-bit slot per column, and
-reduces a row by one big-int multiply-add per pivot.  Rows independent mod P
-are independent over Q, so rank_p <= rank_Q <= min(width, n) for n rows.
-The rows are pulled lazily, and pulling stops once rank_p = width: that is
-the rank, the span is saturated, and the unit rows are a basis.  If
-rank_p = n, the rows themselves are a basis over Q.  Any other case (a bad
-prime, or a dependency over Q) is settled by a `DegreeSlice` over every row
-pulled.
+Each piece is a `Span`, the result of `exact_rank`, the one rule for the
+rank over Q of integer rows.  The rows are pulled lazily into a
+`PackedRank` (`modp`): an echelon mod a prime, each row one int with a
+64-bit slot per column, which reduces a row by one big-int multiply-add per
+pivot.  Its prime P, the rank prime, is the largest of the residue primes
+below.  Rows independent mod P are independent over Q.  Pulling stops once
+rank_p = width: the span is saturated.  If rank_p = n, the n rows are a
+basis.  Otherwise the span falls back to the reduced echelon over Q of the
+rows pulled, `_reduced_echelon`, multimodular and checked exactly (W. Stein,
+Modular Forms: A Computational Approach, GSM 79, 2007, ch. 7):
+- residues: the reduced echelon mod p of the rows, first the rank pass's
+  own, then one per further prime q < 2^30 with width * q^2 + q < 2^64,
+  largest first, of the rows independent mod P.  A residue whose pivots are
+  not the earliest of the largest rank is dropped;
+- CRT over the residues kept, and rational reconstruction of each entry
+  (P. S. Wang, M. J. T. Guy and J. H. Davenport, SIGSAM Bull. 16(2), 1982;
+  here in its maximal-quotient form), one denominator running over the
+  rows, each row then made primitive;
+- the exact check.  The residues kept have rank r, so rank_Q >= r.  With
+  row i of the result (L e_(p_i) + N_i) / L, every row a pulled must have
+  L * a_free = sum_i a[p_i] * N_i.  Then the rows span r dimensions and the
+  result is their reduced echelon, whose pivots, leads and tails are unique.
+  The check is `DegreeSlice.contains_row`: one big-int multiply-add per
+  (row, pivot), in signed slots wide enough for the bound.
+Primes are added until a check passes.  A check failed on the rows
+independent mod P (P was bad), or primes spent past the Hadamard bound,
+which correct residues never reach, drop every residue, so a wrong one is
+never accepted.  The oracle is `_slice_of` in the tests: a `DegreeSlice`
+that inserts every row fraction-free.
 
-Every `DegreeSlice` built from a batch of rows inserts them right to left:
-by first nonzero column, latest first, ties to fewer nonzeros first, the
-sort stable.  A stored row is zero left of its pivot, so a new pivot left of
-every stored one back-substitutes into none of them.  The reduced echelon of
-a span is unique, so the pivots, leads and tails, and everything read from
-them, are those of any other order.
-
-A `Span` also has pivots, columns on which its basis is nonsingular, so a
-vector of the span is fixed by its entries there: every column when it is
-saturated, the mod-P pivots when its rows are independent (cut to them, the
-rows are nonsingular mod P, hence over Q), and the pivots of the fallback
-`DegreeSlice` otherwise.  Its `contains_row` is exact: a saturated span
-holds every row of its width, and any other reduces the row against the
-fallback slice, or against a `DegreeSlice` of its basis rows built on the
-first call, which then replaces those rows.
+A `Span` also has pivots, columns on which its basis is nonsingular: every
+column when it is saturated, the mod-P pivots of independent rows, or the
+pivots of the fallback.  Its `contains_row` is exact: a saturated span holds
+every row of its width, and any other checks the row against the fallback
+slice, or against the reduced echelon of its rows, built on the first call.
 """
 
 from __future__ import annotations
@@ -75,8 +83,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from math import gcd, lcm
-from struct import Struct
+from operator import methodcaller
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+from .modp import PackedRank, _packed_rank, _reconstructed, _residue_primes
+
+
+def _unsigned(values: Iterable[int], size: int) -> int:
+    # the values, each plus 2^(8 size - 1), in little-endian slots of size bytes
+    half = 1 << 8 * size - 1
+    return int.from_bytes(b"".join(map(methodcaller("to_bytes", size, "little"), map(half.__add__, values))), "little")
 
 
 def _primitive(lead: int, tail: list[int]) -> tuple[int, list[int]]:
@@ -98,6 +114,8 @@ class DegreeSlice:
         self._leads: list[int] = []
         self._tails: list[list[int]] = []
         self._free = list(range(len(self.columns)))
+        # the packed scaled tails of `contains_row`, built on its first call
+        self._packed: tuple | None = None
 
     @property
     def rank(self) -> int:
@@ -163,6 +181,7 @@ class DegreeSlice:
                     self._leads[i] * lead, [a * lead - c * b for a, b in zip(prow, tail)]
                 )
         pivot = self._free.pop(j)
+        self._packed = None
         pos = bisect_left(self._pivots, pivot)
         self._pivots.insert(pos, pivot)
         self._leads.insert(pos, lead)
@@ -173,9 +192,37 @@ class DegreeSlice:
         """True when the vector reduces to zero against the basis."""
         return self.contains_row(self._to_int_row(vec))
 
+    def _packed_tails(self, height: int) -> tuple[int, int, int, int, list[int]]:
+        # With L the lcm of the leads and N_i = tail_i * L / lead_i, a row x
+        # lies in the span exactly when L * x_free = sum_i x[p_i] * N_i.  Each
+        # N_i is packed once into signed slots wide enough for rows of entries
+        # up to the capacity (at least height); the packed rows are kept until
+        # the next `add_row`.  Returns the capacity, the slot bytes, L, L times
+        # the slot offset, and the packed N_i.
+        if self._packed is None or self._packed[0] < height:
+            scale = lcm(*self._leads)
+            factors = [scale // lead for lead in self._leads]
+            top = max((max(map(abs, t), default=0) * f for t, f in zip(self._tails, factors)), default=0)
+            per = scale + len(factors) * top  # a slot of the check is at most height * per
+            size = (max(height, 1) * per).bit_length() // 64 * 8 + 8
+            offset = _unsigned([0] * len(self._free), size)
+            packed = [(_unsigned(t, size) - offset) * f for t, f in zip(self._tails, factors)]
+            self._packed = (((1 << 8 * size - 1) - 1) // per, size, scale, scale * offset, packed)
+        return self._packed
+
     def contains_row(self, row: Sequence[int]) -> bool:
-        """True when a dense integer row over the columns lies in the span."""
-        return not any(self._reduced(row))
+        """True when a dense integer row over the columns lies in the span,
+        by one big-int multiply-add per pivot the row meets."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
+        if not self._free:
+            return True
+        _, size, scale, shift, packed = self._packed_tails(max(map(abs, row)))
+        x = shift - scale * _unsigned([row[j] for j in self._free], size)
+        for p, n in zip(self._pivots, packed):
+            if row[p]:
+                x += row[p] * n
+        return not x
 
     def basis_rows(self) -> list[dict[Hashable, int]]:
         """The stored primitive integer rows, in pivot order, as sparse {column: entry} mappings."""
@@ -271,48 +318,51 @@ def _spanning_rows(
     return walk
 
 
-P = (1 << 20) - 3  # a prime: the modulus of `PackedRank`
-_MASK = (1 << 64) - 1
+def _rank_prime(width: int) -> int:
+    """The prime of the rank pass over width columns: the largest residue
+    prime, so that its residue carries the most bits into the fallback."""
+    return next(_residue_primes(width))
 
 
-class PackedRank:
-    """Row echelon mod P over width columns.  A stored row is one int with a
-    64-bit slot per column, column j at bits 64j..64j+63: entries in [0, P),
-    1 at its pivot and 0 at the pivots stored before it."""
-
-    def __init__(self, width: int):
-        # reducing a row adds at most width multiples (< P) of stored rows
-        # (entries < P) to entries < P, so every slot stays below
-        # width * P^2 + P and no slot carries into the next
-        if width * P * P + P >= 1 << 64:
-            raise OverflowError(f"{width} columns mod {P} can carry out of a 64-bit slot")
-        self.width = width
-        self._slots = Struct(f"<{width}Q")
-        self._pivots: list[int] = []
-        self._rows: list[int] = []
-
-    def _pack(self, entries: Sequence[int]) -> int:
-        return int.from_bytes(self._slots.pack(*entries), "little")
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def add_row(self, row: Sequence[int]) -> bool:
-        """Insert a dense integer row; True when it enlarges the span mod P."""
-        x = self._pack([a % P for a in row])
-        for j, stored in zip(self._pivots, self._rows):
-            v = ((x >> 64 * j) & _MASK) % P
-            if v:
-                x += (P - v) * stored
-        entries = [a % P for a in self._slots.unpack(x.to_bytes(8 * self.width, "little"))]
-        lead = next(filter(None, entries), 0)
-        if not lead:
-            return False
-        inverse = pow(lead, -1, P)
-        self._pivots.append(entries.index(lead))
-        self._rows.append(self._pack([a * inverse % P for a in entries]))
-        return True
+def _reduced_echelon(d: int, columns: Sequence[Hashable], rows: Sequence[Sequence[int]],
+                     packed: PackedRank | None = None) -> DegreeSlice:
+    """The reduced echelon over Q of the rows, as a `DegreeSlice`, by the
+    multimodular rule of the module docstring, from the rank pass if given."""
+    width = len(columns)
+    height = max((max(map(abs, row), default=0) for row in rows), default=0)
+    primes = filter((packed.p if packed else 0).__ne__, _residue_primes(width))
+    # the residues read the rows independent mod the rank prime until a check fails
+    sources = packed.basis if packed else rows
+    best, modulus, values, spent = None, 1, [], 0
+    while True:
+        if packed is None:
+            packed = _packed_rank(sources, width, next(primes))
+        pivots, entries = packed.reduced()
+        q, key, packed = packed.p, (-len(pivots), pivots), None
+        spent += q.bit_length()
+        if best is None or key < best:
+            best, modulus, values = key, q, entries
+        elif key == best:
+            inverse = pow(modulus, -1, q)
+            values = [[c + modulus * ((y - c) * inverse % q) for c, y in zip(cs, ys)] for cs, ys in zip(values, entries)]
+            modulus *= q
+        fractions = _reconstructed(values, modulus) if key == best else None
+        if fractions is not None:
+            exact = DegreeSlice(d, columns)
+            exact._pivots, (exact._leads, exact._tails) = list(pivots), fractions
+            exact._free = sorted(set(range(width)).difference(pivots))
+            exact._packed_tails(height)
+            if all(map(exact.contains_row, rows)):
+                return exact
+        # Each entry and the running denominator are ratios of minors of the
+        # rows, below the Hadamard bound (sqrt(width) * height)^rank, and the
+        # primes that drop a residue divide one such minor, so correct
+        # residues pass long before this many bits of primes are spent.  Past
+        # it some residue is wrong: all are dropped, as they are when a check
+        # fails on the rows independent mod the rank prime.
+        limit = 4 * len(best[1]) * (height.bit_length() + width.bit_length()) + 64
+        if fractions is not None and sources is not rows or spent > limit:
+            sources, best, spent = rows, None, 0
 
 
 class Span:
@@ -344,9 +394,9 @@ class Span:
 
     def contains_row(self, row: Sequence[int]) -> bool:
         """True when a dense integer row over the columns lies in the span:
-        at once if the span is saturated, else by an exact reduction against
-        the fallback slice, or against one built from the basis rows on the
-        first call, which then replaces them."""
+        at once if the span is saturated, else by the exact check of the
+        fallback slice, or of one built from the basis rows on the first
+        call, which then replaces them."""
         if len(row) != len(self.columns):
             raise ValueError(f"row of length {len(row)} against {len(self.columns)} columns")
         if self.saturated:
@@ -355,35 +405,18 @@ class Span:
         # so a call racing the first one sees the rows or the whole slice
         rows, exact = self._rows, self._exact
         if exact is None:
-            exact = _slice_of(self.degree, self.columns, rows)
+            exact = _reduced_echelon(self.degree, self.columns, rows)
             self._exact, self._rows = exact, ()
         return exact.contains_row(row)
 
 
-def _right_to_left(row: Sequence[int]) -> tuple[int, int]:
-    # latest first nonzero column first, then fewer nonzeros; a zero row first
-    nonzero = [j for j, a in enumerate(row) if a]
-    return -(nonzero[0] if nonzero else len(row)), len(nonzero)
-
-
-def _slice_of(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]) -> DegreeSlice:
-    """A `DegreeSlice` of a batch of dense integer rows, inserted right to
-    left (see the module docstring): a stored row is zero left of its pivot,
-    so a new pivot left of every stored one back-substitutes into none."""
-    exact = DegreeSlice(d, columns)
-    for row in sorted(rows, key=_right_to_left):
-        exact.add_row(row)
-    return exact
-
-
 def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]]) -> Span:
     """The `Span` of dense integer rows over the columns of degree d, by the
-    rule of the module docstring.  Rows are pulled into a `PackedRank` until
-    rank_p reaches the width; the fallback `DegreeSlice` reads every row
-    pulled, right to left (`_slice_of`), so that few of its inserts
-    back-substitute."""
+    rule of the module docstring.  Rows are pulled into a `PackedRank` mod
+    the rank prime until its rank reaches the width; the fallback reads every row pulled
+    (`_reduced_echelon`), starting from that rank pass."""
     width = len(columns)
-    packed = PackedRank(width)
+    packed = PackedRank(width, _rank_prime(width))
     drawn = []
     if width:
         for row in rows:
@@ -394,7 +427,7 @@ def exact_rank(d: int, columns: Sequence[Hashable], rows: Iterable[Sequence[int]
         return Span(d, columns, width, range(width))
     if packed.rank == len(drawn):
         return Span(d, columns, len(drawn), tuple(sorted(packed._pivots)), rows=drawn)
-    exact = _slice_of(d, columns, drawn)
+    exact = _reduced_echelon(d, columns, drawn, packed)
     return Span(d, columns, exact.rank, exact.pivots, exact=exact)
 
 

@@ -380,21 +380,29 @@ def _run_task(task) -> list[Case]:
     return result if isinstance(result, list) else [result]
 
 
+# the families whose checks build the ring of their box or order
+_RING_FAMILIES = frozenset({"rt", "h-basis", "kschur-basis", "lg"})
+
+
 def _shards(tasks) -> list[list[int]]:
     """The task indices grouped by the box (ell, k) or staircase order n whose
     memos they share; a task that names neither is a shard of its own.  Shards
-    come largest first by a size proxy, the dimension of their ring
+    come largest first by the dimension of the ring their tasks build
     (C(ell + k, k) Schubert classes for a box, 2^n for an order), so that a
-    large shard does not start last."""
+    large shard does not start last; shards that build no ring come last, in
+    task order."""
     groups: dict = {}
-    for index, (_, params, _) in enumerate(tasks):
+    for index, (family, params, _) in enumerate(tasks):
         if "ell" in params:
             key, size = (params["ell"], params["k"]), comb(params["ell"] + params["k"], params["k"])
         elif "n" in params:
             key, size = params["n"], 2 ** params["n"]
         else:
-            key, size = ("task", index), 1
-        groups.setdefault(key, (size, []))[1].append(index)
+            key, size = ("task", index), 0
+        group = groups.setdefault(key, [0, []])
+        group[1].append(index)
+        if family in _RING_FAMILIES:
+            group[0] = size
     return [indices for _, indices in sorted(groups.values(), key=lambda group: -group[0])]
 
 

@@ -32,6 +32,25 @@ def single_boxes(cap, rows, gap, d):
     return tuple(targets), tuple(marks)
 
 
+def _right_to_left(row):
+    # latest first nonzero column first, then fewer nonzeros; a zero row first
+    nonzero = [j for j, a in enumerate(row) if a]
+    return -(nonzero[0] if nonzero else len(row)), len(nonzero)
+
+
+def _slice_of(d, columns, rows):
+    """The fraction-free reduced echelon of a batch of dense integer rows, the
+    oracle of the engine's multimodular fallback: a `DegreeSlice` that
+    inserts them right to left (by first nonzero column, latest first, ties
+    to fewer nonzeros first, the sort stable).  A stored row is zero left of
+    its pivot, so a new pivot left of every stored one back-substitutes into
+    none of them."""
+    exact = DegreeSlice(d, columns)
+    for row in sorted(rows, key=_right_to_left):
+        exact.add_row(row)
+    return exact
+
+
 def omega(v):
     """Fundamental involution: transpose every Schur index, coefficients unchanged."""
     return SymVector._wrap({p.conjugate(): c for p, c in v.items()})

@@ -3,17 +3,17 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd, lcm
+from itertools import combinations_with_replacement, islice
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qgrass import echelon, grassmann, lagrangian, schur
+from qgrass import echelon, grassmann, lagrangian, modp, schur
 from qgrass.echelon import DegreeSlice, PackedRank, Ring, _monomials, apply_map, exact_rank, generated
 from qgrass.schur import _pieri_map
 
-from oracles import _columns, dense_rows, generated_slices
+from oracles import _columns, _slice_of, dense_rows, generated_slices
 
 
 def test_rank_and_redundancy():
@@ -134,6 +134,36 @@ def test_contains_row_rejects_wrong_length():
         sl.contains_row([1])
     with pytest.raises(ValueError):
         sl.contains_row([1, 0, 0])
+
+
+# rows to insert and probes, entries small or up to 60 bits
+_entry = st.integers(-3, 3) | st.integers(-(1 << 60), 1 << 60)
+_rows_and_probes = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(*[st.lists(st.lists(_entry, min_size=width, max_size=width), max_size=6)] * 2)
+    .map(lambda rows_probes: (width, *rows_probes))
+)
+
+
+@given(_rows_and_probes)
+@example((3, [[1, 2, 0], [0, 1, 1 << 60]], [[1, 3, 1 << 60], [1, 3, (1 << 60) + 1]]))
+def test_contains_row_is_the_reduction_to_zero(width_rows_probes):
+    # the packed check against the reduction it replaced: after every insert
+    # (which drops the packed tails), for probes off the span, the zero row,
+    # rows and sums of rows inserted so far, and those times 2^60
+    width, rows, probes = width_rows_probes
+    sl = DegreeSlice(0, tuple(range(width)))
+    seen = set()
+    for n, row in enumerate([[0] * width] + rows):
+        sl.add_row(row)
+        inserted = [row] + rows[:n]
+        sums = [[a + b for a, b in zip(r, s)] for r, s in zip(inserted, inserted[1:])]
+        for probe in probes + inserted + sums + [[a << 60 for a in r] for r in inserted + probes]:
+            inside = sl.contains_row(probe)
+            assert inside == (not any(sl._reduced(probe))), (sl._pivots, probe)
+            seen.add(inside)
+    with pytest.raises(ValueError):
+        sl.contains_row([0] * (width + 1))
+    assert True in seen
 
 
 # --- the dense reference echelon ----------------------------------------------
@@ -457,23 +487,48 @@ def test_generated_ranks_stay_exact_under_a_bad_prime(monkeypatch):
     points = [("lg", (n,), m) for n in range(2, 9) for m in range(1, n + 1, 2)] + [("box", (4, 4), 2)]
     want = {point: tuple(sl.rank for sl in generated_slices(*_point(*point))) for point in points}
     exact = _watch_exact_degrees(monkeypatch)
-    monkeypatch.setattr(echelon, "P", 2)
+    monkeypatch.setattr(echelon, "_rank_prime", lambda width: 2)
     for point in points:
         assert tuple(span.rank for span in _cold_build(*_point(*point))) == want[point], point
     assert exact
 
 
-def test_packed_rank_asserts_the_slot_bound(monkeypatch):
-    # at most width multiples of P - 1 land on a slot, so width * P^2 + P
-    # must stay below 2^64: about 2^24 columns at P = 2^20 - 3, and the check
-    # reads the modulus in force
-    assert ((1 << 64) - echelon.P - 1) // echelon.P**2 >= 1 << 23
-    for p in (echelon.P, (1 << 31) - 1):
-        monkeypatch.setattr(echelon, "P", p)
+def _is_prime(q):
+    return q > 1 and all(q % f for f in range(2, int(q**0.5) + 1))
+
+
+def test_packed_rank_asserts_the_slot_bound():
+    # at most width multiples of p - 1 land on a slot, so width * p^2 + p
+    # must stay below 2^64: about 2^24 columns at p = 2^20 - 3, and the check
+    # reads the prime given.  The rank prime and every residue prime meet it
+    # for every width of the same bit length b: each is a prime below 2^30,
+    # largest first, the rank prime the first, and no larger prime meets it
+    # for 2^b columns.
+    assert ((1 << 64) - P20 - 1) // P20**2 >= 1 << 23
+    for p in (P20, (1 << 31) - 1):
         widest = ((1 << 64) - p - 1) // (p * p)
-        assert PackedRank(widest).rank == 0
+        assert PackedRank(widest, p).rank == 0
         with pytest.raises(OverflowError):
-            PackedRank(widest + 1)
+            PackedRank(widest + 1, p)
+    for width in (1, 2, 15, 16, 17, 155, 409, 4500, 1 << 23):
+        primes = list(islice(modp._residue_primes(width), 4))
+        assert primes == sorted(set(primes), reverse=True) and len(primes) == 4, width
+        assert echelon._rank_prime(width) == primes[0]
+        for q in primes:
+            assert q < 1 << 30 and width * q * q + q < 1 << 64 and _is_prime(q), (width, q)
+            assert PackedRank(width, q).rank == 0
+        # a width shares its primes with every width of its bit length
+        widest = (1 << width.bit_length()) - 1
+        assert primes == list(islice(modp._residue_primes(widest), 4))
+        above = range(primes[0] + 1, min(1 << 30, isqrt((1 << 64) // (widest + 1)) + 1))
+        assert not any((widest + 1) * q * q + q < 1 << 64 and _is_prime(q) for q in above), width
+
+
+def test_residue_primes_are_the_primes():
+    # Miller-Rabin to the bases 2, 3, 5 and 7 against trial division, at the
+    # smallest strong pseudoprimes to base 2, to 2 and 3, and to 2, 3 and 5
+    odd = [q for q in range(11, 20000, 2)] + [2047, 1373653, 25326001, 3215031749, (1 << 30) - 35]
+    assert [q for q in odd if modp._is_prime(q)] == [q for q in odd if _is_prime(q)]
 
 
 def _rank_mod(rows, p):
@@ -495,59 +550,86 @@ def _rank_mod(rows, p):
     return rank
 
 
-_entries = st.integers(-4, 4) | st.sampled_from([echelon.P, -echelon.P, 2 * echelon.P + 1, 3 << 40])
+P20 = (1 << 20) - 3  # a prime whose multiples the rows below plant
+
+_entries = st.integers(-4, 4) | st.sampled_from([P20, -P20, 2 * P20 + 1, 3 << 40])
 
 
 @given(st.integers(1, 7).flatmap(lambda width: st.lists(st.lists(_entries, min_size=width, max_size=width), max_size=9)))
 def test_packed_rank_is_the_rank_mod_p(rows):
     width = len(rows[0]) if rows else 3
-    packed = PackedRank(width)
+    packed = PackedRank(width, P20)
     grew = [packed.add_row(row) for row in rows]
-    assert packed.rank == grew.count(True) == _rank_mod(rows, echelon.P)
+    assert packed.rank == grew.count(True) == _rank_mod(rows, P20)
     assert packed.rank <= _rank_oracle(rows)
 
 
+def _watch_residues(monkeypatch):
+    # the prime of every residue the fallbacks draw past the rank pass's own,
+    # and every reconstruction the exact check reads
+    primes, checked = [], []
+    packed_rank, reconstructed = echelon._packed_rank, echelon._reconstructed
+
+    def counting_packed_rank(rows, width, p):
+        primes.append(p)
+        return packed_rank(rows, width, p)
+
+    def counting_reconstructed(*args):
+        out = reconstructed(*args)
+        if out is not None:
+            checked.append(out)
+        return out
+
+    monkeypatch.setattr(echelon, "_packed_rank", counting_packed_rank)
+    monkeypatch.setattr(echelon, "_reconstructed", counting_reconstructed)
+    return primes, checked
+
+
 @pytest.mark.parametrize(
-    "space, size, m, exact_degrees, inserts, maps",
+    "space, size, m, exact_degrees, inserts, maps, residues",
     [
-        ("box", (6, 6), 3, 6, 712, 711),
-        ("box", (7, 7), 2, 6, 507, 506),
-        ("box", (5, 5), 5, 0, 264, 264),
-        ("lg", (9,), 5, 4, 480, 479),
-        ("lg", (10,), 5, 8, 883, 882),
-        ("lg", (11,), 3, 8, 573, 572),
+        ("box", (6, 6), 3, 6, 712, 711, 3),
+        ("box", (7, 7), 2, 6, 507, 506, 3),
+        ("box", (5, 5), 5, 0, 264, 264, 0),
+        ("lg", (9,), 5, 4, 480, 479, 0),
+        ("lg", (10,), 5, 8, 883, 882, 4),
+        ("lg", (11,), 3, 8, 573, 572, 3),
     ],
     ids=["box-6x6-m3", "box-7x7-m2", "box-5x5-m5", "lg-9-m5", "lg-10-m5", "lg-11-m3"],
 )
-def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, inserts, maps):
+def test_generated_ranks_work(monkeypatch, space, size, m, exact_degrees, inserts, maps, residues):
     # The work of the rank path at the points of the exact builder's pin:
-    # how many degrees fall back to the exact echelon, every mod-p insert,
-    # and every row built, as many as the exact builder builds.
+    # how many degrees fall back to the exact echelon, every insert of the
+    # rank pass, every row built (as many as the exact builder builds), and
+    # the residues the fallbacks draw past the rank pass's own.
     calls = []
     add_row = PackedRank.add_row
 
     def counting_add_row(self, row):
-        calls.append(row)
+        if self.p == echelon._rank_prime(self.width):
+            calls.append(row)
         return add_row(self, row)
 
     args = _point(space, size, m)
     exact = _watch_exact_degrees(monkeypatch)
+    primes, _ = _watch_residues(monkeypatch)
     monkeypatch.setattr(PackedRank, "add_row", counting_add_row)
     built = _count_apply_map(monkeypatch)
     _cold_build(*args)
-    assert (len(exact), len(calls), len(built)) == (exact_degrees, inserts, maps)
+    assert (len(exact), len(calls), len(built), len(primes)) == (exact_degrees, inserts, maps, residues)
 
 
 @pytest.mark.parametrize(
-    "space, size, m, normalised",
-    [("box", (6, 6), 3, 2099), ("box", (7, 7), 2, 341), ("lg", (10,), 5, 1799), ("lg", (11,), 3, 364)],
+    "space, size, m, residues, checks",
+    [("box", (6, 6), 3, 3, 6), ("box", (7, 7), 2, 3, 6), ("lg", (10,), 5, 4, 8), ("lg", (11,), 3, 3, 8)],
     ids=["box-6x6-m3", "box-7x7-m2", "lg-10-m5", "lg-11-m3"],
 )
-def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, normalised):
-    # Every row normalisation of a cold build, all in the exact fallbacks:
-    # their rows go in right to left, so a new pivot seldom back-substitutes
-    # into the stored rows.  In draw order the same builds took 4,158, 661,
-    # 3,671 and 566.
+def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, residues, checks):
+    # The fallbacks of a cold build insert no row fraction-free: the right to
+    # left inserts of `tests/oracles.py`'s `_slice_of` normalised 2,099, 341,
+    # 1,799 and 364 rows here, and 4,158, 661, 3,671 and 566 in draw order.
+    # Each fallback reads the rank pass's residue and the residues counted,
+    # and its first exact check passes: one check per fallback degree.
     calls = []
     primitive = echelon._primitive
 
@@ -556,8 +638,10 @@ def test_generated_fallbacks_insert_right_to_left(monkeypatch, space, size, m, n
         return primitive(lead, tail)
 
     monkeypatch.setattr(echelon, "_primitive", counting_primitive)
+    primes, checked = _watch_residues(monkeypatch)
+    exact = _watch_exact_degrees(monkeypatch)
     _cold_build(*_point(space, size, m))
-    assert len(calls) == normalised
+    assert (len(calls), len(primes), len(checked), len(set(exact))) == (0, residues, checks, checks)
 
 
 def _fresh_rings():
@@ -567,25 +651,18 @@ def _fresh_rings():
 
 def test_each_ring_keeps_its_own_saturation_record(monkeypatch):
     # boxes built first leave their records in their own rings, so the
-    # order's build after them is a cold one: the 1,799 row normalisations
-    # of lg-10-m5 above (one record shared by the three builds gave 0)
-    calls = []
-    primitive = echelon._primitive
-
-    def counting_primitive(lead, tail):
-        calls.append(lead)
-        return primitive(lead, tail)
-
+    # order's build after them is a cold one: the 8 fallback degrees of
+    # lg-10-m5 above (one record shared by the three builds gave none)
     _fresh_rings()
     try:
         grassmann.subalgebra_hilbert(6, 6, 3)
         grassmann.subalgebra_hilbert(7, 7, 2)
-        monkeypatch.setattr(echelon, "_primitive", counting_primitive)
+        exact = _watch_exact_degrees(monkeypatch)
         lagrangian.lg_subalgebra_hilbert(10, 5)
         rings = [schur._ring(6, 6, 0), schur._ring(7, 7, 0), schur._ring(10, 10, 1)]
         records = [ring.saturated for ring in rings]
         assert all(records) and len(set(map(id, records))) == 3
-        assert len(calls) == 1799
+        assert len(exact) == 8
     finally:
         _fresh_rings()
 
@@ -615,7 +692,7 @@ def test_right_to_left_slice_is_the_draw_order_slice(width_rows_plants):
     drawn = DegreeSlice(0, columns)
     for row in rows:
         drawn.add_row(row)
-    built = echelon._slice_of(0, columns, rows)
+    built = _slice_of(0, columns, rows)
     assert (built._pivots, built._leads, built._tails, built._free) == (
         drawn._pivots, drawn._leads, drawn._tails, drawn._free
     )
@@ -634,7 +711,7 @@ def _dense(terms, width):
     return row
 
 
-@pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
+@pytest.mark.parametrize("p", [None, 2], ids=["real-prime", "prime-2"])
 @given(_small_rows_and_probes)
 # saturated at P and a fallback at 2; independent rows short of the width at
 # P, a fallback short of it at 2; a dependency over Q, a fallback at both
@@ -655,9 +732,11 @@ def test_exact_rank_is_the_rank_over_q(p, width_rows_probes):
             yield row
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(echelon, "P", p)
+        if p:
+            mp.setattr(echelon, "_rank_prime", lambda width: p)
         span = exact_rank(0, tuple(range(width)), draw())
-        stop = next((i for i in range(len(rows) + 1) if _rank_mod(rows[:i], p) == width), len(rows))
+        prime = echelon._rank_prime(width)
+        stop = next((i for i in range(len(rows) + 1) if _rank_mod(rows[:i], prime) == width), len(rows))
         assert span.rank == _rank_oracle(rows)
         assert drawn == rows[:stop]
         assert span.saturated == (span.rank == width)
@@ -703,3 +782,123 @@ def test_span_rejects_a_row_of_the_wrong_length_in_every_state():
             assert span.contains_row([0] * width), name
             assert span.contains_row([1] * width) == (name == "saturated"), name
     assert not states["independent"]._rows and states["independent"]._exact is not None
+
+
+# --- the multimodular fallback ------------------------------------------------
+
+
+def _record_fallbacks(monkeypatch):
+    # every reduced echelon the engine builds over Q, with the rows it read
+    seen = []
+    reduced_echelon = echelon._reduced_echelon
+
+    def recording(d, columns, rows, packed=None):
+        out = reduced_echelon(d, columns, rows, packed)
+        seen.append((d, columns, rows, out))
+        return out
+
+    monkeypatch.setattr(echelon, "_reduced_echelon", recording)
+    return seen
+
+
+def _same_slice(got, want):
+    return (got._pivots, got._leads, got._tails, got._free) == (want._pivots, want._leads, want._tails, want._free)
+
+
+@pytest.mark.parametrize("p, counts", [(None, (20, 50)), (2, (94, 210))], ids=["real-prime", "prime-2"])
+def test_fallback_slices_are_the_fraction_free_slices(monkeypatch, p, counts):
+    # Every fallback of cold (6,6,3), (7,7,2) and LG (10,5) builds, then
+    # every reduced echelon of the (5,5) basis reports (their candidate
+    # ranks, and the slices their membership tests build), with the rank
+    # prime P and with the bad prime 2: field by field the oracle's slice
+    seen = _record_fallbacks(monkeypatch)
+    if p:
+        monkeypatch.setattr(echelon, "_rank_prime", lambda width: p)
+    memos = (schur._ring, lagrangian._lg_rank_data, grassmann._slice_data)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        grassmann.subalgebra_hilbert(6, 6, 3)
+        grassmann.subalgebra_hilbert(7, 7, 2)
+        lagrangian.lg_subalgebra_hilbert(10, 5)
+        builds = len(seen)
+        for m in range(1, 6):
+            grassmann.h_basis_report(5, 5, m)
+            grassmann.kschur_basis_report(5, 5, m)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert (builds, len(seen) - builds) == counts
+    for d, columns, rows, got in seen:
+        assert _same_slice(got, _slice_of(d, columns, rows)), d
+
+
+def _combinations(rng, base, count, size):
+    # count combinations of the base rows, coefficients in [-size, size]
+    out = []
+    for _ in range(count):
+        coefficients = [rng.randint(-size, size) for _ in base]
+        out.append([sum(c * b[j] for c, b in zip(coefficients, base)) for j in range(len(base[0]))])
+    return out
+
+
+def _planted(rng, width):
+    # rows of rank r over Q whose rank mod the rank prime P is smaller:
+    # random base rows, and each planted row a combination of them plus P
+    # times a unit row, which vanishes mod P
+    base = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rng.randint(1, width - 2))]
+    planted = _combinations(rng, base, rng.randint(1, 2), 2)
+    for row in planted:
+        row[rng.randrange(width)] += echelon._rank_prime(width) * rng.choice([1, -1, 3])
+    rows = base + planted + [[a + b for a, b in zip(base[0], planted[0])]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fallback_settles_rows_short_of_their_rank_mod_p():
+    # the rows independent mod the rank prime span less than the rows, so
+    # the first check fails on them, and the residues of every row settle
+    # the span
+    rng = random.Random(20261022)
+    short = 0
+    for _ in range(60):
+        width = rng.randint(3, 7)
+        rows = _planted(rng, width)
+        rank = _rank_oracle(rows)
+        span = exact_rank(0, tuple(range(width)), rows)
+        assert span.rank == rank
+        if span._exact is not None:
+            assert _same_slice(span._exact, _slice_of(0, tuple(range(width)), rows))
+        short += _rank_mod(rows, echelon._rank_prime(width)) < rank < width
+    assert short >= 30
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["rank-pass", "first-residue", "second-residue"])
+def test_a_corrupted_residue_is_never_accepted(monkeypatch, which):
+    # one entry of one residue is wrong: the rank pass's own, or one drawn
+    # later.  The result is still the reduced echelon of the rows: a wrong
+    # residue fails a reconstruction or a check until the residues are
+    # dropped.
+    rng = random.Random(which)
+    reduced = PackedRank.reduced
+    corrupted = []
+
+    def corrupting(self):
+        pivots, entries = reduced(self)
+        calls.append(self.p)
+        if len(calls) == which + 1 and entries and entries[0]:
+            entries[0][0] = (entries[0][0] + 1) % self.p
+            corrupted.append(self.p)
+        return pivots, entries
+
+    monkeypatch.setattr(PackedRank, "reduced", corrupting)
+    for _ in range(20):
+        width = rng.randint(3, 7)
+        # entries large enough that the reduced echelon needs residues past P
+        base = [[rng.randint(-999, 999) for _ in range(width)] for _ in range(rng.randint(2, width - 1))]
+        rows = _combinations(rng, base, len(base) + 2, 3)
+        calls = []
+        span = exact_rank(0, tuple(range(width)), rows)
+        if span._exact is not None:
+            assert _same_slice(span._exact, _slice_of(0, tuple(range(width)), rows))
+    assert len(corrupted) >= 10

@@ -190,13 +190,14 @@ def _fresh_box_builds():
     _ring.cache_clear()
 
 
-@pytest.mark.parametrize("p", [echelon.P, 2], ids=["real-prime", "prime-2"])
+@pytest.mark.parametrize("p", [None, 2], ids=["real-prime", "prime-2"])
 def test_saturation_record_matches_cold_builds(monkeypatch, p):
     # Every m of a box, built through a warm record in ascending and in
     # descending order of m, has the series of a cold build and of the closed
     # form; past min(ell, k) the subalgebra is the ring.  At p = 2 the
     # saturated degrees are often proved by the exact fallback.
-    monkeypatch.setattr(echelon, "P", p)
+    if p:
+        monkeypatch.setattr(echelon, "_rank_prime", lambda width: p)
     try:
         for ell in range(6):
             for k in range(6):
@@ -401,7 +402,7 @@ def test_basis_reports_stay_exact_under_a_bad_prime(monkeypatch):
         assert probed == (point in findings), point
     _slice_data.cache_clear()
     _ring.cache_clear()
-    monkeypatch.setattr(echelon, "P", 2)
+    monkeypatch.setattr(echelon, "_rank_prime", lambda width: 2)
     probed = set()
     try:
         for point in points + findings:

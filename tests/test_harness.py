@@ -141,8 +141,9 @@ def test_lg_stab_rejects_a_dropped_generator(monkeypatch):
         return tuple(span.rank for span in generated(Ring(columns, functools.partial(_pieri_map, n, n, 1)), (1,)))
 
     monkeypatch.setattr(lagrangian, "_lg_rank_data", e1_only)
-    for p in (echelon.P, 2):
-        monkeypatch.setattr(echelon, "P", p)
+    for p in (None, 2):
+        if p:
+            monkeypatch.setattr(echelon, "_rank_prime", lambda width: p)
         for n in (4, 5):
             stab = {c.params["m"]: c for c in check_lg(n) if c.name == "lg-stab"}
             assert stab[2].status == "pass" and lg_stab_membership(n, 2, (1,))
@@ -163,11 +164,12 @@ def test_lg_stab_reads_the_rank_of_degree_m(monkeypatch):
     assert stab == {2: "pass", 4: "fail", 6: "pass"}
 
 
-@pytest.mark.parametrize("p", [echelon.P, 2])
+@pytest.mark.parametrize("p", [(1 << 20) - 3, 2])
 def test_lg_stab_ranks_agree_with_the_membership_oracle(monkeypatch, p):
     # the rank criterion of `check_lg` and the exact membership of sigma_m in
-    # a build of degrees 0..m both hold at every even m
-    monkeypatch.setattr(echelon, "P", p)
+    # a build of degrees 0..m both hold at every even m, with a 20-bit rank
+    # prime and with the bad prime 2
+    monkeypatch.setattr(echelon, "_rank_prime", lambda width: p)
     lagrangian._lg_rank_data.cache_clear()
     schur._ring.cache_clear()
     try:
@@ -192,7 +194,7 @@ def test_check_lg_passes_under_a_bad_prime(monkeypatch):
             super().__init__(degree, columns)
 
     monkeypatch.setattr(echelon, "DegreeSlice", Watched)
-    monkeypatch.setattr(echelon, "P", 2)
+    monkeypatch.setattr(echelon, "_rank_prime", lambda width: 2)
     lagrangian._lg_rank_data.cache_clear()
     schur._ring.cache_clear()
     try:
@@ -577,12 +579,28 @@ def test_shards_group_tasks_by_box_or_order_largest_first():
         assert len(key) == 1, key  # one box or order per shard
         keys += key
     assert len(set(keys)) == len(keys) == 66  # each in one shard only
-    # largest ring first: C(ell + k, k) classes for a box, 2^n for an order
-    sizes = [comb(sum(key), key[0]) if isinstance(key, tuple) else 2**key for key in keys]
+    # largest ring first: C(ell + k, k) classes for a box, 2^n for an order;
+    # the orders past the lg grid (n = 9..30) build no ring and come last,
+    # in task order, so the (6,6) box starts first
+    builds = {"rt", "h-basis", "kschur-basis", "lg"}
+    sizes = [
+        (comb(sum(key), key[0]) if isinstance(key, tuple) else 2**key)
+        * any(tasks[i][0] in builds for i in shard)
+        for key, shard in zip(keys, shards)
+    ]
     assert sizes == sorted(sizes, reverse=True)
-    assert [key for key in keys if isinstance(key, tuple)][:3] == [(6, 6), (5, 6), (6, 5)]
+    assert keys[:3] == [(6, 6), (5, 6), (6, 5)]
+    assert keys[-22:] == list(range(9, 31)) and sizes.count(0) == 22
     # a task naming neither a box nor an order is a shard of its own
     assert harness._shards([_fake_task("pass", THEOREM)] * 3) == [[0], [1], [2]]
+
+
+def test_the_default_sweep_starts_with_the_6x6_box():
+    # the ring-free prop51 orders n = 10..30 no longer rank ahead of the box
+    tasks = harness._tasks_for(harness.DEFAULT_CONFIG)
+    first = harness._shards(tasks)[0]
+    assert {(tasks[i][1].get("ell"), tasks[i][1].get("k")) for i in first} == {(6, 6)}
+    assert "rt" in {tasks[i][0] for i in first}
 
 
 def _exited(pid):
